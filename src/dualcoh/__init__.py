@@ -16,7 +16,6 @@ from .algebra import (
     exterior_algebra,
     ideal_basis_in_degree,
     is_divisible,
-    multiply,
     pairing,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
@@ -43,7 +42,6 @@ from .errors import (
     InvalidPresentationError,
 )
 from .morphisms import (
-    FundamentalClass,
     Morphism,
     apply,
     build_morphism,
@@ -52,6 +50,7 @@ from .morphisms import (
     verify_multiplicativity,
 )
 from .rings import (
+    clear_ring_cache,
     grassmannian_algebra,
     lagrangian_algebra,
     sp_group_algebra,
@@ -64,7 +63,6 @@ __all__ = [
     "CapExceededError",
     "Element",
     "FamilyInstance",
-    "FundamentalClass",
     "Generator",
     "GhostCertificate",
     "GradedAlgebra",
@@ -75,6 +73,7 @@ __all__ = [
     "apply",
     "build_family",
     "build_morphism",
+    "clear_ring_cache",
     "compose",
     "decide_ghost",
     "decide_nonvanishing",
@@ -89,7 +88,6 @@ __all__ = [
     "ideal_basis_in_degree",
     "is_divisible",
     "lagrangian_algebra",
-    "multiply",
     "pairing",
     "pairs_nontrivially_with_ideal",
     "poincare_polynomial",

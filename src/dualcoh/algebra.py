@@ -13,6 +13,12 @@ eliminates the largest monomials, so standard (basis) monomials are the
 minimal ones under this order.  The basis of a quotient in each degree is
 exactly the set of non-pivot columns of the reduced row echelon form of the
 span of relation multiples, with columns sorted by the key descending.
+
+Scalars must be ``int`` or ``Fraction``: a float is refused, not rounded.
+
+The witness search walks the ideal's spanning products m*g_i without row
+reduction; ``ideal_basis_in_degree`` (an echelon basis) is the reference
+that checks and tests compare it against.
 """
 
 from dataclasses import dataclass
@@ -138,6 +144,8 @@ class Element:
         return self._scale(other)
 
     def _scale(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            raise InvalidPresentationError(f"inexact scalar {scalar!r}")
         c = Fraction(scalar)
         if not c:
             return Element(self.algebra, {})
@@ -267,6 +275,8 @@ class GradedAlgebra:
         """Element from an ambient {exponent tuple: coefficient} dict."""
         out = {}
         for mont, c in raw_terms.items():
+            if not isinstance(c, (int, Fraction)):
+                raise InvalidPresentationError(f"inexact coefficient {c!r}")
             c = Fraction(c)
             if not c:
                 continue
@@ -710,11 +720,6 @@ def tensor_product(a, b, monomial_cap=None):
 # ------------------------------------------------------------------- ops
 
 
-def multiply(a, b):
-    """Normal-form product of two elements of the same algebra."""
-    return a * b
-
-
 def poincare_polynomial(algebra):
     """Betti numbers as a list indexed by degree (coefficient of t^d)."""
     return [algebra.dims(d) for d in range(algebra.top_degree + 1)]
@@ -795,12 +800,19 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
 
     Existence of u says exactly that v is not orthogonal to the ideal, i.e.
     v survives the map whose kernel is the ideal's orthogonal complement.
+    A functional vanishes on the ideal's degree-du piece iff it vanishes on
+    the spanning products m*g_i (m a basis monomial), so u is the first of
+    those that pairs nonzero.
     """
     alg = v.algebra
     if v.is_zero():
         return None
     du = alg.top_degree - v.homogeneous_degree()
-    for u in ideal_basis_in_degree(ideal_gens, du):
-        if pairing(v, u):
-            return u
+    for g in ideal_gens:
+        if g.is_zero():
+            continue
+        for m in alg.basis(du - g.homogeneous_degree()):
+            u = alg.basis_element(m) * g
+            if pairing(v, u):
+                return u
     return None

@@ -5,8 +5,9 @@ the restriction morphism between them, and the ideal whose orthogonal
 complement (under the intersection pairing) is the kernel of the
 invariant-forms map into locally symmetric cohomology (Franke's criterion).
 ``decide_nonvanishing`` computes the dual fundamental class and searches
-the ideal for a pairing witness; ``decide_ghost`` assembles the
-boundary-restriction certificate for the special-linear families.
+the ideal's spanning products m*g_i for one that pairs nonzero with it;
+``decide_ghost`` assembles the boundary-restriction certificate for the
+special-linear families from two divisibility tests by named generators.
 
 The kernel ideals are catalog data: they summarize Levi-restriction and
 Chern-class vanishing arguments that are not re-derived here.  Where an
@@ -56,9 +57,9 @@ class FamilyInstance:
     dual_H: object
     restriction: Morphism
     franke_ideal: list          # elements of dual_G
-    compact_support_ideal: list | None = None
+    compact_support_generator: str | None = None   # generator name in dual_G
     levi_restriction: Morphism | None = None
-    levi_franke_ideal: list | None = None
+    levi_franke_generator: str | None = None       # generator name in the Levi dual
     notes: dict = field(default_factory=dict)
 
 
@@ -110,21 +111,21 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     H = sp_group_algebra(n, monomial_cap)
     images = {f"e{d}": H.gen(f"e{d}") for d in range(3, 4 * n, 4)}
     restriction = build_morphism(G, H, images)
-    top_gen = G.gen(f"e{4 * n - 1}")
+    top_name = f"e{4 * n - 1}"
     inst = FamilyInstance(
         family_id="sl-imag-sp",
         parameters={"n": n},
         dual_G=G,
         dual_H=H,
         restriction=restriction,
-        franke_ideal=[top_gen],
-        compact_support_ideal=[top_gen],
+        franke_ideal=[G.gen(top_name)],
+        compact_support_generator=top_name,
     )
     if n >= 2:
         levi = su_algebra(2 * n - 1, monomial_cap)
         levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n - 2, 2)}
         inst.levi_restriction = build_morphism(G, levi, levi_images)
-        inst.levi_franke_ideal = [levi.gen(f"e{4 * n - 3}")]
+        inst.levi_franke_generator = f"e{4 * n - 3}"
         inst.notes["discrepancy"] = (
             f"compact-support divisibility is read against the top generator "
             f"e{4 * n - 1}; an e{4 * n - 3} reading would be vacuous, since the "
@@ -146,7 +147,7 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     H = su_so_algebra(n, monomial_cap)
     images = {f"e{d}": H.gen(f"e{d}") for d in range(5, 4 * n + 2, 4)}
     restriction = build_morphism(G, H, images)
-    top_gen = G.gen(f"e{4 * n + 1}")
+    top_name = f"e{4 * n + 1}"
     levi = su_algebra(2 * n, monomial_cap)
     levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n, 2)}
     inst = FamilyInstance(
@@ -155,10 +156,10 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
         dual_G=G,
         dual_H=H,
         restriction=restriction,
-        franke_ideal=[top_gen],
-        compact_support_ideal=[top_gen],
+        franke_ideal=[G.gen(top_name)],
+        compact_support_generator=top_name,
         levi_restriction=build_morphism(G, levi, levi_images),
-        levi_franke_ideal=[levi.gen(f"e{4 * n - 1}")],
+        levi_franke_generator=f"e{4 * n - 1}",
     )
     inst.notes["discrepancy"] = (
         f"compact-support divisibility is read against the top generator "
@@ -203,9 +204,9 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
         H = factors[0]
         for f in factors[1:]:
             H = tensor_product(H, f, monomial_cap)
-    images = {}
-    for k in range(1, g + 1):
-        images[f"sigma{k}"] = _composition_image(H, parts, _FACTOR_PREFIXES, k)
+    classes = [[f"{_FACTOR_PREFIXES[i]}{j}" for j in range(1, gi + 1)]
+               for i, gi in enumerate(parts)]
+    images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
     restriction = build_morphism(G, H, images)
     inst = FamilyInstance(
         family_id="siegel-product",
@@ -222,22 +223,20 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
     return inst
 
 
-def _composition_image(H, parts, prefixes, k):
-    """Sum over compositions k = sum k_i of products of factor classes."""
+def _composition_image(H, classes, k):
+    """Degree-k part of the product of the factors' total classes, where
+    ``classes[i]`` names factor i's classes c_1, c_2, ... in order."""
     total = H.zero()
-    bounds = list(parts)
 
     def rec(i, rem, acc):
         nonlocal total
-        if i == len(bounds):
+        if i == len(classes):
             if rem == 0:
                 total = total + acc
             return
-        for ki in range(0, min(bounds[i], rem) + 1):
-            if ki == 0:
-                rec(i + 1, rem, acc)
-            else:
-                rec(i + 1, rem - ki, acc * H.gen(f"{prefixes[i]}{ki}"))
+        rec(i + 1, rem, acc)
+        for ki in range(1, min(len(classes[i]), rem) + 1):
+            rec(i + 1, rem - ki, acc * H.gen(classes[i][ki - 1]))
 
     rec(0, k, H.one())
     return total
@@ -309,13 +308,10 @@ def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
         for f in factors[1:]:
             H = tensor_product(H, f, monomial_cap)
     suffixes = [""] if len(parts) == 1 else [f"@{i + 1}" for i in range(len(parts))]
-    images = {}
-    for k in range(1, p + 1):
-        images[f"sigma{k}"] = _bi_composition_image(
-            H, [pi for pi, _ in parts], "sigma", suffixes, k)
-    for m in range(1, q + 1):
-        images[f"tau{m}"] = _bi_composition_image(
-            H, [qi for _, qi in parts], "tau", suffixes, m)
+    sigmas = [[f"sigma{j}{s}" for j in range(1, pi + 1)] for (pi, _), s in zip(parts, suffixes)]
+    taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
+    images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
+    images.update({f"tau{m}": _composition_image(H, taus, m) for m in range(1, q + 1)})
     restriction = build_morphism(G, H, images)
     inst = FamilyInstance(
         family_id="unitary-product",
@@ -337,25 +333,6 @@ def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
             f"product-of-top-tau shortcut does not apply; decided by the "
             f"general pairing criterion.")
     return inst
-
-
-def _bi_composition_image(H, bounds, stem, suffixes, k):
-    total = H.zero()
-
-    def rec(i, rem, acc):
-        nonlocal total
-        if i == len(bounds):
-            if rem == 0:
-                total = total + acc
-            return
-        for ki in range(0, min(bounds[i], rem) + 1):
-            if ki == 0:
-                rec(i + 1, rem, acc)
-            else:
-                rec(i + 1, rem - ki, acc * H.gen(f"{stem}{ki}{suffixes[i]}"))
-
-    rec(0, k, H.one())
-    return total
 
 
 def family_sp_in_ugg(g, monomial_cap=DEFAULT_MONOMIAL_CAP):
@@ -411,43 +388,30 @@ def decide_nonvanishing(inst):
     the core primitives alone.
     """
     fc = gysin_fundamental_class(inst.restriction)
-    witness = pairs_nontrivially_with_ideal(fc.element, inst.franke_ideal)
+    witness = pairs_nontrivially_with_ideal(fc, inst.franke_ideal)
     return Verdict(
-        fundamental_class=fc.element,
+        fundamental_class=fc,
         nonvanishing=witness is not None,
         nonvanishing_witness=witness,
-        ghost=decide_ghost(inst, fundamental_class=fc.element,
-                           nonvanishing=witness is not None),
+        ghost=decide_ghost(inst, fc, witness is not None),
         betti_G=poincare_polynomial(inst.dual_G),
         betti_H=poincare_polynomial(inst.dual_H),
     )
 
 
-def decide_ghost(inst, fundamental_class=None, nonvanishing=None):
+def decide_ghost(inst, fundamental_class, nonvanishing):
     """Ghost certificate for families carrying boundary data, else None.
 
     (a) the dual class is not divisible by the top generator (not in the
     compactly-supported image); (b) its principal-Levi restriction is
     divisible by the Levi ring's top generator (dies under the Levi's
-    map); ghost = (a) and (b) and non-vanishing.
+    map); ghost = (a) and (b) and ``nonvanishing``.
     """
-    if inst.compact_support_ideal is None or inst.levi_restriction is None:
+    if inst.compact_support_generator is None or inst.levi_restriction is None:
         return None
-    if fundamental_class is None:
-        fundamental_class = gysin_fundamental_class(inst.restriction).element
-    if nonvanishing is None:
-        nonvanishing = pairs_nontrivially_with_ideal(
-            fundamental_class, inst.franke_ideal) is not None
-    (cs_gen,) = inst.compact_support_ideal
-    top_name = next(iter(cs_gen.terms))
-    top_gen = inst.dual_G.generators[[i for i, e in enumerate(top_name) if e][0]]
-    not_cs = is_divisible(fundamental_class, top_gen) is None
+    not_cs = is_divisible(fundamental_class, inst.compact_support_generator) is None
     levi_image = apply(inst.levi_restriction, fundamental_class)
-    (levi_gen_elem,) = inst.levi_franke_ideal
-    levi_mont = next(iter(levi_gen_elem.terms))
-    levi_alg = inst.levi_restriction.target
-    levi_gen = levi_alg.generators[[i for i, e in enumerate(levi_mont) if e][0]]
-    in_levi_kernel = is_divisible(levi_image, levi_gen) is not None
+    in_levi_kernel = is_divisible(levi_image, inst.levi_franke_generator) is not None
     return GhostCertificate(
         not_compactly_supported=not_cs,
         levi_restriction_in_levi_kernel=in_levi_kernel,

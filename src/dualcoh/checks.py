@@ -224,8 +224,10 @@ def check_grassmannian_relation_expansion(pq_max=6):
 
 
 def check_lagrangian_poincare(gmax=6, budget=10.0):
-    """Lagrangian Betti data against the subset enumerator, g <= gmax."""
-    details = []
+    """Lagrangian Betti data against the subset enumerator, g <= gmax.
+
+    Only a build over ``budget`` reports its time, so passing output is
+    byte-identical between runs."""
     for g in range(1, gmax + 1):
         t0 = time.monotonic()
         ring = lagrangian_algebra(g)
@@ -239,13 +241,12 @@ def check_lagrangian_poincare(gmax=6, budget=10.0):
         if dt > budget:
             return CheckResult("lagrangian-poincare", False,
                                f"g={g}: construction took {dt:.1f}s > {budget}s")
-        details.append(f"g={g}:{dt:.2f}s")
-    return CheckResult("lagrangian-poincare", True, " ".join(details))
+    return CheckResult("lagrangian-poincare", True, f"g <= {gmax}")
 
 
 def check_grassmannian_poincare(pq_max=5, budget=10.0):
-    """Grassmannian Betti data against the box-partition enumerator, p <= q <= pq_max."""
-    details = []
+    """Grassmannian Betti data against the box-partition enumerator, p <= q <= pq_max;
+    times as in :func:`check_lagrangian_poincare`."""
     for p in range(1, pq_max + 1):
         for q in range(p, pq_max + 1):
             t0 = time.monotonic()
@@ -261,8 +262,7 @@ def check_grassmannian_poincare(pq_max=5, budget=10.0):
             if dt > budget:
                 return CheckResult("grassmannian-poincare", False,
                                    f"({p},{q}): {dt:.1f}s > {budget}s")
-            details.append(f"({p},{q}):{dt:.2f}s")
-    return CheckResult("grassmannian-poincare", True, " ".join(details))
+    return CheckResult("grassmannian-poincare", True, f"p <= q <= {pq_max}")
 
 
 def oracle_checks():
@@ -559,7 +559,7 @@ def check_gysin_soundness(instances):
     for inst in instances:
         m = inst.restriction
         src, tgt = m.source, m.target
-        xi = gysin_fundamental_class(m).element
+        xi = gysin_fundamental_class(m)
         top_t = tgt.canonical_top_monomial()
         for w in src.basis(tgt.top_degree):
             we = src.basis_element(w)
@@ -603,8 +603,7 @@ def check_scalar_invariance(instances):
                 return CheckResult("verdict-scalar-invariance", False,
                                    f"{inst.family_id} {inst.parameters}: lambda={lam}")
             if v.ghost is not None:
-                g2 = decide_ghost(inst, fundamental_class=scaled,
-                                  nonvanishing=again is not None)
+                g2 = decide_ghost(inst, scaled, again is not None)
                 if (g2.not_compactly_supported, g2.levi_restriction_in_levi_kernel,
                         g2.is_ghost) != (v.ghost.not_compactly_supported,
                                          v.ghost.levi_restriction_in_levi_kernel,

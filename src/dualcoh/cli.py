@@ -179,7 +179,6 @@ def _checks_tuple(value):
 def _run_config(args, fid, params):
     return RunConfig(
         family_id=fid, parameters=params,
-        output_format="json" if args.json else "text",
         monomial_cap=_resolve(args, "cap", _default_cap()),
         seed=_resolve(args, "seed", 42),
         checks=_checks_tuple(_resolve(args, "checks", ())))

@@ -64,14 +64,6 @@ class SparseRREF:
         return p
 
 
-def span_rank(rows):
-    """Rank of the span of an iterable of sparse rows."""
-    rr = SparseRREF()
-    for row in rows:
-        rr.add(row)
-    return rr.rank
-
-
 def solve_dense(columns, rhs):
     """Solve ``sum_j x_j * columns[j] = rhs`` exactly.
 

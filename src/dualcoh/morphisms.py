@@ -53,9 +53,6 @@ class Morphism:
         self._image_cache[mont] = img
         return img
 
-    def __call__(self, v):
-        return apply(self, v)
-
 
 def build_morphism(source, target, generator_images):
     """Validated morphism: degree-checked images, all relations -> 0.
@@ -105,24 +102,11 @@ def apply(morphism, v):
 
 
 def compose(outer, inner):
-    """outer after inner; defined when inner.target is outer.source."""
+    """outer after inner, validated; defined when inner.target is outer.source."""
     if inner.target is not outer.source:
         raise ValueError("morphisms are not composable")
     images = {name: apply(outer, img) for name, img in inner.generator_images.items()}
-    return Morphism(inner.source, outer.target, images)
-
-
-@dataclass
-class FundamentalClass:
-    """The dual class of a morphism, in the canonical-top normalization.
-
-    The source and target orientations are the canonical top monomials with
-    coefficient +1; rescaling either rescales the class, and all boolean
-    verdicts downstream are invariant under such rescaling.
-    """
-
-    element: Element
-    normalization: str = "canonical-top"
+    return build_morphism(inner.source, outer.target, images)
 
 
 def gysin_fundamental_class(morphism):
@@ -130,7 +114,9 @@ def gysin_fundamental_class(morphism):
 
     The linear system is square by Poincare duality and solvable iff the
     morphism and presentations are consistent; failure raises
-    InconsistentPresentationError.
+    InconsistentPresentationError.  The class is normalized by orienting
+    both rings by their canonical top monomials; rescaling either rescales
+    it, and no boolean verdict downstream depends on that.
     """
     src, tgt = morphism.source, morphism.target
     delta = src.top_degree - tgt.top_degree
@@ -156,8 +142,7 @@ def gysin_fundamental_class(morphism):
     if sol is None:
         raise InconsistentPresentationError(
             "dual-class system is infeasible; morphism or presentation is wrong")
-    xi = src.element_from_coords(sol, delta)
-    return FundamentalClass(element=xi)
+    return src.element_from_coords(sol, delta)
 
 
 def random_homogeneous(algebra, rng, max_coeff=3):

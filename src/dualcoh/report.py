@@ -24,7 +24,7 @@ from .catalog import (
 from .checks import SUITE_NAMES, instance_checks, run_suites
 from .errors import InvalidPresentationError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 FAMILY_ALIASES = {
     "siegel": "siegel-product",
@@ -44,7 +44,6 @@ def canonical_family_id(name):
 class RunConfig:
     family_id: str | None
     parameters: dict
-    output_format: str = "text"
     monomial_cap: int = DEFAULT_MONOMIAL_CAP
     seed: int = 42
     checks: tuple = ()
@@ -216,7 +215,6 @@ def run_sweep(family_id, ranges, config):
     t0 = time.monotonic()
     for params in sweep_parameter_list(family_id, ranges):
         sub = RunConfig(family_id=family_id, parameters=params,
-                        output_format=config.output_format,
                         monomial_cap=config.monomial_cap,
                         seed=config.seed, checks=config.checks)
         try:

@@ -11,7 +11,6 @@ against the direct construction in the test suite.
 """
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
@@ -24,11 +23,26 @@ from .algebra import (
 )
 from .errors import CapExceededError, InvalidPresentationError
 
+# Every ring built so far, by builder and arguments: equal arguments give one object.
+_RING_CACHE = {}
+
+
+def _cached(build, *args):
+    key = (build, *args)
+    ring = _RING_CACHE.get(key)
+    if ring is None:
+        ring = _RING_CACHE[key] = build(*args)
+    return ring
+
+
+def clear_ring_cache():
+    """Forget every ring built so far; later builder calls build afresh."""
+    _RING_CACHE.clear()
+
 
 # --------------------------------------------------------- exterior duals
 
 
-@lru_cache(maxsize=None)
 def _su_algebra(n, monomial_cap):
     if n < 2:
         raise InvalidPresentationError(f"SU(n) dual needs n >= 2, got {n}")
@@ -37,10 +51,9 @@ def _su_algebra(n, monomial_cap):
 
 def su_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(SU(n)): exterior on e3, e5, ..., e_{2n-1}.  Needs n >= 2."""
-    return _su_algebra(n, monomial_cap)
+    return _cached(_su_algebra, n, monomial_cap)
 
 
-@lru_cache(maxsize=None)
 def _sp_group_algebra(n, monomial_cap):
     if n < 1:
         raise InvalidPresentationError(f"Sp(2n) dual needs n >= 1, got {n}")
@@ -49,10 +62,9 @@ def _sp_group_algebra(n, monomial_cap):
 
 def sp_group_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(compact Sp(2n) group): exterior on e3, e7, ..., e_{4n-1}."""
-    return _sp_group_algebra(n, monomial_cap)
+    return _cached(_sp_group_algebra, n, monomial_cap)
 
 
-@lru_cache(maxsize=None)
 def _su_so_algebra(n, monomial_cap):
     if n < 1:
         raise InvalidPresentationError(f"SU/SO dual needs n >= 1, got {n}")
@@ -61,7 +73,7 @@ def _su_so_algebra(n, monomial_cap):
 
 def su_so_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(SU(2n+1)/SO(2n+1)): exterior on e5, e9, ..., e_{4n+1}."""
-    return _su_so_algebra(n, monomial_cap)
+    return _cached(_su_so_algebra, n, monomial_cap)
 
 
 # ------------------------------------------------------- Lagrangian rings
@@ -93,7 +105,6 @@ def lagrangian_relations(g):
     return rels
 
 
-@lru_cache(maxsize=None)
 def _lagrangian_algebra(g, monomial_cap, prefix):
     if g < 1:
         raise InvalidPresentationError(f"Lagrangian ring needs g >= 1, got {g}")
@@ -104,7 +115,7 @@ def _lagrangian_algebra(g, monomial_cap, prefix):
 
 def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
     """H*(Sp(2g)/U(g)): Q[sigma_1..sigma_g] modulo prod (1 - x_i^2) = 1."""
-    return _lagrangian_algebra(g, monomial_cap, prefix)
+    return _cached(_lagrangian_algebra, g, monomial_cap, prefix)
 
 
 # ----------------------------------------------------- Grassmannian rings
@@ -267,7 +278,6 @@ def grassmannian_relations(p, q, suffix=""):
     return gens, rels
 
 
-@lru_cache(maxsize=None)
 def _grassmannian_algebra(p, q, monomial_cap, suffix):
     if p < 1 or q < 1:
         raise InvalidPresentationError(f"Grassmannian ring needs p, q >= 1, got ({p}, {q})")
@@ -298,14 +308,4 @@ def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
     (sum sigma)(sum tau) = 1.  Internally backed by the Schur model; the
     exposed basis follows the standard-monomial contract.
     """
-    return _grassmannian_algebra(p, q, monomial_cap, suffix)
-
-
-# expose cache controls and uncached constructors for tests and tooling
-for _public, _inner in ((su_algebra, _su_algebra),
-                        (sp_group_algebra, _sp_group_algebra),
-                        (su_so_algebra, _su_so_algebra),
-                        (lagrangian_algebra, _lagrangian_algebra),
-                        (grassmannian_algebra, _grassmannian_algebra)):
-    _public.cache_clear = _inner.cache_clear
-    _public.uncached = _inner.__wrapped__
+    return _cached(_grassmannian_algebra, p, q, monomial_cap, suffix)

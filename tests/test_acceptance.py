@@ -30,13 +30,7 @@ from dualcoh.checks import (
     strict_partition_betti,
 )
 from dualcoh.report import RunConfig, run_sweep, sweep_to_json
-from dualcoh.rings import (
-    grassmannian_algebra,
-    lagrangian_algebra,
-    sp_group_algebra,
-    su_algebra,
-    su_so_algebra,
-)
+from dualcoh.rings import clear_ring_cache, grassmannian_algebra, lagrangian_algebra
 
 
 def _announce(number, name, ok, extra=""):
@@ -45,14 +39,8 @@ def _announce(number, name, ok, extra=""):
     assert ok, f"criterion {number} ({name}) failed: {extra}"
 
 
-def _fresh_caches():
-    for builder in (lagrangian_algebra, grassmannian_algebra, su_algebra,
-                    sp_group_algebra, su_so_algebra):
-        builder.cache_clear()
-
-
 def test_c1_ring_oracles():
-    _fresh_caches()
+    clear_ring_cache()
     worst = 0.0
     for g in range(1, 7):
         t0 = time.monotonic()

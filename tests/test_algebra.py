@@ -295,6 +295,18 @@ class TestStructuralProperties:
             assert pp == pp[::-1]
             assert sum(pp) == alg.total_dimension
 
+    @pytest.mark.parametrize("scalar", [0.1, 2.0, "1/2"])
+    def test_inexact_scalars_refused(self, scalar):
+        alg = lagrangian2()
+        s1 = alg.gen("sigma1")
+        with pytest.raises(InvalidPresentationError):
+            scalar * s1
+        with pytest.raises(InvalidPresentationError):
+            s1 * scalar
+        with pytest.raises(InvalidPresentationError):
+            alg.element({(1, 0): scalar})
+        assert Fraction(1, 10) * s1 == alg.element({(1, 0): Fraction(1, 10)})
+
     def test_element_serialization_roundtrip(self):
         alg = lagrangian2()
         v = 3 * alg.gen("sigma1") * alg.gen("sigma2") - Fraction(1, 2) * alg.one()

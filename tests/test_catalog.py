@@ -1,7 +1,10 @@
 """Family constructors, decision procedures, and certificates."""
 
+import random
+
 import pytest
 
+import dualcoh.algebra
 from dualcoh import (
     InvalidPresentationError,
     build_family,
@@ -19,7 +22,9 @@ from dualcoh import (
     siegel_theta,
 )
 from dualcoh.catalog import two_part_partitions, unitary_decompositions
-from dualcoh.morphisms import apply
+from dualcoh.checks import catalog_sweep_specs
+from dualcoh.linalg import SparseRREF
+from dualcoh.morphisms import apply, random_homogeneous
 
 
 class TestSlImagSp:
@@ -59,7 +64,7 @@ class TestSlImagSp:
         assert inst.levi_restriction is None
         v = decide_nonvanishing(inst)
         assert v.nonvanishing and v.ghost is None
-        assert decide_ghost(inst) is None
+        assert decide_ghost(inst, v.fundamental_class, v.nonvanishing) is None
 
     def test_levi_kernel_matches_orthogonality(self):
         # for the exterior top-generator ideal, "pairs trivially with the
@@ -69,7 +74,7 @@ class TestSlImagSp:
         image = apply(inst.levi_restriction,
                       decide_nonvanishing(inst).fundamental_class)
         divisible = is_divisible(image, levi.generator("e5")) is not None
-        pairs = pairs_nontrivially_with_ideal(image, inst.levi_franke_ideal)
+        pairs = pairs_nontrivially_with_ideal(image, [levi.gen(inst.levi_franke_generator)])
         assert divisible == (pairs is None)
 
 
@@ -131,7 +136,9 @@ class TestSiegel:
             siegel_theta(inst)
 
     def test_ghost_absent(self):
-        assert decide_ghost(family_siegel(2, [1, 1])) is None
+        inst = family_siegel(2, [1, 1])
+        v = decide_nonvanishing(inst)
+        assert decide_ghost(inst, v.fundamental_class, v.nonvanishing) is None
 
 
 class TestUnitary:
@@ -219,6 +226,70 @@ class TestDecisionMachinery:
         assert inst.family_id == "siegel-product"
         with pytest.raises(InvalidPresentationError):
             build_family("nonsense", {})
+
+
+def _in_span(alg, elem, span, degree):
+    pos = alg.basis_positions(degree)
+    rr = SparseRREF()
+    for u in span:
+        rr.add({pos[m]: c for m, c in u.terms.items()})
+    return not rr.reduce({pos[m]: c for m, c in elem.terms.items()})
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the witness search row-reduced")
+
+
+class TestWitnessSearchDifferential:
+    """The product walk of pairs_nontrivially_with_ideal against the echelon
+    basis of ideal_basis_in_degree, over the certified sweep."""
+
+    @staticmethod
+    def _agree(monkeypatch, v, ideal):
+        """Assert the two agree on v; True when the ideal's degree-du piece is nonzero."""
+        alg = v.algebra
+        du = alg.top_degree - v.homogeneous_degree()
+        basis = ideal_basis_in_degree(ideal, du)
+        alg.canonical_top_monomial()
+        with monkeypatch.context() as patch:
+            patch.setattr(dualcoh.algebra, "SparseRREF", _refuse)
+            patch.setattr(dualcoh.algebra, "ideal_basis_in_degree", _refuse)
+            u = pairs_nontrivially_with_ideal(v, ideal)
+        assert (u is None) == all(pairing(v, b) == 0 for b in basis)
+        if u is not None:
+            assert pairing(v, u) != 0
+            assert _in_span(alg, u, basis, du)
+        return bool(basis)
+
+    def test_sweep_classes_random_elements_and_negatives(self, monkeypatch):
+        rng = random.Random(20040913)
+        seen, randoms, negatives = set(), 0, 0
+        for fid, params in catalog_sweep_specs():
+            inst = build_family(fid, params)
+            fc = decide_nonvanishing(inst).fundamental_class
+            self._agree(monkeypatch, fc, inst.franke_ideal)
+            G = inst.dual_G
+            if id(G) in seen:
+                continue
+            seen.add(id(G))
+            for _ in range(6):
+                v = random_homogeneous(G, rng)
+                if not v.is_zero():
+                    randoms += 1
+                    self._agree(monkeypatch, v, inst.franke_ideal)
+            if len(inst.franke_ideal) != 1:
+                continue
+            # an odd exterior generator, or sigma_g in the Lagrangian ring:
+            # g*g = 0, so every multiple of g is orthogonal to (g)
+            (g,) = inst.franke_ideal
+            assert (g * g).is_zero()
+            for _ in range(6):
+                v = g * random_homogeneous(G, rng)
+                if v.is_zero():
+                    continue
+                assert pairs_nontrivially_with_ideal(v, [g]) is None
+                negatives += self._agree(monkeypatch, v, [g])
+        assert randoms >= 50 and negatives >= 10, (randoms, negatives)
 
 
 class TestSweepEnumeration:

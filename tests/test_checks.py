@@ -1,10 +1,14 @@
 """The check-suite plumbing and its independent enumerators."""
 
+import re
+
 import pytest
 
 from dualcoh.checks import (
     box_partition_betti,
+    check_grassmannian_poincare,
     check_grassmannian_relation_expansion,
+    check_lagrangian_poincare,
     check_lagrangian_relation_expansion,
     instance_checks,
     run_suites,
@@ -28,6 +32,14 @@ def test_box_partition_enumerator():
 def test_relation_expansions_small():
     assert check_lagrangian_relation_expansion(gmax=3).passed
     assert check_grassmannian_relation_expansion(pq_max=4).passed
+
+
+def test_passing_oracle_details_carry_no_times():
+    # a build time in a passing detail would make `dualcoh check --json`
+    # differ between two runs
+    for result in (check_lagrangian_poincare(gmax=3), check_grassmannian_poincare(pq_max=3)):
+        assert result.passed
+        assert not re.search(r"\d\.\d+s", result.detail), result.detail
 
 
 def test_run_suites_unknown_name():

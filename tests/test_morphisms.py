@@ -116,19 +116,19 @@ class TestApply:
 
 class TestGysin:
     def test_sl_imag_sp_n2(self):
-        fc = gysin_fundamental_class(sl_imag_sp_restriction(2)).element
+        fc = gysin_fundamental_class(sl_imag_sp_restriction(2))
         G = sl_imag_sp_restriction(2).source
         assert fc == -G.gen("e5")
 
     def test_sl_odd_real_n2(self):
         G, H = su_algebra(5), su_so_algebra(2)
         m = build_morphism(G, H, {"e5": H.gen("e5"), "e9": H.gen("e9")})
-        fc = gysin_fundamental_class(m).element
+        fc = gysin_fundamental_class(m)
         assert fc == -(G.gen("e3") * G.gen("e7"))
 
     def test_siegel_11(self):
         m = siegel_two_part(1, 1)
-        fc = gysin_fundamental_class(m).element
+        fc = gysin_fundamental_class(m)
         assert fc == m.source.gen("sigma1")
         # theta wedge: sigma2 * sigma1 spans the top degree
         top = m.source.canonical_top_monomial()
@@ -138,11 +138,11 @@ class TestGysin:
         Gr, L = grassmannian_algebra(1, 1), lagrangian_algebra(1)
         m = build_morphism(Gr, L, {"sigma1": L.gen("sigma1"),
                                    "tau1": -L.gen("sigma1")})
-        assert gysin_fundamental_class(m).element == Gr.one()
+        assert gysin_fundamental_class(m) == Gr.one()
 
     def test_defining_identity_full_basis(self):
         m = siegel_two_part(2, 1)
-        xi = gysin_fundamental_class(m).element
+        xi = gysin_fundamental_class(m)
         src, tgt = m.source, m.target
         top_t = tgt.canonical_top_monomial()
         for w in src.basis(tgt.top_degree):
@@ -165,7 +165,7 @@ class TestGysin:
                for w in equations]
         sol = solve_dense(cols, rhs)
         scaled = src.element_from_coords(sol, delta)
-        assert scaled == lam * gysin_fundamental_class(m).element
+        assert scaled == lam * gysin_fundamental_class(m)
 
 
 class TestMultiplicativity:
@@ -193,6 +193,15 @@ class TestCompose:
         for _ in range(25):
             v = random_homogeneous(G4, rng)
             assert apply(chain, v) == apply(m2, apply(m1, v))
+
+    def test_composition_is_validated(self):
+        # Morphism() skips the relation check; compose must not
+        L = lagrangian_algebra(2)
+        bad = Morphism(L, L, {"sigma1": L.gen("sigma1"), "sigma2": L.zero()})
+        ident = build_morphism(L, L, {"sigma1": L.gen("sigma1"), "sigma2": L.gen("sigma2")})
+        with pytest.raises(InvalidPresentationError):
+            compose(ident, bad)
+        assert compose(ident, ident).generator_images == ident.generator_images
 
     def test_not_composable(self):
         G4, G2 = su_algebra(4), su_algebra(2)

@@ -14,6 +14,7 @@ from dualcoh.algebra import _enumerate_monomials
 from dualcoh.checks import box_partition_betti, strict_partition_betti
 from dualcoh.rings import (
     SchurRing,
+    clear_ring_cache,
     grassmannian_algebra,
     grassmannian_relations,
     lagrangian_algebra,
@@ -61,7 +62,8 @@ class TestGrassmannian:
     def test_model_equals_direct_rref(self, p, q):
         gens, rels = grassmannian_relations(p, q)
         direct = polynomial_quotient_algebra(gens, rels, 2 * p * q)
-        fast = grassmannian_algebra.uncached(p, q, 200_000, "")
+        clear_ring_cache()
+        fast = grassmannian_algebra(p, q)
         for d in range(2 * p * q + 1):
             assert direct.basis(d) == fast.basis(d)
         for d in range(0, 2 * p * q + 1, 2):
@@ -117,4 +119,14 @@ class TestSchurModel:
 def test_grassmannian_cap_refused_at_construction():
     from dualcoh import CapExceededError
     with pytest.raises(CapExceededError):
-        grassmannian_algebra.uncached(3, 3, 5, "")
+        grassmannian_algebra(3, 3, 5)
+
+
+def test_ring_cache_shares_until_cleared():
+    first = lagrangian_algebra(3)
+    assert lagrangian_algebra(3) is first
+    assert lagrangian_algebra(3, prefix="alpha") is not first
+    clear_ring_cache()
+    again = lagrangian_algebra(3)
+    assert again is not first
+    assert poincare_polynomial(again) == poincare_polynomial(first)
