@@ -29,7 +29,7 @@ from .errors import (
     InconsistentPresentationError,
     InvalidPresentationError,
 )
-from .linalg import SparseRREF, solve_dense
+from .linalg import SparseRREF, solve
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
@@ -212,7 +212,7 @@ class GradedAlgebra:
         self._model = None        # model-backed quotients
         self._model_images = None
         self._mont_class_cache = {}
-        self._std_convert = {}    # degree -> (model positions matrix inverse rows)
+        self._std_convert = {}    # degree -> tagged SparseRREF selecting the basis
 
     # ---------------------------------------------------------------- basics
 
@@ -482,7 +482,10 @@ class GradedAlgebra:
         Bases and normal forms computed through the model agree with the
         direct row-reduction contract: a monomial is standard exactly when
         its class is independent of the classes of all smaller monomials,
-        which is the non-pivot condition of the RREF.
+        which is the non-pivot condition of the RREF.  The per-degree
+        ``SparseRREF`` that makes this selection keeps one tag column per
+        standard monomial (see ``linalg``), so reducing a model class against
+        it yields the class's standard coordinates without a separate inverse.
         """
         if model.top_degree != self.top_degree:
             raise InconsistentPresentationError("model top degree mismatch")
@@ -512,47 +515,31 @@ class GradedAlgebra:
             raise CapExceededError(
                 f"per-degree monomial count {len(monts)} exceeds cap {self.monomial_cap}")
         mpos = self._model.basis_positions(d)
+        # The k-th standard monomial's row carries tag column target + k.  A
+        # candidate is standard iff its reduced class keeps a model column
+        # (below target); the finished RREF also converts model coordinates.
         rref = SparseRREF()
-        std, vecs = [], []
+        std = []
         for m in monts:
             if len(std) == target:
                 break
-            cls = self._mont_class(m)
-            row = {mpos[mm]: c for mm, c in cls.items()}
-            if not row:
-                continue
-            if rref.add(dict(row)) is not None:
+            row = rref.reduce({mpos[mm]: c for mm, c in self._mont_class(m).items()})
+            if any(c < target for c in row):
+                row[target + len(std)] = Fraction(1)
+                rref.add(row)
                 std.append(m)
-                vecs.append(row)
         if len(std) != target:
             raise InconsistentPresentationError(
                 f"model rank deficit in degree {d}: found {len(std)}, expected {target}")
         self._basis[d] = std
-        # invert the (std -> model basis) matrix for coordinate conversion
-        n = target
-        cols = [[row.get(i, Fraction(0)) for i in range(n)] for row in vecs]
-        inv = []
-        for i in range(n):
-            unit = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            sol = solve_dense(cols, unit)
-            if sol is None:
-                raise InconsistentPresentationError("singular model basis matrix")
-            inv.append(sol)
-        self._std_convert[d] = inv
+        self._std_convert[d] = rref
 
     def _model_coords_to_std(self, cls, d):
-        self.basis(d)
-        inv = self._std_convert[d]
+        std = self.basis(d)
+        n = len(std)
         mpos = self._model.basis_positions(d)
-        vec = [Fraction(0)] * len(mpos)
-        for m, c in cls.items():
-            vec[mpos[m]] = c
-        out = {}
-        for j, m in enumerate(self.basis(d)):
-            c = sum(inv[i][j] * vec[i] for i in range(len(vec)))
-            if c:
-                out[m] = c
-        return out
+        row = {mpos[m]: c for m, c in cls.items()}
+        return {std[c - n]: -v for c, v in self._std_convert[d].reduce(row).items()}
 
     def _model_normal_form(self, mont, d):
         cls = self._mont_class(mont)
@@ -758,7 +745,7 @@ def is_divisible(v, g):
     if dw < 0 or alg.dims(dw) == 0:
         return None
     columns = [alg.coords(ge * alg.basis_element(m), dv) for m in alg.basis(dw)]
-    sol = solve_dense(columns, alg.coords(v, dv))
+    sol, _ = solve(columns, alg.coords(v, dv))
     if sol is None:
         return None
     return alg.element_from_coords(sol, dw)

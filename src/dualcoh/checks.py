@@ -44,7 +44,6 @@ from .morphisms import (
     apply,
     build_morphism,
     compose,
-    gysin_fundamental_class,
     random_homogeneous,
     verify_multiplicativity,
 )
@@ -554,25 +553,25 @@ def check_morphism_multiplicativity(instances, seed=42, samples=100):
                        f"{count} morphisms x {samples} samples, seed={seed}")
 
 
-def check_gysin_soundness(instances):
-    """The dual class satisfies its defining identity on the full basis."""
-    for inst in instances:
+def check_gysin_soundness(cases):
+    """Each emitted dual class, from (instance, verdict) ``cases``, satisfies
+    its defining identity on the full basis."""
+    for inst, v in cases:
         m = inst.restriction
         src, tgt = m.source, m.target
-        xi = gysin_fundamental_class(m)
+        xi = v.fundamental_class
         top_t = tgt.canonical_top_monomial()
         for w in src.basis(tgt.top_degree):
             we = src.basis_element(w)
             if pairing(xi, we) != apply(m, we).coefficient(top_t):
                 return CheckResult("gysin-soundness", False,
                                    f"{inst.family_id} {inst.parameters}: fails at {src.monomial_string(w)}")
-    return CheckResult("gysin-soundness", True, f"{len(instances)} instances")
+    return CheckResult("gysin-soundness", True, f"{len(cases)} instances")
 
 
-def check_witness_roundtrip(instances):
+def check_witness_roundtrip(cases):
     """Emitted witnesses re-verify through the core primitives alone."""
-    for inst in instances:
-        v = decide_nonvanishing(inst)
+    for inst, v in cases:
         if not v.nonvanishing:
             continue
         w = v.nonvanishing_witness
@@ -589,13 +588,12 @@ def check_witness_roundtrip(instances):
         if pairing(v.fundamental_class, w) == 0:
             return CheckResult("witness-roundtrip", False,
                                f"{inst.family_id} {inst.parameters}: witness pairs to zero")
-    return CheckResult("witness-roundtrip", True, f"{len(instances)} instances")
+    return CheckResult("witness-roundtrip", True, f"{len(cases)} instances")
 
 
-def check_scalar_invariance(instances):
+def check_scalar_invariance(cases):
     """Boolean verdicts are invariant under rescaling the dual class."""
-    for inst in instances:
-        v = decide_nonvanishing(inst)
+    for inst, v in cases:
         for lam in (Fraction(2), Fraction(-3), Fraction(7, 5)):
             scaled = lam * v.fundamental_class
             again = pairs_nontrivially_with_ideal(scaled, inst.franke_ideal)
@@ -610,7 +608,7 @@ def check_scalar_invariance(instances):
                                          v.ghost.is_ghost):
                     return CheckResult("verdict-scalar-invariance", False,
                                        f"{inst.family_id} {inst.parameters}: ghost flip")
-    return CheckResult("verdict-scalar-invariance", True, f"{len(instances)} instances")
+    return CheckResult("verdict-scalar-invariance", True, f"{len(cases)} instances")
 
 
 def check_functoriality(seed=42, samples=20):
@@ -629,15 +627,16 @@ def check_functoriality(seed=42, samples=20):
 
 def property_checks(seed=42, samples=100, **sweep_kwargs):
     instances = _sweep_instances(**sweep_kwargs)
+    cases = [(inst, decide_nonvanishing(inst)) for inst in instances]
     return [
         check_duality_nondegeneracy(instances),
         check_palindromic_betti(instances),
         check_graded_commutativity(instances, seed=seed),
         check_associativity(instances, seed=seed),
         check_morphism_multiplicativity(instances, seed=seed, samples=samples),
-        check_gysin_soundness(instances),
-        check_witness_roundtrip(instances),
-        check_scalar_invariance(instances),
+        check_gysin_soundness(cases),
+        check_witness_roundtrip(cases),
+        check_scalar_invariance(cases),
         check_functoriality(seed=seed),
     ]
 
@@ -777,17 +776,16 @@ def instance_identity_checks(inst, verdict):
 
 
 def instance_property_checks(inst, verdict, seed=42, samples=50):
-    instances = [inst]
-    out = [
+    instances, cases = [inst], [(inst, verdict)]
+    return [
         check_duality_nondegeneracy(instances),
         check_palindromic_betti(instances),
         check_graded_commutativity(instances, seed=seed, samples=10),
         check_morphism_multiplicativity(instances, seed=seed, samples=samples),
-        check_gysin_soundness(instances),
-        check_witness_roundtrip(instances),
-        check_scalar_invariance(instances),
+        check_gysin_soundness(cases),
+        check_witness_roundtrip(cases),
+        check_scalar_invariance(cases),
     ]
-    return out
 
 
 def instance_checks(inst, verdict, suites, seed=42):

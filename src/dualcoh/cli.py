@@ -46,12 +46,19 @@ def _parse_int_pair_list(text):
 def _parse_range(text):
     """'2..5' or '3' -> inclusive (lo, hi)."""
     lo, sep, hi = text.partition("..")
-    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+    try:
+        return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+    except ValueError:
+        raise InvalidPresentationError(f"cannot parse range {text!r}; expected lo..hi")
 
 
 def _default_cap():
     env = os.environ.get("DUALCOH_MONOMIAL_CAP")
-    return int(env) if env else DEFAULT_MONOMIAL_CAP
+    try:
+        return int(env) if env else DEFAULT_MONOMIAL_CAP
+    except ValueError:
+        raise InvalidPresentationError(
+            f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
 
 
 def _load_config_file(path):
@@ -171,16 +178,27 @@ def _usage_if(cond, message):
 
 
 def _checks_tuple(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(value)
-    return tuple(s for s in value.split(",") if s) if value else ()
+    if value is None:
+        return ()
+    if isinstance(value, str):
+        return tuple(s for s in value.split(",") if s)
+    if not isinstance(value, (list, tuple)) or not all(isinstance(s, str) for s in value):
+        raise InvalidPresentationError(f"checks must be a list of suite names, got {value!r}")
+    return tuple(value)
+
+
+def _resolve_int(args, key, fallback):
+    value = _resolve(args, key, fallback)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidPresentationError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _run_config(args, fid, params):
     return RunConfig(
         family_id=fid, parameters=params,
-        monomial_cap=_resolve(args, "cap", _default_cap()),
-        seed=_resolve(args, "seed", 42),
+        monomial_cap=_resolve_int(args, "cap", _default_cap()),
+        seed=_resolve_int(args, "seed", 42),
         checks=_checks_tuple(_resolve(args, "checks", ())))
 
 

@@ -3,6 +3,15 @@
 Rows are dicts mapping column index -> nonzero Fraction.  Column index 0 is
 the highest elimination priority; reduced row echelon form therefore pivots
 on the smallest index present in each row.
+
+``SparseRREF`` is the only elimination.  To solve as well as row-reduce,
+each unknown j gets a tag column: its row enters as ``(column_j | e_{m+j})``
+with m the number of equations.  The tags record which combination of
+input rows every pivot row is, so reducing a right-hand side b leaves
+``(b - sum_j x_j column_j | -x)``: when nothing is left below m, minus the
+tag entries is a solution x.  The same reduction therefore decides
+independence and solves; kept after a full-rank build, it converts any
+vector to coordinates over the input rows, which is an inverse.
 """
 
 from fractions import Fraction
@@ -64,38 +73,30 @@ class SparseRREF:
         return p
 
 
-def solve_dense(columns, rhs):
-    """Solve ``sum_j x_j * columns[j] = rhs`` exactly.
+def solve(columns, rhs):
+    """Solve ``sum_j x_j * columns[j] = rhs`` exactly in one tagged pass.
 
-    ``columns`` is a list of length-m vectors (lists of Fractions), ``rhs`` a
-    length-m vector.  Returns one solution (free variables set to zero) or
-    None when the system is inconsistent.
+    ``columns`` is a list of n length-m vectors and ``rhs`` a length-m
+    vector.  Returns ``(x, rank)``: ``rank`` is the rank of the columns and
+    ``x`` one solution (a list of n Fractions), or None exactly when the
+    system is inconsistent.  With rank < n the solution is not unique.
+
+    >>> solve([[1, 1], [1, -1]], [3, 1])
+    ([Fraction(2, 1), Fraction(1, 1)], 2)
+    >>> x, rank = solve([[1, 2], [2, 4]], [3, 6])
+    >>> rank, x[0] + 2 * x[1]
+    (1, Fraction(3, 1))
+    >>> solve([[1, 2], [2, 4]], [1, 0])
+    (None, 1)
     """
-    n = len(columns)
     m = len(rhs)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x
+    rref = SparseRREF()
+    for j, col in enumerate(columns):
+        row = {i: Fraction(v) for i, v in enumerate(col) if v}
+        row[m + j] = Fraction(1)
+        rref.add(row)
+    rank = sum(1 for p in rref.pivot_rows if p < m)
+    left = rref.reduce({i: Fraction(v) for i, v in enumerate(rhs) if v})
+    if any(c < m for c in left):
+        return None, rank
+    return [-left.get(m + j, Fraction(0)) for j in range(len(columns))], rank

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import Element, pairing
 from .errors import InconsistentPresentationError, InvalidPresentationError
-from .linalg import SparseRREF, solve_dense
+from .linalg import solve
 
 
 @dataclass
@@ -126,19 +126,14 @@ def gysin_fundamental_class(morphism):
     unknowns = src.basis(delta)
     equations = src.basis(tgt.top_degree)
     tgt_top = tgt.canonical_top_monomial()
-    columns = []
-    rank = SparseRREF()
-    for u in unknowns:
-        ue = src.basis_element(u)
-        col = [pairing(ue, src.basis_element(w)) for w in equations]
-        columns.append(col)
-        rank.add({i: v for i, v in enumerate(col) if v})
-    if rank.rank != len(unknowns):
-        raise InconsistentPresentationError(
-            f"pairing between degrees {delta} and {tgt.top_degree} is degenerate")
+    columns = [[pairing(src.basis_element(u), src.basis_element(w)) for w in equations]
+               for u in unknowns]
     rhs = [apply(morphism, src.basis_element(w)).coefficient(tgt_top)
            for w in equations]
-    sol = solve_dense(columns, rhs)
+    sol, rank = solve(columns, rhs)
+    if rank < len(unknowns):
+        raise InconsistentPresentationError(
+            f"pairing between degrees {delta} and {tgt.top_degree} is degenerate")
     if sol is None:
         raise InconsistentPresentationError(
             "dual-class system is infeasible; morphism or presentation is wrong")

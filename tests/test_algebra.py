@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import dualcoh.algebra
+import dualcoh.linalg
 from dualcoh import (
     CapExceededError,
     InconsistentPresentationError,
@@ -20,6 +21,7 @@ from dualcoh import (
     polynomial_quotient_algebra,
     tensor_product,
 )
+from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
 
 
@@ -315,6 +317,47 @@ class TestStructuralProperties:
         assert back == v
 
 
+def _rref_rank(vectors):
+    rr = SparseRREF()
+    for vec in vectors:
+        rr.add({i: Fraction(c) for i, c in enumerate(vec) if c})
+    return rr.rank
+
+
+class TestSolve:
+    def test_random_systems_against_substitution(self):
+        rng = random.Random(1729)
+        seen = {"full-rank": 0, "rank-deficient": 0, "inconsistent": 0}
+        for _ in range(300):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            # n columns drawn from the span of r random vectors: rank <= r
+            r = rng.randint(0, min(m, n))
+            span = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+            cols = [[sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(m)]
+                    for _ in range(n)]
+            if rng.random() < 0.5:
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                rhs = [sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(m)]
+            else:
+                rhs = [rng.randint(-3, 3) for _ in range(m)]
+            x, rank = solve(cols, rhs)
+            assert rank == _rref_rank(cols)
+            if x is None:
+                assert _rref_rank(cols + [rhs]) == rank + 1
+                seen["inconsistent"] += 1
+                continue
+            assert len(x) == n and all(type(v) is Fraction for v in x)
+            assert [sum(v * col[i] for v, col in zip(x, cols)) for i in range(m)] == rhs
+            seen["full-rank" if rank == n else "rank-deficient"] += 1
+        assert min(seen.values()) >= 20, seen
+
+    def test_empty_and_zero_systems(self):
+        assert solve([], [0, 0]) == ([], 0)
+        assert solve([], [1]) == (None, 0)
+        assert solve([[0, 0]], [0, 0]) == ([Fraction(0)], 0)
+
+
 def test_docstrings():
-    results = doctest.testmod(dualcoh.algebra)
-    assert results.failed == 0
+    for module in (dualcoh.algebra, dualcoh.linalg):
+        results = doctest.testmod(module)
+        assert results.attempted and results.failed == 0, module.__name__

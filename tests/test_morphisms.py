@@ -5,12 +5,14 @@ import random
 import pytest
 
 from dualcoh import (
+    InconsistentPresentationError,
     InvalidPresentationError,
     build_morphism,
     compose,
     apply,
     gysin_fundamental_class,
     pairing,
+    polynomial_quotient_algebra,
     tensor_product,
     verify_multiplicativity,
 )
@@ -152,7 +154,7 @@ class TestGysin:
     def test_scalar_covariance(self):
         # scaling the right-hand side of the defining system scales the class
         from fractions import Fraction
-        from dualcoh.linalg import solve_dense
+        from dualcoh.linalg import solve
         m = sl_imag_sp_restriction(2)
         src, tgt = m.source, m.target
         delta = src.top_degree - tgt.top_degree
@@ -163,9 +165,20 @@ class TestGysin:
         top_t = tgt.canonical_top_monomial()
         rhs = [lam * apply(m, src.basis_element(w)).coefficient(top_t)
                for w in equations]
-        sol = solve_dense(cols, rhs)
+        sol, rank = solve(cols, rhs)
+        assert rank == len(unknowns)
         scaled = src.element_from_coords(sol, delta)
         assert scaled == lam * gysin_fundamental_class(m)
+
+    def test_degenerate_pairing_rejected(self):
+        # x^2 = xy = 0 leaves x orthogonal to all of degree 2: the pairing
+        # matrix [[0, 0], [0, 1]] has rank 1 < 2 unknowns
+        A = polynomial_quotient_algebra([("x", 2), ("y", 2)],
+                                        [{(2, 0): 1}, {(1, 1): 1}, {(0, 3): 1}], 4)
+        B = polynomial_quotient_algebra([("z", 2)], [{(2,): 1}], 2)
+        m = build_morphism(A, B, {"y": B.gen("z")})
+        with pytest.raises(InconsistentPresentationError, match="degenerate"):
+            gysin_fundamental_class(m)
 
 
 class TestMultiplicativity:

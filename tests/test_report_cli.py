@@ -232,3 +232,22 @@ class TestCli:
         bad.write_text("{not json")
         assert cli.main(["family", "sl-imag-sp", "--n", "2",
                          "--config", str(bad)]) == 2
+
+    def test_sweep_bad_range_is_usage_error(self, capsys):
+        assert cli.main(["sweep", "siegel", "--g", "x..3"]) == 2
+        assert "cannot parse range" in capsys.readouterr().err
+
+    def test_cap_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("DUALCOH_MONOMIAL_CAP", "abc")
+        assert cli.main(["family", "sl-imag-sp", "--n", "2"]) == 2
+        assert "DUALCOH_MONOMIAL_CAP" in capsys.readouterr().err
+        assert cli.main(["ring", "lagrangian", "--g", "2"]) == 2
+
+    def test_config_file_values_validated(self, capsys, tmp_path):
+        cfg = tmp_path / "dualcoh.json"
+        for bad in ({"cap": "abc"}, {"seed": "abc"}, {"seed": 1.5},
+                    {"cap": True}, {"checks": 5}, {"checks": [1]}):
+            cfg.write_text(json.dumps(bad))
+            assert cli.main(["family", "sl-imag-sp", "--n", "2",
+                             "--config", str(cfg)]) == 2, bad
+            assert "usage error" in capsys.readouterr().err
