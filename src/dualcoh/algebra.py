@@ -14,6 +14,10 @@ minimal ones under this order.  The basis of a quotient in each degree is
 exactly the set of non-pivot columns of the reduced row echelon form of the
 span of relation multiples, with columns sorted by the key descending.
 
+Every catalog quotient comes from ``model_quotient_algebra``, which computes
+in an isomorphic model ring and selects the same standard monomials lazily;
+``polynomial_quotient_algebra`` row-reduces eagerly and is the reference.
+
 Scalars must be ``int`` or ``Fraction``: a float is refused, not rounded.
 
 The witness search walks the ideal's spanning products m*g_i without row
@@ -29,7 +33,7 @@ from .errors import (
     InconsistentPresentationError,
     InvalidPresentationError,
 )
-from .linalg import SparseRREF, solve
+from .linalg import SparseRREF, add_scaled, solve
 
 DEFAULT_MONOMIAL_CAP = 200_000
 
@@ -120,12 +124,7 @@ class Element:
     def __add__(self, other):
         self._check_owner(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            nv = out.get(m, 0) + c
-            if nv:
-                out[m] = nv
-            else:
-                out.pop(m, None)
+        add_scaled(out, 1, other.terms)
         return Element(self.algebra, out)
 
     def __sub__(self, other):
@@ -185,8 +184,8 @@ class GradedAlgebra:
     """A graded-commutative ring with explicit per-degree bases.
 
     Instances are produced by :func:`exterior_algebra`,
-    :func:`polynomial_quotient_algebra` and :func:`tensor_product` (plus the
-    catalog's ring builders); the class itself only hosts shared machinery.
+    :func:`model_quotient_algebra`, :func:`polynomial_quotient_algebra` and
+    :func:`tensor_product`; the class itself only hosts shared machinery.
     Algebras are logically immutable; internal caches are memoization only.
     """
 
@@ -210,7 +209,7 @@ class GradedAlgebra:
         self._factors = None      # tensor products
         self._split = None
         self._model = None        # model-backed quotients
-        self._model_images = None
+        self._key_index = {}      # model key -> (degree, position in model.keys)
         self._mont_class_cache = {}
         self._std_convert = {}    # degree -> tagged SparseRREF selecting the basis
 
@@ -223,8 +222,6 @@ class GradedAlgebra:
     def dims(self, d):
         if d < 0 or d > self.top_degree:
             return 0
-        if self._model is not None:
-            return self._model.dims(d)
         return self._dims.get(d, 0)
 
     def basis(self, d):
@@ -282,12 +279,7 @@ class GradedAlgebra:
                 continue
             if len(mont) != len(self.generators):
                 raise ValueError("exponent tuple length does not match generators")
-            for sm, sc in self.normal_form_monomial(mont).items():
-                nv = out.get(sm, 0) + c * sc
-                if nv:
-                    out[sm] = nv
-                else:
-                    out.pop(sm, None)
+            add_scaled(out, c, self.normal_form_monomial(mont))
         return Element(self, out)
 
     def coords(self, elem, d):
@@ -353,7 +345,8 @@ class GradedAlgebra:
                 for mb, cb in rb.items():
                     result[ma + mb] = ca * cb
         elif self._model is not None:
-            result = self._model_normal_form(mont, d)
+            cls = self._mont_class(mont)
+            result = self._model_coords_to_std(cls, d) if cls else {}
         else:
             table = self._nf_table.get(d, {})
             result = table.get(mont, {mont: Fraction(1)})
@@ -369,22 +362,12 @@ class GradedAlgebra:
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 hit = self._free_mul(m1, m2)
-                if hit is None:
-                    continue
-                sign, mont = hit
-                nv = acc.get(mont, 0) + sign * c1 * c2
-                if nv:
-                    acc[mont] = nv
-                else:
-                    acc.pop(mont, None)
+                if hit is not None:
+                    sign, mont = hit
+                    add_scaled(acc, sign * c1 * c2, {mont: 1})
         out = {}
         for mont, c in acc.items():
-            for sm, sc in self.normal_form_monomial(mont).items():
-                nv = out.get(sm, 0) + c * sc
-                if nv:
-                    out[sm] = nv
-                else:
-                    out.pop(sm, None)
+            add_scaled(out, c, self.normal_form_monomial(mont))
         return Element(self, out)
 
     # ------------------------------------------------- direct quotient build
@@ -446,8 +429,8 @@ class GradedAlgebra:
                 f"{self._dims.get(0)} and {self._dims.get(self.top_degree)}")
 
     def _build_basis(self, d):
-        # exterior and tensor bases are assembled on demand; direct quotients
-        # fill every degree eagerly in _build_quotient_tables.
+        # exterior, tensor and model bases are assembled on demand; direct
+        # quotients fill every degree eagerly in _build_quotient_tables.
         if self.kind == "exterior":
             monts = sorted(_enumerate_monomials(self._degrees, self._parities, d),
                            key=order_key)
@@ -464,33 +447,10 @@ class GradedAlgebra:
                     for mb in b.basis(db):
                         combined.append(ma + mb)
             self._basis[d] = combined
-        elif self._model is not None:
-            self._build_model_basis(d)
         else:
-            self._basis[d] = []
+            self._build_model_basis(d)
 
     # ------------------------------------------------- model-backed quotient
-
-    def _attach_model(self, model, gen_images):
-        """Back this presentation by an isomorphic, cheaper-to-reduce model.
-
-        ``model`` provides ``dims(d)``, ``basis_positions(d)``,
-        ``term_degree(key)`` and ``one_terms()``; model classes are plain
-        {key: Fraction} dicts.  ``gen_images`` is one callable per presented
-        generator, multiplying a model class by that generator's image.
-
-        Bases and normal forms computed through the model agree with the
-        direct row-reduction contract: a monomial is standard exactly when
-        its class is independent of the classes of all smaller monomials,
-        which is the non-pivot condition of the RREF.  The per-degree
-        ``SparseRREF`` that makes this selection keeps one tag column per
-        standard monomial (see ``linalg``), so reducing a model class against
-        it yields the class's standard coordinates without a separate inverse.
-        """
-        if model.top_degree != self.top_degree:
-            raise InconsistentPresentationError("model top degree mismatch")
-        self._model = model
-        self._model_images = list(gen_images)
 
     def _mont_class(self, mont):
         """Model class of an ambient monomial, as a {model key: Fraction} dict."""
@@ -498,23 +458,22 @@ class GradedAlgebra:
         if cls is not None:
             return cls
         if not any(mont):
-            cls = self._model.one_terms()
+            cls = self._model.one
         else:
             i = max(j for j, e in enumerate(mont) if e)
             prev = list(mont)
             prev[i] -= 1
-            cls = self._model_images[i](self._mont_class(tuple(prev)))
+            cls = self._model.mult(self._mont_class(tuple(prev)), i)
         self._mont_class_cache[mont] = cls
         return cls
 
     def _build_model_basis(self, d):
-        target = self._model.dims(d)
+        """Standard monomials of degree d: a monomial is standard exactly when
+        its model class is independent of the classes of all smaller
+        monomials, which is the non-pivot condition of the direct RREF."""
+        target = self._dims[d]
         monts = sorted(_enumerate_monomials(self._degrees, self._parities, d),
                        key=order_key)
-        if len(monts) > self.monomial_cap:
-            raise CapExceededError(
-                f"per-degree monomial count {len(monts)} exceeds cap {self.monomial_cap}")
-        mpos = self._model.basis_positions(d)
         # The k-th standard monomial's row carries tag column target + k.  A
         # candidate is standard iff its reduced class keeps a model column
         # (below target); the finished RREF also converts model coordinates.
@@ -523,7 +482,7 @@ class GradedAlgebra:
         for m in monts:
             if len(std) == target:
                 break
-            row = rref.reduce({mpos[mm]: c for mm, c in self._mont_class(m).items()})
+            row = rref.reduce(self._model_row(self._mont_class(m)))
             if any(c < target for c in row):
                 row[target + len(std)] = Fraction(1)
                 rref.add(row)
@@ -534,57 +493,37 @@ class GradedAlgebra:
         self._basis[d] = std
         self._std_convert[d] = rref
 
+    def _model_row(self, cls):
+        return {self._key_index[k][1]: c for k, c in cls.items()}
+
     def _model_coords_to_std(self, cls, d):
         std = self.basis(d)
         n = len(std)
-        mpos = self._model.basis_positions(d)
-        row = {mpos[m]: c for m, c in cls.items()}
-        return {std[c - n]: -v for c, v in self._std_convert[d].reduce(row).items()}
+        left = self._std_convert[d].reduce(self._model_row(cls))
+        return {std[c - n]: -v for c, v in left.items()}
 
-    def _model_normal_form(self, mont, d):
-        cls = self._mont_class(mont)
-        if not cls:
-            return {}
-        return self._model_coords_to_std(cls, d)
-
-    def _to_model(self, elem):
+    def _to_model(self, terms):
+        """Model class of a {monomial: coefficient} dict."""
         out = {}
-        for m, c in elem.terms.items():
-            for k, v in self._mont_class(m).items():
-                nv = out.get(k, 0) + c * v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
+        for m, c in terms.items():
+            add_scaled(out, c, self._mont_class(m))
         return out
 
     def _model_mul(self, a, b):
-        am = self._to_model(a)
+        am = self._to_model(a.terms)
         prod = {}
         for m2, c2 in b.terms.items():
             x = am
             for i, e in enumerate(m2):
                 for _ in range(e):
-                    x = self._model_images[i](x)
-            for k, v in x.items():
-                nv = prod.get(k, 0) + c2 * v
-                if nv:
-                    prod[k] = nv
-                else:
-                    prod.pop(k, None)
+                    x = self._model.mult(x, i)
+            add_scaled(prod, c2, x)
         by_degree = {}
         for k, c in prod.items():
-            by_degree.setdefault(self._model.term_degree(k), {})[k] = c
+            by_degree.setdefault(self._key_index[k][0], {})[k] = c
         out = {}
         for d, cls in sorted(by_degree.items()):
-            if d > self.top_degree:
-                continue
-            for sm, sc in self._model_coords_to_std(cls, d).items():
-                nv = out.get(sm, 0) + sc
-                if nv:
-                    out[sm] = nv
-                else:
-                    out.pop(sm, None)
+            add_scaled(out, 1, self._model_coords_to_std(cls, d))
         return Element(self, out)
 
 
@@ -646,6 +585,19 @@ def _normalize_relations(gens, relations):
     return tuple(out)
 
 
+def _quotient(generators, relations, top_degree, monomial_cap):
+    """The validated presentation, with no basis or product built yet."""
+    gens = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
+    if not gens:
+        raise InvalidPresentationError("quotient algebra needs at least one generator")
+    if any(g.degree <= 0 or g.degree % 2 for g in gens):
+        raise InvalidPresentationError("quotient generators must have positive even degree")
+    rels = _normalize_relations(gens, relations)
+    if top_degree < 0:
+        raise InvalidPresentationError("expected top degree must be nonnegative")
+    return GradedAlgebra("quotient", gens, rels, top_degree, monomial_cap)
+
+
 def polynomial_quotient_algebra(generators, relations, expected_top_degree,
                                 monomial_cap=DEFAULT_MONOMIAL_CAP):
     """Quotient of a polynomial ring on even generators by homogeneous relations.
@@ -662,16 +614,35 @@ def polynomial_quotient_algebra(generators, relations, expected_top_degree,
     >>> [A.dims(d) for d in (0, 2, 4, 6)]
     [1, 1, 1, 1]
     """
-    gens = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
-    if not gens:
-        raise InvalidPresentationError("quotient algebra needs at least one generator")
-    if any(g.degree <= 0 or g.degree % 2 for g in gens):
-        raise InvalidPresentationError("quotient generators must have positive even degree")
-    rels = _normalize_relations(gens, relations)
-    if expected_top_degree < 0:
-        raise InvalidPresentationError("expected top degree must be nonnegative")
-    alg = GradedAlgebra("quotient", gens, rels, expected_top_degree, monomial_cap)
+    alg = _quotient(generators, relations, expected_top_degree, monomial_cap)
     alg._build_quotient_tables()
+    return alg
+
+
+def model_quotient_algebra(generators, relations, model,
+                           monomial_cap=DEFAULT_MONOMIAL_CAP):
+    """The quotient :func:`polynomial_quotient_algebra` presents, computed in a model.
+
+    ``model`` is a ring isomorphic to the quotient that is cheap to multiply
+    in.  It provides ``top_degree``, ``keys(d)`` (its basis of degree d),
+    ``one`` (the class of 1) and ``mult(cls, i)`` (a class times generator
+    i, 0-based); classes are {key: Fraction} dicts over those keys.  Bases
+    and normal forms are those of the direct row reduction, and every
+    presentation relation must vanish in the model.
+    """
+    alg = _quotient(generators, relations, model.top_degree, monomial_cap)
+    worst = max(_count_monomials(alg._degrees, alg._parities, alg.top_degree))
+    if worst > monomial_cap:
+        raise CapExceededError(f"per-degree monomial count {worst} exceeds cap {monomial_cap}")
+    alg._model = model
+    for d in range(model.top_degree + 1):
+        keys = model.keys(d)
+        alg._dims[d] = len(keys)
+        alg._key_index.update((k, (d, i)) for i, k in enumerate(keys))
+    for rdeg, poly in alg.relations:
+        if alg._to_model(poly):
+            raise InconsistentPresentationError(
+                f"a degree-{rdeg} relation does not vanish in the model")
     return alg
 
 
@@ -681,7 +652,7 @@ def tensor_product(a, b, monomial_cap=None):
     Bases are pairwise products of the factor bases.  Colliding generator
     names are disambiguated with @1 / @2 suffixes.
     """
-    cap = monomial_cap or min(a.monomial_cap, b.monomial_cap)
+    cap = min(a.monomial_cap, b.monomial_cap) if monomial_cap is None else monomial_cap
     names_a = [g.name for g in a.generators]
     names_b = [g.name for g in b.generators]
     if set(names_a) & set(names_b):

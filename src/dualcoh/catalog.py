@@ -451,3 +451,36 @@ def unitary_decompositions(p, q, full_q=True):
 
     rec(p, q, (p, q), [])
     return out
+
+
+def sweep_parameter_list(family_id, ranges):
+    """Deterministic instance list for a sweep over family parameters.
+
+    ``ranges`` maps parameter names to (lo, hi) inclusive pairs; product
+    families get every certified decomposition per rank (all nonincreasing
+    two-part partitions for the symplectic products, all full-q multiset
+    decompositions for the unitary ones, plus deficit ones on request).
+    """
+    out = []
+    if family_id in ("sl-imag-sp", "sl-odd-real"):
+        lo, hi = ranges["n"]
+        out = [{"n": n} for n in range(lo, hi + 1)]
+    elif family_id == "siegel-product":
+        lo, hi = ranges["g"]
+        for g in range(lo, hi + 1):
+            for parts in two_part_partitions(g):
+                out.append({"g": g, "parts": parts})
+    elif family_id == "unitary-product":
+        plo, phi = ranges["p"]
+        qlo, qhi = ranges["q"]
+        full_q = ranges.get("full_q", True)
+        for p in range(plo, phi + 1):
+            for q in range(max(p, qlo), qhi + 1):
+                for parts in unitary_decompositions(p, q, full_q=full_q):
+                    out.append({"p": p, "q": q, "parts": [list(t) for t in parts]})
+    elif family_id == "sp-in-ugg":
+        lo, hi = ranges["g"]
+        out = [{"g": g} for g in range(lo, hi + 1)]
+    else:
+        raise InvalidPresentationError(f"unknown family {family_id!r}")
+    return out

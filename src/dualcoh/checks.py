@@ -36,8 +36,7 @@ from .catalog import (
     decide_ghost,
     decide_nonvanishing,
     siegel_theta,
-    two_part_partitions,
-    unitary_decompositions,
+    sweep_parameter_list,
 )
 from .linalg import SparseRREF
 from .morphisms import (
@@ -433,27 +432,19 @@ def identity_checks():
 # ------------------------------------------------------------- properties
 
 
-def catalog_sweep_specs(sl_max=5, odd_max=4, siegel_max=5, unitary_max=4, ugg_max=4):
+CERTIFIED_RANGES = (
+    ("sl-imag-sp", {"n": (2, 5)}),
+    ("sl-odd-real", {"n": (1, 4)}),
+    ("siegel-product", {"g": (2, 5)}),
+    ("unitary-product", {"p": (1, 4), "q": (1, 4)}),
+    ("sp-in-ugg", {"g": (1, 4)}),
+)
+
+
+def catalog_sweep_specs():
     """The certified instance list driving the property suites."""
-    specs = []
-    for n in range(2, sl_max + 1):
-        specs.append(("sl-imag-sp", {"n": n}))
-    for n in range(1, odd_max + 1):
-        specs.append(("sl-odd-real", {"n": n}))
-    for g in range(2, siegel_max + 1):
-        for parts in two_part_partitions(g):
-            specs.append(("siegel-product", {"g": g, "parts": parts}))
-    for p in range(1, unitary_max + 1):
-        for q in range(p, unitary_max + 1):
-            for parts in unitary_decompositions(p, q, full_q=True):
-                specs.append(("unitary-product", {"p": p, "q": q, "parts": parts}))
-    for g in range(1, ugg_max + 1):
-        specs.append(("sp-in-ugg", {"g": g}))
-    return specs
-
-
-def _sweep_instances(**kwargs):
-    return [build_family(fid, params) for fid, params in catalog_sweep_specs(**kwargs)]
+    return [(fid, params) for fid, ranges in CERTIFIED_RANGES
+            for params in sweep_parameter_list(fid, ranges)]
 
 
 def _sweep_algebras(instances):
@@ -625,8 +616,8 @@ def check_functoriality(seed=42, samples=20):
     return CheckResult("functoriality", True, f"seed={seed}")
 
 
-def property_checks(seed=42, samples=100, **sweep_kwargs):
-    instances = _sweep_instances(**sweep_kwargs)
+def property_checks(seed=42, samples=100):
+    instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
     cases = [(inst, decide_nonvanishing(inst)) for inst in instances]
     return [
         check_duality_nondegeneracy(instances),

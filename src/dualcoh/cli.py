@@ -3,7 +3,8 @@
 Exit codes: 0 success (a false verdict is still success), 2 usage error,
 3 resource cap exceeded, 4 internal inconsistency.  JSON goes to stdout,
 diagnostics to stderr.  The per-degree monomial cap can be set with
---cap or the DUALCOH_MONOMIAL_CAP environment variable (flag wins).
+--cap, a --config file or the DUALCOH_MONOMIAL_CAP environment variable
+(in that order of precedence); it must be an integer >= 1.
 """
 
 import argparse
@@ -52,13 +53,17 @@ def _parse_range(text):
         raise InvalidPresentationError(f"cannot parse range {text!r}; expected lo..hi")
 
 
-def _default_cap():
+def _resolve_cap(args):
+    """The monomial cap from --cap, --config or DUALCOH_MONOMIAL_CAP."""
     env = os.environ.get("DUALCOH_MONOMIAL_CAP")
     try:
-        return int(env) if env else DEFAULT_MONOMIAL_CAP
+        fallback = int(env) if env else DEFAULT_MONOMIAL_CAP
     except ValueError:
         raise InvalidPresentationError(
             f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
+    cap = _resolve_int(args, "cap", fallback)
+    _usage_if(cap < 1, f"the monomial cap must be at least 1, got {cap}")
+    return cap
 
 
 def _load_config_file(path):
@@ -197,7 +202,7 @@ def _resolve_int(args, key, fallback):
 def _run_config(args, fid, params):
     return RunConfig(
         family_id=fid, parameters=params,
-        monomial_cap=_resolve_int(args, "cap", _default_cap()),
+        monomial_cap=_resolve_cap(args),
         seed=_resolve_int(args, "seed", 42),
         checks=_checks_tuple(_resolve(args, "checks", ())))
 
@@ -309,7 +314,7 @@ def cmd_ring(args):
         su_algebra,
         su_so_algebra,
     )
-    cap = args.cap or _default_cap()
+    cap = _resolve_cap(args)
     rid = args.ring_id
     if rid == "su":
         _usage_if(args.n is None, "ring su needs --n")

@@ -17,6 +17,20 @@ vector to coordinates over the input rows, which is an inverse.
 from fractions import Fraction
 
 
+def add_scaled(out, c, row):
+    """``out += c * row`` in place on sparse dicts, dropping zeros.
+
+    >>> out = {0: 1, 1: 2}; add_scaled(out, 2, {0: 3, 1: -1}); out
+    {0: 7}
+    """
+    for k, v in row.items():
+        nv = out.get(k, 0) + c * v
+        if nv:
+            out[k] = nv
+        else:
+            out.pop(k, None)
+
+
 class SparseRREF:
     """Incrementally maintained reduced row echelon form.
 
@@ -37,15 +51,7 @@ class SparseRREF:
         # Pivot rows never contain other pivot columns, so eliminating each
         # pivot entry of `out` once suffices; new fill-in is non-pivot only.
         for c in [c for c in out if c in self.pivot_rows]:
-            coef = out.pop(c)
-            for c2, v2 in self.pivot_rows[c].items():
-                if c2 == c:
-                    continue
-                nv = out.get(c2, 0) - coef * v2
-                if nv:
-                    out[c2] = nv
-                else:
-                    out.pop(c2, None)
+            add_scaled(out, -out[c], self.pivot_rows[c])
         return out
 
     def add(self, row):
@@ -57,18 +63,11 @@ class SparseRREF:
         pv = r.pop(p)
         if pv != 1:
             r = {c: v / pv for c, v in r.items()}
+        r[p] = Fraction(1)
         # Clear the new pivot column from existing rows.
         for prow in self.pivot_rows.values():
-            coef = prow.pop(p, None)
-            if coef is None:
-                continue
-            for c2, v2 in r.items():
-                nv = prow.get(c2, 0) - coef * v2
-                if nv:
-                    prow[c2] = nv
-                else:
-                    prow.pop(c2, None)
-        r[p] = Fraction(1)
+            if p in prow:
+                add_scaled(prow, -prow[p], r)
         self.pivot_rows[p] = r
         return p
 

@@ -1,27 +1,24 @@
 """Builders for the compact-dual cohomology rings used by the catalog.
 
-Exterior algebras come straight from the generic constructor.  The
-Lagrangian-Grassmannian rings are genuine polynomial quotients built by
-per-degree row reduction.  The (sigma, tau) Grassmannian presentations are
-backed internally by a Schur-basis model (partitions in a p x q box with
-Pieri-rule multiplication), because their ambient monomial spaces grow into
-the thousands per degree at p = q = 5; the exposed basis and normal forms
-still follow the row-reduction contract, and the small cases are checked
-against the direct construction in the test suite.
+Exterior algebras come straight from the generic constructor.  Both
+quotient families are model-backed (``model_quotient_algebra``): square-free
+monomials with a straightening rule for the Lagrangian-Grassmannian rings,
+a Schur basis (partitions in a p x q box, Pieri-rule multiplication) for the
+(sigma, tau) Grassmannian presentations.  The exposed basis and normal forms
+follow the row-reduction contract; the direct row reduction of the relation
+span is the reference the tests compare against.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
-    Generator,
-    GradedAlgebra,
-    _count_monomials,
-    _normalize_relations,
     exterior_algebra,
-    polynomial_quotient_algebra,
+    model_quotient_algebra,
 )
-from .errors import CapExceededError, InvalidPresentationError
+from .errors import InvalidPresentationError
+from .linalg import add_scaled
 
 # Every ring built so far, by builder and arguments: equal arguments give one object.
 _RING_CACHE = {}
@@ -105,16 +102,71 @@ def lagrangian_relations(g):
     return rels
 
 
+class StraighteningModel:
+    """Internal model of H*(Sp(2g)/U(g)) on the 2^g square-free monomials.
+
+    Keys are 0/1 exponent tuples over sigma_1..sigma_g (a basis, by
+    Pragacz's Q-tilde-polynomial theory; not the standard monomials).  A
+    repeated sigma_k is straightened by the degree-4k relation
+        sigma_k^2 = (-1)^(k+1) * 2 * sum_{j<k} (-1)^j sigma_j sigma_{2k-j},
+    with sigma_0 = 1 and sigma_k = 0 for k > g; the rewrite terminates, as
+    it strictly increases the sum of squared indices.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.top_degree = g * (g + 1)
+        self.one = {(0,) * g: Fraction(1)}
+        self._memo = {}
+
+    def keys(self, d):
+        return [key for key in product((0, 1), repeat=self.g)
+                if sum(2 * k * e for k, e in enumerate(key, 1)) == d]
+
+    def mult(self, cls, i):
+        out = {}
+        for key, c in cls.items():
+            add_scaled(out, c, self._times(key, i + 1))
+        return out
+
+    def _times(self, key, k):
+        """sigma_key * sigma_k, straightened; memoised per (key, k)."""
+        if k == 0:
+            return {key: Fraction(1)}
+        if k > self.g:
+            return {}
+        out = self._memo.get((key, k))
+        if out is None:
+            flipped = key[:k - 1] + (1 - key[k - 1],) + key[k:]
+            if not key[k - 1]:
+                out = {flipped: Fraction(1)}
+            else:  # sigma_key = sigma_k * sigma_flipped: straighten sigma_k^2
+                out = {}
+                for j in range(k):
+                    for mid, c in self._times(flipped, j).items():
+                        add_scaled(out, (-1) ** (k + 1 + j) * 2 * c, self._times(mid, 2 * k - j))
+            self._memo[(key, k)] = out
+        return out
+
+
 def _lagrangian_algebra(g, monomial_cap, prefix):
     if g < 1:
         raise InvalidPresentationError(f"Lagrangian ring needs g >= 1, got {g}")
     gens = [(f"{prefix}{i}", 2 * i) for i in range(1, g + 1)]
-    return polynomial_quotient_algebra(gens, lagrangian_relations(g),
-                                       g * (g + 1), monomial_cap)
+    return model_quotient_algebra(gens, lagrangian_relations(g),
+                                  StraighteningModel(g), monomial_cap)
 
 
 def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
-    """H*(Sp(2g)/U(g)): Q[sigma_1..sigma_g] modulo prod (1 - x_i^2) = 1."""
+    """H*(Sp(2g)/U(g)): Q[sigma_1..sigma_g] modulo prod (1 - x_i^2) = 1.
+
+    >>> L = lagrangian_algebra(2)
+    >>> L.gen("sigma1") * L.gen("sigma1")
+    2*sigma2^1
+    >>> L = lagrangian_algebra(3)
+    >>> L.gen("sigma3") * L.gen("sigma3")
+    0
+    """
     return _cached(_lagrangian_algebra, g, monomial_cap, prefix)
 
 
@@ -134,8 +186,8 @@ class SchurRing:
         self.p = p
         self.q = q
         self.top_degree = 2 * p * q
+        self.one = {(): Fraction(1)}
         self._parts = {}
-        self._pos = {}
 
     def partitions(self, n):
         if n not in self._parts:
@@ -156,21 +208,14 @@ class SchurRing:
             self._parts[n] = sorted(out)
         return self._parts[n]
 
-    def dims(self, d):
-        if d < 0 or d % 2 or d > self.top_degree:
-            return 0
-        return len(self.partitions(d // 2))
+    def keys(self, d):
+        return [] if d % 2 else self.partitions(d // 2)
 
-    def basis_positions(self, d):
-        if d not in self._pos:
-            self._pos[d] = {lam: i for i, lam in enumerate(self.partitions(d // 2))}
-        return self._pos[d]
-
-    def term_degree(self, lam):
-        return 2 * sum(lam)
-
-    def one_terms(self):
-        return {(): Fraction(1)}
+    def mult(self, cls, i):
+        """cls times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j."""
+        if i < self.p:
+            return self.mult_e(cls, i + 1)
+        return self.mult_h_signed(cls, i + 1 - self.p)
 
     def _vertical_strips(self, lam, k):
         """Partitions obtained from lam by adding a vertical k-strip in the box.
@@ -282,22 +327,7 @@ def _grassmannian_algebra(p, q, monomial_cap, suffix):
     if p < 1 or q < 1:
         raise InvalidPresentationError(f"Grassmannian ring needs p, q >= 1, got ({p}, {q})")
     gens, rels = grassmannian_relations(p, q, suffix)
-    degrees = [d for _, d in gens]
-    counts = _count_monomials(degrees, [0] * len(degrees), 2 * p * q)
-    if max(counts) > monomial_cap:
-        raise CapExceededError(
-            f"per-degree monomial count {max(counts)} exceeds cap {monomial_cap}")
-    gen_objs = [Generator(nm, d) for nm, d in gens]
-    alg = GradedAlgebra("quotient", gen_objs, _normalize_relations(gen_objs, rels),
-                        2 * p * q, monomial_cap)
-    model = SchurRing(p, q)
-    images = [
-        (lambda cls, k=i: model.mult_e(cls, k)) for i in range(1, p + 1)
-    ] + [
-        (lambda cls, k=j: model.mult_h_signed(cls, k)) for j in range(1, q + 1)
-    ]
-    alg._attach_model(model, images)
-    return alg
+    return model_quotient_algebra(gens, rels, SchurRing(p, q), monomial_cap)
 
 
 def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):

@@ -8,6 +8,7 @@ import pytest
 
 import dualcoh.algebra
 import dualcoh.linalg
+import dualcoh.rings
 from dualcoh import (
     CapExceededError,
     InconsistentPresentationError,
@@ -358,6 +359,6 @@ class TestSolve:
 
 
 def test_docstrings():
-    for module in (dualcoh.algebra, dualcoh.linalg):
+    for module in (dualcoh.algebra, dualcoh.linalg, dualcoh.rings):
         results = doctest.testmod(module)
         assert results.attempted and results.failed == 0, module.__name__

@@ -7,6 +7,7 @@ import pytest
 from dualcoh.checks import (
     box_partition_betti,
     check_grassmannian_poincare,
+    check_gysin_soundness,
     check_grassmannian_relation_expansion,
     check_lagrangian_poincare,
     check_lagrangian_relation_expansion,
@@ -14,7 +15,7 @@ from dualcoh.checks import (
     run_suites,
     strict_partition_betti,
 )
-from dualcoh.catalog import decide_nonvanishing, family_sl_odd_real
+from dualcoh.catalog import decide_nonvanishing, family_siegel, family_sl_odd_real
 
 
 def test_strict_partition_enumerator():
@@ -40,6 +41,12 @@ def test_passing_oracle_details_carry_no_times():
     for result in (check_lagrangian_poincare(gmax=3), check_grassmannian_poincare(pq_max=3)):
         assert result.passed
         assert not re.search(r"\d\.\d+s", result.detail), result.detail
+
+
+def test_gysin_soundness_siegel_g7():
+    inst = family_siegel(7, [4, 3])
+    result = check_gysin_soundness([(inst, decide_nonvanishing(inst))])
+    assert result.passed, result.detail
 
 
 def test_run_suites_unknown_name():

@@ -133,6 +133,14 @@ class TestCli:
         assert data["nonvanishing"]["verdict"] is True
         assert "timing" not in data
 
+    def test_family_siegel_g7_with_identities(self, capsys):
+        assert cli.main(["family", "siegel", "--g", "7", "--parts", "4,3",
+                         "--checks", "paper-identities", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["nonvanishing"]["verdict"] is True
+        results = {r["name"]: r["passed"] for r in data["check_results"]}
+        assert results == {"theta-pairing-identity": True}
+
     def test_usage_errors(self, capsys):
         assert cli.main(["family", "siegel", "--g", "2", "--parts", "3"]) == 2
         assert cli.main(["family", "nonsense", "--n", "2"]) == 2
@@ -242,6 +250,17 @@ class TestCli:
         assert cli.main(["family", "sl-imag-sp", "--n", "2"]) == 2
         assert "DUALCOH_MONOMIAL_CAP" in capsys.readouterr().err
         assert cli.main(["ring", "lagrangian", "--g", "2"]) == 2
+
+    def test_cap_below_one_is_usage_error(self, capsys, monkeypatch):
+        assert cli.main(["ring", "lagrangian", "--g", "3", "--cap", "0"]) == 2
+        assert cli.main(["family", "siegel", "--g", "3", "--parts", "2,1",
+                         "--cap", "-1"]) == 2
+        monkeypatch.setenv("DUALCOH_MONOMIAL_CAP", "0")
+        assert cli.main(["ring", "lagrangian", "--g", "3"]) == 2
+        assert "at least 1" in capsys.readouterr().err
+
+    def test_ring_cap_exit_code(self, capsys):
+        assert cli.main(["ring", "lagrangian", "--g", "3", "--cap", "2"]) == 3
 
     def test_config_file_values_validated(self, capsys, tmp_path):
         cfg = tmp_path / "dualcoh.json"

@@ -1,19 +1,21 @@
-"""Ring builders: closed-form shapes, and the Schur-backed Grassmannian
-construction against the direct row-reduction path."""
+"""Ring builders: closed-form shapes, and the model-backed Lagrangian and
+Grassmannian constructions against the direct row-reduction path."""
 
 from math import comb
 
 import pytest
 
 from dualcoh import (
+    InconsistentPresentationError,
     InvalidPresentationError,
     poincare_polynomial,
     polynomial_quotient_algebra,
 )
-from dualcoh.algebra import _enumerate_monomials
+from dualcoh.algebra import _enumerate_monomials, model_quotient_algebra
 from dualcoh.checks import box_partition_betti, strict_partition_betti
 from dualcoh.rings import (
     SchurRing,
+    StraighteningModel,
     clear_ring_cache,
     grassmannian_algebra,
     grassmannian_relations,
@@ -39,7 +41,26 @@ class TestExteriorBuilders:
         assert [g.degree for g in su_so_algebra(2).generators] == [5, 9]
 
 
+def assert_model_equals_direct(direct, fast):
+    """Same basis in every degree, same normal form of every ambient monomial."""
+    top = direct.top_degree
+    assert fast.top_degree == top
+    for d in range(top + 1):
+        assert direct.basis(d) == fast.basis(d)
+    for d in range(0, top + 1, 2):
+        for m in _enumerate_monomials(direct._degrees, direct._parities, d):
+            assert (direct.normal_form_monomial(m)
+                    == fast.normal_form_monomial(m)), (d, m)
+
+
 class TestLagrangian:
+    @pytest.mark.parametrize("g", range(1, 6))
+    def test_model_equals_direct_rref(self, g):
+        gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
+        direct = polynomial_quotient_algebra(gens, lagrangian_relations(g), g * (g + 1))
+        clear_ring_cache()
+        assert_model_equals_direct(direct, lagrangian_algebra(g))
+
     @pytest.mark.parametrize("g", range(1, 6))
     def test_betti_against_subset_oracle(self, g):
         alg = lagrangian_algebra(g)
@@ -56,6 +77,15 @@ class TestLagrangian:
             lagrangian_algebra(0)
 
 
+def test_model_construction_rejects_a_wrong_relation():
+    gens = [("sigma1", 2), ("sigma2", 4)]
+    rels = lagrangian_relations(2)
+    assert model_quotient_algebra(gens, rels, StraighteningModel(2)).total_dimension == 4
+    flipped = [{**rels[0], (2, 0): -rels[0][(2, 0)]}, rels[1]]
+    with pytest.raises(InconsistentPresentationError):
+        model_quotient_algebra(gens, flipped, StraighteningModel(2))
+
+
 class TestGrassmannian:
     @pytest.mark.parametrize("p,q", [(1, 1), (1, 2), (2, 2), (2, 3), (2, 4),
                                      (3, 3)])
@@ -63,13 +93,7 @@ class TestGrassmannian:
         gens, rels = grassmannian_relations(p, q)
         direct = polynomial_quotient_algebra(gens, rels, 2 * p * q)
         clear_ring_cache()
-        fast = grassmannian_algebra(p, q)
-        for d in range(2 * p * q + 1):
-            assert direct.basis(d) == fast.basis(d)
-        for d in range(0, 2 * p * q + 1, 2):
-            for m in _enumerate_monomials(direct._degrees, direct._parities, d):
-                assert (direct.normal_form_monomial(m)
-                        == fast.normal_form_monomial(m)), (p, q, d, m)
+        assert_model_equals_direct(direct, grassmannian_algebra(p, q))
 
     @pytest.mark.parametrize("p,q", [(1, 2), (2, 3), (3, 4), (2, 5)])
     def test_betti_against_box_oracle(self, p, q):
@@ -96,7 +120,7 @@ class TestGrassmannian:
 class TestSchurModel:
     def test_dims_match_partition_counts(self):
         ring = SchurRing(2, 3)
-        assert [ring.dims(2 * k) for k in range(7)] == [1, 1, 2, 2, 2, 1, 1]
+        assert [len(ring.keys(2 * k)) for k in range(7)] == [1, 1, 2, 2, 2, 1, 1]
 
     def test_vertical_strip_pieri(self):
         ring = SchurRing(3, 3)
