@@ -14,9 +14,14 @@ minimal ones under this order.  The basis of a quotient in each degree is
 exactly the set of non-pivot columns of the reduced row echelon form of the
 span of relation multiples, with columns sorted by the key descending.
 
+``_enumerate_monomials`` yields the monomials of one degree lazily in
+this (basis) order, so a basis build stops at its last standard monomial.
+
 Every catalog quotient comes from ``model_quotient_algebra``, which computes
 in an isomorphic model ring and selects the same standard monomials lazily;
 ``polynomial_quotient_algebra`` row-reduces eagerly and is the reference.
+Every ring kind has one product: ambient monomials multiply freely (with
+the Koszul sign) and each result is replaced by its cached normal form.
 
 Scalars must be ``int`` or ``Fraction``: a float is refused, not rounded.
 
@@ -73,28 +78,47 @@ def _count_monomials(degrees, parities, dmax):
 
 
 def _enumerate_monomials(degrees, parities, d):
-    """All exponent tuples of weighted degree d (odd exponents capped at 1)."""
+    """Exponent tuples of weighted degree d (odd exponents capped at 1),
+    yielded lazily in ascending ``order_key`` order.
+
+    Exponents are fixed from the last generator down, each in ascending
+    order, within one exponent sum at a time.  A branch is entered only if
+    the generators before it can still reach the remaining (exponent sum,
+    degree) pair, so every branch yields.
+
+    >>> list(_enumerate_monomials([2, 2, 4], [0, 0, 0], 4))
+    [(0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
+    """
     k = len(degrees)
-    out = []
+    # reach[i][s]: bit t is set iff generators 0..i-1 reach exponent sum s
+    # in degree t <= d.
+    mask = (1 << (d + 1)) - 1
+    reach = [[1]]
+    for deg, par in zip(degrees, parities):
+        emax = 1 if par else d // deg
+        prev = reach[-1]
+        row = [0] * (len(prev) + emax)
+        for s, bits in enumerate(prev):
+            for e in range(emax + 1):
+                row[s + e] |= (bits << (e * deg)) & mask
+        reach.append(row)
     cur = [0] * k
 
-    def rec(i, rem):
-        if rem == 0:
-            out.append(tuple(cur))
+    def rec(i, s, t):
+        if i == 0:
+            yield tuple(cur)
             return
-        if i == k:
-            return
-        step = degrees[i]
-        emax = rem // step
-        if parities[i]:
-            emax = min(emax, 1)
+        deg, below = degrees[i - 1], reach[i - 1]
+        emax = min(t // deg, s, 1 if parities[i - 1] else s)
         for e in range(emax + 1):
-            cur[i] = e
-            rec(i + 1, rem - e * step)
-        cur[i] = 0
+            if s - e < len(below) and below[s - e] >> (t - e * deg) & 1:
+                cur[i - 1] = e
+                yield from rec(i - 1, s - e, t - e * deg)
+        cur[i - 1] = 0
 
-    rec(0, d)
-    return out
+    for s, bits in enumerate(reach[k]):
+        if bits >> d & 1:
+            yield from rec(k, s, d)
 
 
 class Element:
@@ -209,7 +233,7 @@ class GradedAlgebra:
         self._factors = None      # tensor products
         self._split = None
         self._model = None        # model-backed quotients
-        self._key_index = {}      # model key -> (degree, position in model.keys)
+        self._key_index = {}      # model key -> position in model.keys(its degree)
         self._mont_class_cache = {}
         self._std_convert = {}    # degree -> tagged SparseRREF selecting the basis
 
@@ -356,8 +380,6 @@ class GradedAlgebra:
     # --------------------------------------------------------------- product
 
     def _mul_elements(self, a, b):
-        if self._model is not None:
-            return self._model_mul(a, b)
         acc = {}
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
@@ -394,8 +416,7 @@ class GradedAlgebra:
                     self._dims[d] = 0
                     self._basis[d] = []
                 continue
-            monts = sorted(_enumerate_monomials(degrees, parities, d),
-                           key=order_key, reverse=True)
+            monts = list(_enumerate_monomials(degrees, parities, d))[::-1]
             col = {m: i for i, m in enumerate(monts)}
             rref = SparseRREF()
             for rdeg, rpoly in self.relations:
@@ -432,8 +453,7 @@ class GradedAlgebra:
         # exterior, tensor and model bases are assembled on demand; direct
         # quotients fill every degree eagerly in _build_quotient_tables.
         if self.kind == "exterior":
-            monts = sorted(_enumerate_monomials(self._degrees, self._parities, d),
-                           key=order_key)
+            monts = list(_enumerate_monomials(self._degrees, self._parities, d))
             self._basis[d] = monts
             self._dims[d] = len(monts)
         elif self._factors is not None:
@@ -454,47 +474,34 @@ class GradedAlgebra:
 
     def _mont_class(self, mont):
         """Model class of an ambient monomial, as a {model key: Fraction} dict."""
-        cls = self._mont_class_cache.get(mont)
-        if cls is not None:
-            return cls
-        if not any(mont):
-            cls = self._model.one
-        else:
-            i = max(j for j, e in enumerate(mont) if e)
-            prev = list(mont)
-            prev[i] -= 1
-            cls = self._model.mult(self._mont_class(tuple(prev)), i)
-        self._mont_class_cache[mont] = cls
-        return cls
+        return monomial_value(self._mont_class_cache, mont, self._model.mult)
 
     def _build_model_basis(self, d):
         """Standard monomials of degree d: a monomial is standard exactly when
         its model class is independent of the classes of all smaller
         monomials, which is the non-pivot condition of the direct RREF."""
         target = self._dims[d]
-        monts = sorted(_enumerate_monomials(self._degrees, self._parities, d),
-                       key=order_key)
+        monts = _enumerate_monomials(self._degrees, self._parities, d)
         # The k-th standard monomial's row carries tag column target + k.  A
         # candidate is standard iff its reduced class keeps a model column
         # (below target); the finished RREF also converts model coordinates.
         rref = SparseRREF()
         std = []
-        for m in monts:
-            if len(std) == target:
-                break
+        while len(std) < target:
+            m = next(monts, None)
+            if m is None:
+                raise InconsistentPresentationError(
+                    f"model rank deficit in degree {d}: found {len(std)}, expected {target}")
             row = rref.reduce(self._model_row(self._mont_class(m)))
             if any(c < target for c in row):
                 row[target + len(std)] = Fraction(1)
                 rref.add(row)
                 std.append(m)
-        if len(std) != target:
-            raise InconsistentPresentationError(
-                f"model rank deficit in degree {d}: found {len(std)}, expected {target}")
         self._basis[d] = std
         self._std_convert[d] = rref
 
     def _model_row(self, cls):
-        return {self._key_index[k][1]: c for k, c in cls.items()}
+        return {self._key_index[k]: c for k, c in cls.items()}
 
     def _model_coords_to_std(self, cls, d):
         std = self.basis(d)
@@ -502,29 +509,21 @@ class GradedAlgebra:
         left = self._std_convert[d].reduce(self._model_row(cls))
         return {std[c - n]: -v for c, v in left.items()}
 
-    def _to_model(self, terms):
-        """Model class of a {monomial: coefficient} dict."""
-        out = {}
-        for m, c in terms.items():
-            add_scaled(out, c, self._mont_class(m))
-        return out
 
-    def _model_mul(self, a, b):
-        am = self._to_model(a.terms)
-        prod = {}
-        for m2, c2 in b.terms.items():
-            x = am
-            for i, e in enumerate(m2):
-                for _ in range(e):
-                    x = self._model.mult(x, i)
-            add_scaled(prod, c2, x)
-        by_degree = {}
-        for k, c in prod.items():
-            by_degree.setdefault(self._key_index[k][0], {})[k] = c
-        out = {}
-        for d, cls in sorted(by_degree.items()):
-            add_scaled(out, 1, self._model_coords_to_std(cls, d))
-        return Element(self, out)
+def monomial_value(cache, mont, times):
+    """Value of an exponent tuple under a multiplicative map, memoised.
+
+    ``cache`` maps exponent tuples to values and must already hold the
+    value of the empty monomial; ``times(value, i)`` multiplies a value by
+    generator i.  The last generator present is peeled off first, so a
+    monomial's value extends the cached value of its prefix.
+    """
+    value = cache.get(mont)
+    if value is None:
+        i = max(j for j, e in enumerate(mont) if e)
+        prev = mont[:i] + (mont[i] - 1,) + mont[i + 1:]
+        value = cache[mont] = times(monomial_value(cache, prev, times), i)
+    return value
 
 
 # ------------------------------------------------------------- constructors
@@ -635,12 +634,16 @@ def model_quotient_algebra(generators, relations, model,
     if worst > monomial_cap:
         raise CapExceededError(f"per-degree monomial count {worst} exceeds cap {monomial_cap}")
     alg._model = model
+    alg._mont_class_cache[(0,) * len(alg.generators)] = model.one
     for d in range(model.top_degree + 1):
         keys = model.keys(d)
         alg._dims[d] = len(keys)
-        alg._key_index.update((k, (d, i)) for i, k in enumerate(keys))
+        alg._key_index.update((k, i) for i, k in enumerate(keys))
     for rdeg, poly in alg.relations:
-        if alg._to_model(poly):
+        cls = {}
+        for m, c in poly.items():
+            add_scaled(cls, c, alg._mont_class(m))
+        if cls:
             raise InconsistentPresentationError(
                 f"a degree-{rdeg} relation does not vanish in the model")
     return alg

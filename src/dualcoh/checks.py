@@ -38,7 +38,7 @@ from .catalog import (
     siegel_theta,
     sweep_parameter_list,
 )
-from .linalg import SparseRREF
+from .linalg import SparseRREF, add_scaled
 from .morphisms import (
     apply,
     build_morphism,
@@ -66,16 +66,21 @@ class CheckResult:
 # ------------------------------------------------- independent enumerators
 
 
+def _subset_sum_betti(degrees):
+    """Betti numbers of an exterior algebra by direct subset enumeration."""
+    out = [0] * (sum(degrees) + 1)
+    for mask in range(1 << len(degrees)):
+        s = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
+        out[s] += 1
+    return out
+
+
 def strict_partition_betti(g):
     """Betti numbers of the rank-g Lagrangian ring by subset enumeration.
 
     Degree-2k dimension = number of subsets of {1..g} summing to k.
     """
-    out = [0] * (g * (g + 1) + 1)
-    for mask in range(1 << g):
-        s = sum(2 * (i + 1) for i in range(g) if mask >> i & 1)
-        out[s] += 1
-    return out
+    return _subset_sum_betti(range(2, 2 * g + 1, 2))
 
 
 def box_partition_betti(p, q):
@@ -99,13 +104,7 @@ def box_partition_betti(p, q):
 def _xpoly_mul(a, b):
     out = {}
     for ma, ca in a.items():
-        for mb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ma, mb))
-            nv = out.get(key, 0) + ca * cb
-            if nv:
-                out[key] = nv
-            else:
-                out.pop(key, None)
+        add_scaled(out, ca, {tuple(x + y for x, y in zip(ma, mb)): cb for mb, cb in b.items()})
     return out
 
 
@@ -137,40 +136,18 @@ def _expand_generator_poly(poly, blocks):
             for _ in range(e):
                 term = _xpoly_mul(term,
                                   _elementary_symmetric(nvars, j, offset, total))
-        for k, v in term.items():
-            nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
+        add_scaled(out, 1, term)
     return out
 
 
-def _product_one_minus_sq(g):
-    """prod_i (1 - x_i^2) - 1 over g root variables, split by graded degree."""
-    poly = {tuple([0] * g): 1}
-    for i in range(g):
-        factor = {tuple([0] * g): 1}
-        sq = [0] * g
-        sq[i] = 2
-        factor[tuple(sq)] = -1
-        poly = _xpoly_mul(poly, factor)
-    poly.pop(tuple([0] * g), None)
-    by_degree = {}
-    for k, v in poly.items():
-        by_degree.setdefault(2 * sum(k), {})[k] = v
-    return by_degree
-
-
-def _product_one_plus(p, q):
-    """prod (1+x_i) prod (1+y_j) - 1 over p+q root variables, by graded degree."""
-    n = p + q
-    poly = {tuple([0] * n): 1}
+def _root_product_by_degree(n, power, sign):
+    """prod_i (1 + sign * x_i^power) - 1 over n root variables (each of
+    degree 2), split by graded degree."""
+    zero = (0,) * n
+    poly = {zero: 1}
     for i in range(n):
-        lin = [0] * n
-        lin[i] = 1
-        poly = _xpoly_mul(poly, {tuple([0] * n): 1, tuple(lin): 1})
-    poly.pop(tuple([0] * n), None)
+        poly = _xpoly_mul(poly, {zero: 1, zero[:i] + (power,) + zero[i + 1:]: sign})
+    poly.pop(zero)
     by_degree = {}
     for k, v in poly.items():
         by_degree.setdefault(2 * sum(k), {})[k] = v
@@ -181,7 +158,7 @@ def check_lagrangian_relation_expansion(gmax=4):
     """Catalog relation components equal the root-variable expansion, g <= gmax."""
     for g in range(1, gmax + 1):
         blocks = [(g, 0)] * g
-        expected = _product_one_minus_sq(g)
+        expected = _root_product_by_degree(g, 2, -1)
         got = {}
         for poly in lagrangian_relations(g):
             expanded = _expand_generator_poly(poly, blocks)
@@ -203,7 +180,7 @@ def check_grassmannian_relation_expansion(pq_max=6):
         for q in range(p, pq_max - p + 1):
             gens, rels = grassmannian_relations(p, q)
             blocks = [(p, 0)] * p + [(q, p)] * q
-            expected = _product_one_plus(p, q)
+            expected = _root_product_by_degree(p + q, 1, 1)
             got = {}
             for poly in rels:
                 expanded = _expand_generator_poly(poly, blocks)
@@ -653,42 +630,30 @@ def run_suites(names=None, seed=42):
 # ------------------------------------------------- instance-scoped checks
 
 
-def _subset_sum_betti(degrees):
-    """Poincare data of an exterior algebra by direct subset enumeration."""
-    out = [0] * (sum(degrees) + 1)
-    for mask in range(1 << len(degrees)):
-        s = sum(d for i, d in enumerate(degrees) if mask >> i & 1)
-        out[s] += 1
-    return out
+def _betti_product(bettis):
+    """Betti numbers of a tensor product: the product of Poincare polynomials."""
+    prod = {(0,): 1}
+    for b in bettis:
+        prod = _xpoly_mul(prod, {(d,): c for d, c in enumerate(b) if c})
+    return [prod.get((d,), 0) for d in range(max(prod)[0] + 1)]
 
 
 def _betti_oracle_for(family_id, params):
     """Independent Betti data for an instance's two rings, from parameters."""
-    def conv(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
     if family_id == "sl-imag-sp":
         n = params["n"]
-        return (_subset_sum_betti(list(range(3, 4 * n, 2))),
+        return (_subset_sum_betti(range(3, 4 * n, 2)),
                 _subset_sum_betti([4 * j - 1 for j in range(1, n + 1)]))
     if family_id == "sl-odd-real":
         n = params["n"]
-        return (_subset_sum_betti(list(range(3, 4 * n + 2, 2))),
+        return (_subset_sum_betti(range(3, 4 * n + 2, 2)),
                 _subset_sum_betti([4 * j + 1 for j in range(1, n + 1)]))
     if family_id == "siegel-product":
-        bh = [1]
-        for gi in params["parts"]:
-            bh = conv(bh, strict_partition_betti(gi))
-        return strict_partition_betti(params["g"]), bh
+        return (strict_partition_betti(params["g"]),
+                _betti_product(strict_partition_betti(gi) for gi in params["parts"]))
     if family_id == "unitary-product":
-        bh = [1]
-        for pi, qi in params["parts"]:
-            bh = conv(bh, box_partition_betti(pi, qi))
-        return box_partition_betti(params["p"], params["q"]), bh
+        return (box_partition_betti(params["p"], params["q"]),
+                _betti_product(box_partition_betti(pi, qi) for pi, qi in params["parts"]))
     if family_id == "sp-in-ugg":
         g = params["g"]
         return box_partition_betti(g, g), strict_partition_betti(g)

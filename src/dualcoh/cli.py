@@ -53,15 +53,15 @@ def _parse_range(text):
         raise InvalidPresentationError(f"cannot parse range {text!r}; expected lo..hi")
 
 
-def _resolve_cap(args):
-    """The monomial cap from --cap, --config or DUALCOH_MONOMIAL_CAP."""
+def _resolve_cap(args, cfg):
+    """The monomial cap from --cap, the loaded --config or DUALCOH_MONOMIAL_CAP."""
     env = os.environ.get("DUALCOH_MONOMIAL_CAP")
     try:
         fallback = int(env) if env else DEFAULT_MONOMIAL_CAP
     except ValueError:
         raise InvalidPresentationError(
             f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
-    cap = _resolve_int(args, "cap", fallback)
+    cap = _resolve_int(args, cfg, "cap", fallback)
     _usage_if(cap < 1, f"the monomial cap must be at least 1, got {cap}")
     return cap
 
@@ -79,12 +79,11 @@ def _load_config_file(path):
     return data
 
 
-def _resolve(args, key, fallback):
-    """Effective option value: flag beats config file beats fallback."""
+def _resolve(args, cfg, key, fallback):
+    """Effective option value: flag beats the loaded config file beats fallback."""
     flag = getattr(args, key, None)
     if flag is not None and flag != "":
         return flag
-    cfg = _load_config_file(getattr(args, "config", None))
     return cfg.get(key, fallback)
 
 
@@ -192,19 +191,20 @@ def _checks_tuple(value):
     return tuple(value)
 
 
-def _resolve_int(args, key, fallback):
-    value = _resolve(args, key, fallback)
+def _resolve_int(args, cfg, key, fallback):
+    value = _resolve(args, cfg, key, fallback)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidPresentationError(f"{key} must be an integer, got {value!r}")
     return value
 
 
 def _run_config(args, fid, params):
+    cfg = _load_config_file(args.config)
     return RunConfig(
         family_id=fid, parameters=params,
-        monomial_cap=_resolve_cap(args),
-        seed=_resolve_int(args, "seed", 42),
-        checks=_checks_tuple(_resolve(args, "checks", ())))
+        monomial_cap=_resolve_cap(args, cfg),
+        seed=_resolve_int(args, cfg, "seed", 42),
+        checks=_checks_tuple(_resolve(args, cfg, "checks", ())))
 
 
 def cmd_family(args):
@@ -314,7 +314,7 @@ def cmd_ring(args):
         su_algebra,
         su_so_algebra,
     )
-    cap = _resolve_cap(args)
+    cap = _resolve_cap(args, {})
     rid = args.ring_id
     if rid == "su":
         _usage_if(args.n is None, "ring su needs --n")

@@ -18,9 +18,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, pairing
+from .algebra import Element, monomial_value, pairing
 from .errors import InconsistentPresentationError, InvalidPresentationError
-from .linalg import solve
+from .linalg import add_scaled, solve
 
 
 @dataclass
@@ -36,22 +36,13 @@ class Morphism:
     generator_images: dict  # generator name -> Element of target
 
     def __post_init__(self):
-        self._image_cache = {}
+        self._image_cache = {(0,) * len(self.source.generators): self.target.one()}
 
     def image_of_monomial(self, mont):
-        cached = self._image_cache.get(mont)
-        if cached is not None:
-            return cached
-        if not any(mont):
-            img = self.target.one()
-        else:
-            i = max(j for j, e in enumerate(mont) if e)
-            prev = list(mont)
-            prev[i] -= 1
-            img = (self.image_of_monomial(tuple(prev))
-                   * self.generator_images[self.source.generators[i].name])
-        self._image_cache[mont] = img
-        return img
+        return monomial_value(self._image_cache, mont, self._times_generator)
+
+    def _times_generator(self, img, i):
+        return img * self.generator_images[self.source.generators[i].name]
 
 
 def build_morphism(source, target, generator_images):
@@ -79,15 +70,15 @@ def build_morphism(source, target, generator_images):
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
     m = Morphism(source, target, images)
     for rdeg, rpoly in source.relations:
-        img = target.zero()
+        img = {}
         for mont, c in rpoly.items():
-            img = img + c * m.image_of_monomial(mont)
-        if not img.is_zero():
+            add_scaled(img, c, m.image_of_monomial(mont).terms)
+        if img:
             pretty = " + ".join(
                 f"{c}*{source.monomial_string(mm)}" for mm, c in sorted(rpoly.items()))
             raise InvalidPresentationError(
                 f"images violate the degree-{rdeg} relation ({pretty}): "
-                f"maps to {img!r}")
+                f"maps to {Element(target, img)!r}")
     return m
 
 
@@ -95,10 +86,10 @@ def apply(morphism, v):
     """Image of v under the multiplicative extension, in target normal form."""
     if v.algebra is not morphism.source:
         raise ValueError("element does not belong to the morphism's source")
-    out = morphism.target.zero()
+    out = {}
     for mont, c in v.terms.items():
-        out = out + c * morphism.image_of_monomial(mont)
-    return out
+        add_scaled(out, c, morphism.image_of_monomial(mont).terms)
+    return Element(morphism.target, out)
 
 
 def compose(outer, inner):

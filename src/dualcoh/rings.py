@@ -275,24 +275,14 @@ class SchurRing:
     def mult_e(self, cls, k):
         out = {}
         for lam, c in cls.items():
-            for mu in self._vertical_strips(lam, k):
-                nv = out.get(mu, 0) + c
-                if nv:
-                    out[mu] = nv
-                else:
-                    out.pop(mu, None)
+            add_scaled(out, c, dict.fromkeys(self._vertical_strips(lam, k), 1))
         return out
 
     def mult_h_signed(self, cls, k):
         sign = -1 if k % 2 else 1
         out = {}
         for lam, c in cls.items():
-            for mu in self._horizontal_strips(lam, k):
-                nv = out.get(mu, 0) + sign * c
-                if nv:
-                    out[mu] = nv
-                else:
-                    out.pop(mu, None)
+            add_scaled(out, sign * c, dict.fromkeys(self._horizontal_strips(lam, k), 1))
         return out
 
 

@@ -22,6 +22,7 @@ from dualcoh import (
     polynomial_quotient_algebra,
     tensor_product,
 )
+from dualcoh.algebra import _enumerate_monomials, order_key
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
 
@@ -316,6 +317,34 @@ class TestStructuralProperties:
         s = {alg.monomial_string(m): str(c) for m, c in v.terms.items()}
         back = alg.element({alg.parse_monomial(k): Fraction(c) for k, c in s.items()})
         assert back == v
+
+
+def _brute_force_monomials(degrees, parities, d):
+    """Every exponent box point of weighted degree d, sorted by order_key."""
+    out = [()]
+    for deg, par in zip(degrees, parities):
+        out = [m + (e,) for m in out for e in range(2 if par else d // deg + 1)]
+    return sorted((m for m in out if sum(g * e for g, e in zip(degrees, m)) == d),
+                  key=order_key)
+
+
+@pytest.mark.parametrize("kind", ["odd", "even", "repeated", "mixed"])
+def test_enumerator_yields_in_order_key_order(kind):
+    rng = random.Random(f"enumerate-{kind}")
+    for _ in range(25):
+        k = rng.randint(1, 5)
+        if kind == "odd":
+            degrees = [rng.randrange(1, 12, 2) for _ in range(k)]
+        elif kind == "even":
+            degrees = [rng.randrange(2, 12, 2) for _ in range(k)]
+        elif kind == "repeated":
+            degrees = [rng.choice([2, 3, 4])] * min(k, 4)
+        else:
+            degrees = [rng.randint(1, 7) for _ in range(k)]
+        parities = [g % 2 for g in degrees]
+        for d in range(0, 20):
+            got = list(_enumerate_monomials(degrees, parities, d))
+            assert got == _brute_force_monomials(degrees, parities, d), (degrees, d)
 
 
 def _rref_rank(vectors):

@@ -235,6 +235,17 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert {r["name"] for r in data["check_results"]} == {"betti-oracle"}
 
+    def test_config_file_read_once_per_command(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "dualcoh.json"
+        cfg.write_text(json.dumps({"seed": 7}))
+        paths = []
+        load = cli._load_config_file
+        monkeypatch.setattr(cli, "_load_config_file",
+                            lambda path: paths.append(path) or load(path))
+        assert cli.main(["family", "sl-imag-sp", "--n", "2",
+                         "--config", str(cfg), "--json"]) == 0
+        assert paths == [str(cfg)]
+
     def test_config_file_unreadable(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")

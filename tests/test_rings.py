@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import dualcoh.algebra
 from dualcoh import (
     InconsistentPresentationError,
     InvalidPresentationError,
@@ -42,7 +43,8 @@ class TestExteriorBuilders:
 
 
 def assert_model_equals_direct(direct, fast):
-    """Same basis in every degree, same normal form of every ambient monomial."""
+    """Same basis in every degree, same normal form of every ambient monomial,
+    same product of every pair of basis elements."""
     top = direct.top_degree
     assert fast.top_degree == top
     for d in range(top + 1):
@@ -51,6 +53,12 @@ def assert_model_equals_direct(direct, fast):
         for m in _enumerate_monomials(direct._degrees, direct._parities, d):
             assert (direct.normal_form_monomial(m)
                     == fast.normal_form_monomial(m)), (d, m)
+    basis = [m for d in range(top + 1) for m in direct.basis(d)]
+    for m1 in basis:
+        for m2 in basis:
+            want = direct.basis_element(m1) * direct.basis_element(m2)
+            got = fast.basis_element(m1) * fast.basis_element(m2)
+            assert got.terms == want.terms, (m1, m2)
 
 
 class TestLagrangian:
@@ -138,6 +146,25 @@ class TestSchurModel:
         ring = SchurRing(2, 2)
         # e_1 * s_(2,2) leaves the 2x2 box entirely
         assert ring.mult_e({(2, 2): 1}, 1) == {}
+
+
+def test_basis_build_draws_few_monomials(monkeypatch):
+    # Gr(5,5) has 174,237 ambient monomials up to its top degree and 252
+    # standard ones; a build that stops at the last standard monomial of
+    # each degree draws a few hundred.
+    drawn = []
+
+    def counting(*args):
+        for m in _enumerate_monomials(*args):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(dualcoh.algebra, "_enumerate_monomials", counting)
+    clear_ring_cache()
+    alg = grassmannian_algebra(5, 5)
+    assert sum(len(alg.basis(d)) for d in range(alg.top_degree + 1)) == 252
+    assert 252 <= len(drawn) <= 1000
+    clear_ring_cache()
 
 
 def test_grassmannian_cap_refused_at_construction():
