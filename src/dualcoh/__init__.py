@@ -18,6 +18,7 @@ from .algebra import (
     is_divisible,
     pairing,
     pairs_nontrivially_with_ideal,
+    poincare_dual,
     poincare_polynomial,
     polynomial_quotient_algebra,
     tensor_product,
@@ -90,6 +91,7 @@ __all__ = [
     "lagrangian_algebra",
     "pairing",
     "pairs_nontrivially_with_ideal",
+    "poincare_dual",
     "poincare_polynomial",
     "polynomial_quotient_algebra",
     "siegel_theta",

@@ -28,6 +28,17 @@ Scalars must be ``int`` or ``Fraction``: a float is refused, not rounded.
 The witness search walks the ideal's spanning products m*g_i without row
 reduction; ``ideal_basis_in_degree`` (an echelon basis) is the reference
 that checks and tests compare it against.
+
+``poincare_dual(algebra, phi, e)`` is the class xi of degree top - e with
+<xi, w> = phi[w] on the degree-e basis, which is how the Gysin class is
+made.  Its case follows from the ring.  In an exterior algebra each basis
+monomial pairs to a sign with its complement and to 0 with every other
+monomial, so xi is a signed sum of complements.  A model with a self-dual
+basis (``dual(key)``, as the Schur basis pairs a partition with its
+complement in the box) gives xi's model coordinates as one contraction,
+converted to standard monomials once.  Every other ring (the Lagrangian
+model, tensor products, direct quotients) solves the pairing system; that
+path is also the reference the tests hold the other two against.
 """
 
 from dataclasses import dataclass
@@ -628,6 +639,12 @@ def model_quotient_algebra(generators, relations, model,
     i, 0-based); classes are {key: Fraction} dicts over those keys.  Bases
     and normal forms are those of the direct row reduction, and every
     presentation relation must vanish in the model.
+
+    A model may also provide ``dual(key)``: the key of complementary
+    degree whose product with ``key`` is the top key, when the product of
+    ``key`` with every other key of that degree has no top-key term.
+    :func:`poincare_dual` then contracts instead of solving the pairing
+    system.
     """
     alg = _quotient(generators, relations, model.top_degree, monomial_cap)
     worst = max(_count_monomials(alg._degrees, alg._parities, alg.top_degree))
@@ -701,6 +718,95 @@ def pairing(a, b):
             f"pairing needs complementary degrees, got {da} + {db} != {alg.top_degree}")
     top = alg.canonical_top_monomial()
     return (a * b).coefficient(top)
+
+
+def poincare_dual(algebra, phi, e):
+    """The xi of degree top - e with <xi, w> = phi[w] for every w in basis(e).
+
+    ``phi`` maps the basis monomials of degree e to ``int`` or ``Fraction``
+    values; a monomial it omits counts as 0.  The case follows from the
+    ring: exterior algebras pair each monomial with its complement, a model
+    with ``dual(key)`` pairs each key with its dual key, and any other ring
+    solves the pairing system (``InconsistentPresentationError`` when the
+    pairing is degenerate or the system infeasible).
+
+    >>> A = exterior_algebra([3, 5, 7, 9])
+    >>> A.basis(12)
+    [(0, 1, 1, 0), (1, 0, 0, 1)]
+    >>> poincare_dual(A, {(0, 1, 1, 0): 2, (1, 0, 0, 1): 1}, 12)
+    e5^1*e7^1 + 2*e3^1*e9^1
+    """
+    if any(not isinstance(c, (int, Fraction)) for c in phi.values()):
+        raise InvalidPresentationError("inexact value in the pairing functional")
+    if algebra.kind == "exterior":
+        xi = _exterior_dual(algebra, phi, e)
+    elif getattr(algebra._model, "dual", None) is not None:
+        xi = _model_dual(algebra, phi, e)
+    else:
+        return _poincare_dual_by_solve(algebra, phi, e)
+    # Tripwire on one column; check_gysin_soundness checks them all.
+    basis = algebra.basis(e)
+    if basis and pairing(xi, algebra.basis_element(basis[0])) != phi.get(basis[0], 0):
+        raise InconsistentPresentationError(
+            f"dual basis of degree {e} does not pair to the identity")
+    return xi
+
+
+def _exterior_dual(algebra, phi, e):
+    """The complement w^c pairs with w to a sign (w^c * w = +-top) and to 0
+    with every other monomial of w's degree."""
+    terms = {}
+    for w in algebra.basis(e):
+        v = phi.get(w, 0)
+        if not v:
+            continue
+        wc = tuple(1 - x for x in w)
+        hit = algebra._free_mul(wc, w)
+        if hit is None:
+            raise InconsistentPresentationError(
+                f"{algebra.monomial_string(wc)} does not pair with its complement")
+        terms[wc] = Fraction(v) * hit[0]
+    return Element(algebra, terms)
+
+
+def _model_dual(algebra, phi, e):
+    """Contraction against a self-dual model basis: key mu pairs with
+    dual(mu) to 1/c, where c is the model coefficient of the canonical top
+    monomial, and to 0 with every other key of dual(mu)'s degree."""
+    model = algebra._model
+    d = algebra.top_degree - e
+    keys = model.keys(e)
+    duals = [model.dual(k) for k in keys]
+    if len(set(duals)) != len(keys) or set(duals) != set(model.keys(d)):
+        raise InconsistentPresentationError(
+            f"model dual does not map degree {e} one-to-one onto degree {d}")
+    [top_key] = model.keys(algebra.top_degree)
+    c = algebra._mont_class(algebra.canonical_top_monomial()).get(top_key, 0)
+    if not c:
+        raise InconsistentPresentationError("canonical top monomial is zero in the model")
+    x = {}
+    for mu, dual_mu in zip(keys, duals):
+        s = sum(cw * phi.get(w, 0)
+                for w, cw in algebra._model_coords_to_std({mu: 1}, e).items())
+        if s:
+            x[dual_mu] = c * s
+    return Element(algebra, algebra._model_coords_to_std(x, d))
+
+
+def _poincare_dual_by_solve(algebra, phi, e):
+    """The general case: one tagged solve of the n x n pairing system."""
+    d = algebra.top_degree - e
+    unknowns, equations = algebra.basis(d), algebra.basis(e)
+    columns = [[pairing(algebra.basis_element(u), algebra.basis_element(w)) for w in equations]
+               for u in unknowns]
+    sol, rank = solve(columns, [phi.get(w, 0) for w in equations])
+    if rank < len(unknowns):
+        raise InconsistentPresentationError(
+            f"pairing between degrees {d} and {e} is degenerate")
+    if sol is None:
+        raise InconsistentPresentationError(
+            "dual-class system is infeasible; morphism or presentation is wrong")
+    return algebra.element_from_coords(sol, d)
 
 
 def is_divisible(v, g):

@@ -7,7 +7,8 @@ invariant-forms map into locally symmetric cohomology (Franke's criterion).
 ``decide_nonvanishing`` computes the dual fundamental class and searches
 the ideal's spanning products m*g_i for one that pairs nonzero with it;
 ``decide_ghost`` assembles the boundary-restriction certificate for the
-special-linear families from two divisibility tests by named generators.
+special-linear families from two divisibility tests by named exterior
+generators, one product each.
 
 The kernel ideals are catalog data: they summarize Levi-restriction and
 Chern-class vanishing arguments that are not re-derived here.  Where an
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
     Element,
-    is_divisible,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
     tensor_product,
@@ -73,7 +73,7 @@ class GhostCertificate:
     the principal Levi's dual is divisible by that ring's top generator,
     i.e. dies under the Levi's invariant-forms map.  ``is_ghost`` is their
     conjunction with non-vanishing; both booleans re-verify independently
-    through the core divisibility primitive.
+    through the core divisibility primitive ``is_divisible``.
     """
 
     not_compactly_supported: bool
@@ -399,6 +399,21 @@ def decide_nonvanishing(inst):
     )
 
 
+def _divisible_by_generator(v, name):
+    """Whether v = g*w for some w, g the named generator of an exterior ring.
+
+    Multiplication by an odd generator of an exterior algebra is exact
+    (its kernel is its image), so v is divisible iff g*v = 0: one product,
+    no elimination.  ``is_divisible`` finds a witness and is the
+    cross-check.
+    """
+    alg = v.algebra
+    if alg.kind != "exterior":
+        raise InvalidPresentationError(
+            f"divisibility by a generator needs an exterior ring, got {alg.kind}")
+    return (alg.gen(name) * v).is_zero()
+
+
 def decide_ghost(inst, fundamental_class, nonvanishing):
     """Ghost certificate for families carrying boundary data, else None.
 
@@ -409,9 +424,9 @@ def decide_ghost(inst, fundamental_class, nonvanishing):
     """
     if inst.compact_support_generator is None or inst.levi_restriction is None:
         return None
-    not_cs = is_divisible(fundamental_class, inst.compact_support_generator) is None
+    not_cs = not _divisible_by_generator(fundamental_class, inst.compact_support_generator)
     levi_image = apply(inst.levi_restriction, fundamental_class)
-    in_levi_kernel = is_divisible(levi_image, inst.levi_franke_generator) is not None
+    in_levi_kernel = _divisible_by_generator(levi_image, inst.levi_franke_generator)
     return GhostCertificate(
         not_compactly_supported=not_cs,
         levi_restriction_in_levi_kernel=in_levi_kernel,

@@ -60,9 +60,8 @@ class SparseRREF:
         if not r:
             return None
         p = min(r)
-        pv = r.pop(p)
-        if pv != 1:
-            r = {c: v / pv for c, v in r.items()}
+        inv = 1 / Fraction(r.pop(p))
+        r = {c: v * inv for c, v in r.items()}
         r[p] = Fraction(1)
         # Clear the new pivot column from existing rows.
         for prow in self.pivot_rows.values():

@@ -11,16 +11,20 @@ algebras is the unique xi in A of degree top(A) - top(B) such that
     <xi, w>_A = top-coefficient_B(f(w))   for every w of degree top(B),
 
 where both sides use the canonical-top orientation convention.  It is the
-compact-dual avatar of integration over the subspace.
+compact-dual avatar of integration over the subspace.  The right-hand
+sides are n applications of f; ``poincare_dual`` contracts them against a
+dual basis of A (complementary monomials for exterior sources, dual Schur
+keys for Grassmannian ones), and only a source without a known dual basis
+solves the pairing system.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Element, monomial_value, pairing
-from .errors import InconsistentPresentationError, InvalidPresentationError
-from .linalg import add_scaled, solve
+from .algebra import Element, monomial_value, poincare_dual
+from .errors import InvalidPresentationError
+from .linalg import add_scaled
 
 
 @dataclass
@@ -101,34 +105,29 @@ def compose(outer, inner):
 
 
 def gysin_fundamental_class(morphism):
-    """Solve the defining pairing identity for the dual class, exactly.
+    """The dual class, contracted from the top coefficients of f on basis(top(B)).
 
-    The linear system is square by Poincare duality and solvable iff the
-    morphism and presentations are consistent; failure raises
+    phi[w] = top-coefficient_B(f(w)) for each basis monomial w of degree
+    top(B), and :func:`~dualcoh.algebra.poincare_dual` turns phi into the
+    class against a dual basis of the source; only sources without a known
+    dual basis solve the pairing system.  Inconsistent input raises
     InconsistentPresentationError.  The class is normalized by orienting
     both rings by their canonical top monomials; rescaling either rescales
     it, and no boolean verdict downstream depends on that.
+
+    >>> from dualcoh.rings import sp_group_algebra, su_algebra
+    >>> G, H = su_algebra(4), sp_group_algebra(2)
+    >>> gysin_fundamental_class(build_morphism(G, H, {"e3": H.gen("e3"), "e7": H.gen("e7")}))
+    -e5^1
     """
     src, tgt = morphism.source, morphism.target
-    delta = src.top_degree - tgt.top_degree
-    if delta < 0:
+    if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    unknowns = src.basis(delta)
-    equations = src.basis(tgt.top_degree)
     tgt_top = tgt.canonical_top_monomial()
-    columns = [[pairing(src.basis_element(u), src.basis_element(w)) for w in equations]
-               for u in unknowns]
-    rhs = [apply(morphism, src.basis_element(w)).coefficient(tgt_top)
-           for w in equations]
-    sol, rank = solve(columns, rhs)
-    if rank < len(unknowns):
-        raise InconsistentPresentationError(
-            f"pairing between degrees {delta} and {tgt.top_degree} is degenerate")
-    if sol is None:
-        raise InconsistentPresentationError(
-            "dual-class system is infeasible; morphism or presentation is wrong")
-    return src.element_from_coords(sol, delta)
+    phi = {w: apply(morphism, src.basis_element(w)).coefficient(tgt_top)
+           for w in src.basis(tgt.top_degree)}
+    return poincare_dual(src, phi, tgt.top_degree)
 
 
 def random_homogeneous(algebra, rng, max_coeff=3):

@@ -179,7 +179,10 @@ class SchurRing:
     Keys are partitions inside the p x q box (descending tuples); classes
     are {partition: Fraction} dicts.  Only multiplication by e_k (vertical
     strips) and by h_k (horizontal strips) is ever needed, so the general
-    Littlewood-Richardson rule never enters.
+    Littlewood-Richardson rule never enters.  The basis is self-dual:
+    ``dual`` pairs a partition with its complement in the box (Fulton,
+    *Young Tableaux*, section 9.4), which lets the Gysin class be read off
+    without solving.
     """
 
     def __init__(self, p, q):
@@ -210,6 +213,17 @@ class SchurRing:
 
     def keys(self, d):
         return [] if d % 2 else self.partitions(d // 2)
+
+    def dual(self, lam):
+        """The complement of lam in the p x q box, rotated: s_lam * s_dual is
+        the box class, and s_lam * s_mu has no box term for any other mu of
+        that degree.
+
+        >>> SchurRing(2, 3).dual((2,))
+        (3, 1)
+        """
+        rows = list(lam) + [0] * (self.p - len(lam))
+        return tuple(v for v in (self.q - part for part in reversed(rows)) if v)
 
     def mult(self, cls, i):
         """cls times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j."""

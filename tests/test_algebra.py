@@ -8,6 +8,7 @@ import pytest
 
 import dualcoh.algebra
 import dualcoh.linalg
+import dualcoh.morphisms
 import dualcoh.rings
 from dualcoh import (
     CapExceededError,
@@ -22,9 +23,15 @@ from dualcoh import (
     polynomial_quotient_algebra,
     tensor_product,
 )
-from dualcoh.algebra import _enumerate_monomials, order_key
+from dualcoh.algebra import (
+    _enumerate_monomials,
+    _poincare_dual_by_solve,
+    order_key,
+    poincare_dual,
+)
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
+from dualcoh.rings import grassmannian_algebra, su_algebra
 
 
 def poly_product(factor_degrees):
@@ -387,7 +394,69 @@ class TestSolve:
         assert solve([[0, 0]], [0, 0]) == ([Fraction(0)], 0)
 
 
+class TestSparseRREF:
+    def test_integer_rows_stay_exact(self):
+        rr = SparseRREF()
+        assert rr.add({0: 2, 1: 3}) == 0
+        assert rr.pivot_rows == {0: {0: 1, 1: Fraction(3, 2)}}
+        assert rr.add({0: 1, 1: 1, 2: 4}) == 1
+        assert rr.pivot_rows == {0: {0: 1, 2: 12}, 1: {1: 1, 2: -8}}
+        unit = SparseRREF()
+        unit.add({0: 1, 1: 3})
+        for r in (rr, unit):
+            assert all(type(v) is Fraction
+                       for row in r.pivot_rows.values() for v in row.values())
+        x, rank = solve([[2, 3], [4, 5]], [1, 1])
+        assert rank == 2 and x == [Fraction(-1, 2), Fraction(1, 2)]
+        assert all(type(v) is Fraction for v in x)
+
+
+def _refuse_solve(*args):
+    raise AssertionError("the pairing system was solved")
+
+
+class TestPoincareDual:
+    def test_fast_paths_match_the_pairing_solve(self, monkeypatch):
+        # Every degree of Gr(p, p+q), p <= q <= 4 (75 cases), and of SU(n),
+        # n <= 6; the fast paths run with the solve disabled.
+        rng = random.Random(2004)
+        rings = [grassmannian_algebra(p, q) for q in range(1, 5) for p in range(1, q + 1)]
+        rings += [su_algebra(n) for n in range(2, 7)]
+        cases = {"quotient": 0, "exterior": 0}
+        for alg in rings:
+            for e in range(alg.top_degree + 1):
+                if not alg.dims(e):
+                    continue
+                phi = {w: rng.randint(-5, 5) for w in alg.basis(e)}
+                with monkeypatch.context() as mp:
+                    mp.setattr(dualcoh.algebra, "solve", _refuse_solve)
+                    xi = poincare_dual(alg, phi, e)
+                assert xi == _poincare_dual_by_solve(alg, phi, e), (alg.generators, e)
+                assert all(type(c) is Fraction for c in xi.terms.values())
+                cases[alg.kind] += 1
+        assert cases == {"quotient": 75, "exterior": 55}
+
+    def test_wrong_model_dual_is_caught(self, monkeypatch):
+        alg = grassmannian_algebra(2, 3)
+        model = alg._model
+        true_dual = model.dual
+        phi = {w: 1 for w in alg.basis(4)}
+        monkeypatch.setattr(model, "dual", lambda key: key)
+        with pytest.raises(InconsistentPresentationError, match="one-to-one"):
+            poincare_dual(alg, phi, 4)
+        # (2) and (1, 1) swap duals: a bijection onto degree 8, but a wrong one
+        swap = {(2,): (2, 2), (1, 1): (3, 1)}
+        monkeypatch.setattr(model, "dual", lambda key: swap.get(key) or true_dual(key))
+        with pytest.raises(InconsistentPresentationError, match="identity"):
+            poincare_dual(alg, {alg.basis(4)[0]: 1}, 4)
+
+    def test_inexact_values_refused(self):
+        alg = exterior_algebra([3, 5])
+        with pytest.raises(InvalidPresentationError):
+            poincare_dual(alg, {(1, 0): 0.5}, 3)
+
+
 def test_docstrings():
-    for module in (dualcoh.algebra, dualcoh.linalg, dualcoh.rings):
+    for module in (dualcoh.algebra, dualcoh.linalg, dualcoh.morphisms, dualcoh.rings):
         results = doctest.testmod(module)
         assert results.attempted and results.failed == 0, module.__name__

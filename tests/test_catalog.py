@@ -21,10 +21,15 @@ from dualcoh import (
     pairs_nontrivially_with_ideal,
     siegel_theta,
 )
-from dualcoh.catalog import two_part_partitions, unitary_decompositions
+from dualcoh.catalog import (
+    _divisible_by_generator,
+    two_part_partitions,
+    unitary_decompositions,
+)
 from dualcoh.checks import catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
-from dualcoh.morphisms import apply, random_homogeneous
+from dualcoh.morphisms import apply, gysin_fundamental_class, random_homogeneous
+from dualcoh.rings import lagrangian_algebra, su_algebra
 
 
 class TestSlImagSp:
@@ -94,6 +99,33 @@ class TestSlOddReal:
         assert is_divisible(v.fundamental_class, G.generator("e9")) is None
         assert v.nonvanishing and v.ghost.is_ghost
         assert "e9" in v.ghost.discrepancy_note and "e7" in v.ghost.discrepancy_note
+
+
+class TestGhostDivisibility:
+    def test_product_test_matches_is_divisible(self):
+        cases = []
+        for inst in ([family_sl_imag_sp(n) for n in range(2, 7)]
+                     + [family_sl_odd_real(n) for n in range(1, 6)]):
+            fc = gysin_fundamental_class(inst.restriction)
+            cases.append((fc, inst.compact_support_generator))
+            cases.append((apply(inst.levi_restriction, fc), inst.levi_franke_generator))
+        rng = random.Random(17)
+        for alg in (su_algebra(5), su_algebra(6)):
+            for _ in range(40):
+                v = random_homogeneous(alg, rng)
+                name = rng.choice(alg.generators).name
+                cases += [(v, name), (alg.gen(name) * v, name)]
+        divisible = 0
+        for v, name in cases:
+            expected = is_divisible(v, name) is not None
+            assert _divisible_by_generator(v, name) == expected, (v, name)
+            divisible += expected
+        assert 0 < divisible < len(cases)
+
+    def test_non_exterior_ring_refused(self):
+        L = lagrangian_algebra(2)
+        with pytest.raises(InvalidPresentationError, match="exterior"):
+            _divisible_by_generator(L.gen("sigma1"), "sigma1")
 
 
 class TestSiegel:

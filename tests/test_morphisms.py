@@ -4,12 +4,16 @@ import random
 
 import pytest
 
+import dualcoh.algebra
+import dualcoh.linalg
 from dualcoh import (
     InconsistentPresentationError,
     InvalidPresentationError,
     build_morphism,
     compose,
     apply,
+    family_sl_odd_real,
+    family_unitary,
     gysin_fundamental_class,
     pairing,
     polynomial_quotient_algebra,
@@ -143,13 +147,31 @@ class TestGysin:
         assert gysin_fundamental_class(m) == Gr.one()
 
     def test_defining_identity_full_basis(self):
-        m = siegel_two_part(2, 1)
-        xi = gysin_fundamental_class(m)
-        src, tgt = m.source, m.target
-        top_t = tgt.canonical_top_monomial()
-        for w in src.basis(tgt.top_degree):
-            we = src.basis_element(w)
-            assert pairing(xi, we) == apply(m, we).coefficient(top_t)
+        # one source per poincare_dual case: pairing solve (Lagrangian),
+        # Schur-model contraction (Grassmannian), exterior complements
+        for m in (siegel_two_part(2, 1),
+                  family_unitary(3, 3, [(2, 2), (1, 1)]).restriction,
+                  family_sl_odd_real(3).restriction):
+            xi = gysin_fundamental_class(m)
+            assert not xi.is_zero()
+            src, tgt = m.source, m.target
+            top_t = tgt.canonical_top_monomial()
+            for w in src.basis(tgt.top_degree):
+                we = src.basis_element(w)
+                assert pairing(xi, we) == apply(m, we).coefficient(top_t)
+
+    def test_schur_and_exterior_sources_never_solve(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the pairing system was solved")
+
+        monkeypatch.setattr(dualcoh.algebra, "solve", refuse)
+        monkeypatch.setattr(dualcoh.linalg, "solve", refuse)
+        unitary = family_unitary(3, 3, [(2, 2), (1, 1)]).restriction
+        assert unitary.source.kind == "quotient"
+        assert not gysin_fundamental_class(unitary).is_zero()
+        odd = family_sl_odd_real(3)
+        e3, e7, e11 = (odd.dual_G.gen(f"e{d}") for d in (3, 7, 11))
+        assert gysin_fundamental_class(odd.restriction) == -(e3 * e7 * e11)
 
     def test_scalar_covariance(self):
         # scaling the right-hand side of the defining system scales the class
