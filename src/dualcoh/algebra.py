@@ -3,8 +3,12 @@
 Three constructions cover every compact dual in the catalog: exterior
 algebras on odd-degree generators, polynomial rings on even-degree
 generators modulo a homogeneous relation ideal, and tensor products of the
-two.  All coefficients are exact ``fractions.Fraction`` values; every
-verdict downstream (zero / nonzero, divisibility) depends on that.
+two.  All coefficients are exact: an ``int`` wherever the value is
+integral by construction (every catalog model class is), a
+``fractions.Fraction`` only where a division leaves a denominator (the
+conversion from model classes to standard monomials is not integral),
+never a float.  Every verdict downstream (zero / nonzero, divisibility)
+depends on that exactness.
 
 Monomials are exponent tuples aligned with the owning algebra's generator
 list.  Within one cohomological degree, monomials are ordered by the key
@@ -23,7 +27,10 @@ in an isomorphic model ring and selects the same standard monomials lazily;
 Every ring kind has one product: ambient monomials multiply freely (with
 the Koszul sign) and each result is replaced by its cached normal form.
 
-Scalars must be ``int`` or ``Fraction``: a float is refused, not rounded.
+Scalars and coefficients must be ``int`` or ``Fraction``: a float is
+refused, not rounded.  Integer inputs stay ``int`` until a division
+leaves a denominator; ``SparseRREF`` eliminates over the integers and
+returns a ``Fraction`` only for an entry its final division does not clear.
 
 The witness search walks the ideal's spanning products m*g_i without row
 reduction; ``ideal_basis_in_degree`` (an echelon basis) is the reference
@@ -139,7 +146,7 @@ class Element:
 
     def __init__(self, algebra, terms):
         self.algebra = algebra
-        self.terms = terms  # dict mont -> nonzero Fraction; treat as frozen
+        self.terms = terms  # dict mont -> nonzero int or Fraction; treat as frozen
 
     def is_zero(self):
         return not self.terms
@@ -154,7 +161,7 @@ class Element:
         return degs.pop()
 
     def coefficient(self, mont):
-        return self.terms.get(mont, Fraction(0))
+        return self.terms.get(mont, 0)
 
     def __add__(self, other):
         self._check_owner(other)
@@ -180,10 +187,9 @@ class Element:
     def _scale(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             raise InvalidPresentationError(f"inexact scalar {scalar!r}")
-        c = Fraction(scalar)
-        if not c:
+        if not scalar:
             return Element(self.algebra, {})
-        return Element(self.algebra, {m: c * v for m, v in self.terms.items()})
+        return Element(self.algebra, {m: scalar * v for m, v in self.terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -291,7 +297,7 @@ class GradedAlgebra:
         return Element(self, {})
 
     def one(self):
-        return Element(self, {(0,) * len(self.generators): Fraction(1)})
+        return Element(self, {(0,) * len(self.generators): 1})
 
     def gen(self, name):
         i = self._gen_index.get(name)
@@ -301,7 +307,7 @@ class GradedAlgebra:
         return self.element({mont: 1})
 
     def basis_element(self, mont):
-        return Element(self, {mont: Fraction(1)})
+        return Element(self, {mont: 1})
 
     def element(self, raw_terms):
         """Element from an ambient {exponent tuple: coefficient} dict."""
@@ -309,7 +315,6 @@ class GradedAlgebra:
         for mont, c in raw_terms.items():
             if not isinstance(c, (int, Fraction)):
                 raise InvalidPresentationError(f"inexact coefficient {c!r}")
-            c = Fraction(c)
             if not c:
                 continue
             if len(mont) != len(self.generators):
@@ -319,13 +324,13 @@ class GradedAlgebra:
 
     def coords(self, elem, d):
         pos = self.basis_positions(d)
-        vec = [Fraction(0)] * len(pos)
+        vec = [0] * len(pos)
         for m, c in elem.terms.items():
             vec[pos[m]] = c
         return vec
 
     def element_from_coords(self, coeffs, d):
-        return Element(self, {m: Fraction(c) for m, c in zip(self.basis(d), coeffs) if c})
+        return Element(self, {m: c for m, c in zip(self.basis(d), coeffs) if c})
 
     # --------------------------------------------------------- monomial ops
 
@@ -369,7 +374,7 @@ class GradedAlgebra:
         if d > self.top_degree:
             result = {}
         elif self.kind == "exterior":
-            result = {mont: Fraction(1)}
+            result = {mont: 1}
         elif self._factors is not None:
             a, b = self._factors
             s = self._split
@@ -384,7 +389,7 @@ class GradedAlgebra:
             result = self._model_coords_to_std(cls, d) if cls else {}
         else:
             table = self._nf_table.get(d, {})
-            result = table.get(mont, {mont: Fraction(1)})
+            result = table.get(mont, {mont: 1})
         self._nf_cache[mont] = result
         return result
 
@@ -439,19 +444,20 @@ class GradedAlgebra:
                         prod = tuple(a + b for a, b in zip(m, rm))
                         row[col[prod]] = row.get(col[prod], 0) + rc
                     rref.add({c: v for c, v in row.items() if v})
+            pivot_rows = rref.pivot_rows
             if d > self.top_degree:
                 if rref.rank != counts[d]:
                     leftover = next(m for m in reversed(monts)
-                                    if col[m] not in rref.pivot_rows)
+                                    if col[m] not in pivot_rows)
                     raise InconsistentPresentationError(
                         f"nonzero class above expected top degree: "
                         f"{self.monomial_string(leftover)} in degree {d}")
                 continue
-            std = [m for m in reversed(monts) if col[m] not in rref.pivot_rows]
+            std = [m for m in reversed(monts) if col[m] not in pivot_rows]
             self._dims[d] = len(std)
             self._basis[d] = std
             table = {}
-            for p, row in rref.pivot_rows.items():
+            for p, row in pivot_rows.items():
                 expansion = {monts[c]: -v for c, v in row.items() if c != p}
                 table[monts[p]] = expansion
             self._nf_table[d] = table
@@ -484,7 +490,7 @@ class GradedAlgebra:
     # ------------------------------------------------- model-backed quotient
 
     def _mont_class(self, mont):
-        """Model class of an ambient monomial, as a {model key: Fraction} dict."""
+        """Model class of an ambient monomial, as a {model key: coefficient} dict."""
         return monomial_value(self._mont_class_cache, mont, self._model.mult)
 
     def _build_model_basis(self, d):
@@ -505,7 +511,7 @@ class GradedAlgebra:
                     f"model rank deficit in degree {d}: found {len(std)}, expected {target}")
             row = rref.reduce(self._model_row(self._mont_class(m)))
             if any(c < target for c in row):
-                row[target + len(std)] = Fraction(1)
+                row[target + len(std)] = 1
                 rref.add(row)
                 std.append(m)
         self._basis[d] = std
@@ -576,7 +582,8 @@ def _normalize_relations(gens, relations):
         poly = {}
         rdeg = None
         for mont, c in rel.items():
-            c = Fraction(c)
+            if not isinstance(c, (int, Fraction)):
+                raise InvalidPresentationError(f"inexact relation coefficient {c!r}")
             if not c:
                 continue
             if len(mont) != k:
@@ -636,7 +643,7 @@ def model_quotient_algebra(generators, relations, model,
     ``model`` is a ring isomorphic to the quotient that is cheap to multiply
     in.  It provides ``top_degree``, ``keys(d)`` (its basis of degree d),
     ``one`` (the class of 1) and ``mult(cls, i)`` (a class times generator
-    i, 0-based); classes are {key: Fraction} dicts over those keys.  Bases
+    i, 0-based); classes are {key: int or Fraction} dicts over those keys.  Bases
     and normal forms are those of the direct row reduction, and every
     presentation relation must vanish in the model.
 
@@ -765,7 +772,7 @@ def _exterior_dual(algebra, phi, e):
         if hit is None:
             raise InconsistentPresentationError(
                 f"{algebra.monomial_string(wc)} does not pair with its complement")
-        terms[wc] = Fraction(v) * hit[0]
+        terms[wc] = v * hit[0]
     return Element(algebra, terms)
 
 
@@ -841,6 +848,7 @@ def ideal_basis_in_degree(ideal_gens, d):
     if d < 0 or d > alg.top_degree or alg.dims(d) == 0:
         return []
     rref = SparseRREF()
+    pos = alg.basis_positions(d)
     for gi in ideal_gens:
         if gi.is_zero():
             continue
@@ -850,16 +858,13 @@ def ideal_basis_in_degree(ideal_gens, d):
             continue
         for m in alg.basis(dm):
             prod = gi * alg.basis_element(m)
-            pos = alg.basis_positions(d)
             row = {pos[mm]: c for mm, c in prod.terms.items()}
             if row:
                 rref.add(row)
     basis = alg.basis(d)
-    out = []
-    for p in sorted(rref.pivot_rows):
-        row = rref.pivot_rows[p]
-        out.append(Element(alg, {basis[c]: v for c, v in row.items()}))
-    return out
+    pivot_rows = rref.pivot_rows
+    return [Element(alg, {basis[c]: v for c, v in pivot_rows[p].items()})
+            for p in sorted(pivot_rows)]
 
 
 def pairs_nontrivially_with_ideal(v, ideal_gens):

@@ -292,7 +292,7 @@ def _proportionality(a, b):
     if b.is_zero():
         return None
     mont, coeff = next(iter(b.terms.items()))
-    lam = a.coefficient(mont) / coeff
+    lam = Fraction(a.coefficient(mont), coeff)
     return lam if a == lam * b else None
 
 

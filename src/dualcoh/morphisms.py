@@ -20,7 +20,6 @@ solves the pairing system.
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import Element, monomial_value, poincare_dual
 from .errors import InvalidPresentationError
@@ -138,7 +137,7 @@ def random_homogeneous(algebra, rng, max_coeff=3):
     for m in algebra.basis(d):
         c = rng.randint(-max_coeff, max_coeff)
         if c:
-            terms[m] = Fraction(c)
+            terms[m] = c
     return Element(algebra, terms)
 
 

@@ -9,7 +9,6 @@ follow the row-reduction contract; the direct row reduction of the relation
 span is the reference the tests compare against.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .algebra import (
@@ -116,7 +115,7 @@ class StraighteningModel:
     def __init__(self, g):
         self.g = g
         self.top_degree = g * (g + 1)
-        self.one = {(0,) * g: Fraction(1)}
+        self.one = {(0,) * g: 1}
         self._memo = {}
 
     def keys(self, d):
@@ -132,14 +131,14 @@ class StraighteningModel:
     def _times(self, key, k):
         """sigma_key * sigma_k, straightened; memoised per (key, k)."""
         if k == 0:
-            return {key: Fraction(1)}
+            return {key: 1}
         if k > self.g:
             return {}
         out = self._memo.get((key, k))
         if out is None:
             flipped = key[:k - 1] + (1 - key[k - 1],) + key[k:]
             if not key[k - 1]:
-                out = {flipped: Fraction(1)}
+                out = {flipped: 1}
             else:  # sigma_key = sigma_k * sigma_flipped: straighten sigma_k^2
                 out = {}
                 for j in range(k):
@@ -177,7 +176,7 @@ class SchurRing:
     """Internal Schur-basis model of H*(Gr(p, p+q)).
 
     Keys are partitions inside the p x q box (descending tuples); classes
-    are {partition: Fraction} dicts.  Only multiplication by e_k (vertical
+    are {partition: int} dicts.  Only multiplication by e_k (vertical
     strips) and by h_k (horizontal strips) is ever needed, so the general
     Littlewood-Richardson rule never enters.  The basis is self-dual:
     ``dual`` pairs a partition with its complement in the box (Fulton,
@@ -189,7 +188,7 @@ class SchurRing:
         self.p = p
         self.q = q
         self.top_degree = 2 * p * q
-        self.one = {(): Fraction(1)}
+        self.one = {(): 1}
         self._parts = {}
 
     def partitions(self, n):
@@ -321,7 +320,7 @@ def grassmannian_relations(p, q, suffix=""):
                 mont[i - 1] += 1
             if j:
                 mont[p + j - 1] += 1
-            poly[tuple(mont)] = Fraction(1)
+            poly[tuple(mont)] = 1
         if poly:
             rels.append(poly)
     return gens, rels

@@ -6,6 +6,7 @@ wall-clock measurements on freshly built rings.
 """
 
 import time
+from fractions import Fraction
 from math import comb
 
 from dualcoh import (
@@ -139,7 +140,7 @@ def test_c4_nonvanishing_verdicts():
                 full = full * G.gen(f"sigma{k}")
             prod = theta * v.fundamental_class
             mont, c = next(iter(full.terms.items()))
-            lam = prod.coefficient(mont) / c
+            lam = Fraction(prod.coefficient(mont), c)
             assert lam != 0 and prod == lam * full, f"siegel {g} {parts}"
             thetas.append(f"g={g},{parts}: {lam}")
     _announce(4, "nonvanishing-verdicts", True,

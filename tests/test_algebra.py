@@ -3,6 +3,7 @@
 import doctest
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -31,7 +32,8 @@ from dualcoh.algebra import (
 )
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
-from dualcoh.rings import grassmannian_algebra, su_algebra
+from dualcoh.rings import grassmannian_algebra, lagrangian_algebra, su_algebra
+from reference import FractionRREF, fraction_solve
 
 
 def poly_product(factor_degrees):
@@ -123,6 +125,10 @@ class TestQuotient:
     def test_inhomogeneous_relation_rejected(self):
         with pytest.raises(InvalidPresentationError):
             polynomial_quotient_algebra([("sigma1", 2)], [{(1,): 1, (2,): 1}], 2)
+
+    def test_inexact_relation_coefficient_rejected(self):
+        with pytest.raises(InvalidPresentationError, match="inexact"):
+            polynomial_quotient_algebra([("sigma1", 2)], [{(2,): 0.5}], 2)
 
     def test_odd_generator_rejected(self):
         with pytest.raises(InvalidPresentationError):
@@ -354,6 +360,11 @@ def test_enumerator_yields_in_order_key_order(kind):
             assert got == _brute_force_monomials(degrees, parities, d), (degrees, d)
 
 
+def _exact(v):
+    """The scalar contract: an int or a Fraction; a float (or anything else) fails."""
+    return type(v) in (int, Fraction)
+
+
 def _rref_rank(vectors):
     rr = SparseRREF()
     for vec in vectors:
@@ -383,7 +394,7 @@ class TestSolve:
                 assert _rref_rank(cols + [rhs]) == rank + 1
                 seen["inconsistent"] += 1
                 continue
-            assert len(x) == n and all(type(v) is Fraction for v in x)
+            assert len(x) == n and all(_exact(v) for v in x)
             assert [sum(v * col[i] for v, col in zip(x, cols)) for i in range(m)] == rhs
             seen["full-rank" if rank == n else "rank-deficient"] += 1
         assert min(seen.values()) >= 20, seen
@@ -404,11 +415,126 @@ class TestSparseRREF:
         unit = SparseRREF()
         unit.add({0: 1, 1: 3})
         for r in (rr, unit):
-            assert all(type(v) is Fraction
-                       for row in r.pivot_rows.values() for v in row.values())
+            assert all(_exact(v) for row in r.pivot_rows.values() for v in row.values())
+            assert all(type(v) is int for row in r.rows.values() for v in row.values())
         x, rank = solve([[2, 3], [4, 5]], [1, 1])
         assert rank == 2 and x == [Fraction(-1, 2), Fraction(1, 2)]
-        assert all(type(v) is Fraction for v in x)
+        assert all(_exact(v) for v in x)
+
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            SparseRREF().add({0: 0.5})
+        with pytest.raises(TypeError):
+            solve([[1, 0]], [0.5, 0])
+
+    def test_matches_the_fraction_reference(self):
+        """Rank, pivots, monic rows, reductions and solutions agree with the
+        monic Fraction elimination on seeded random rational matrices, and
+        every stored row is primitive with a positive pivot."""
+        rng = random.Random(1968)
+        seen = {"non-integral": 0, "rank-deficient": 0, "full-rank": 0, "inconsistent": 0}
+        for _ in range(400):
+            n, count = rng.randint(1, 7), rng.randint(1, 8)
+            integral = rng.random() < 0.3
+
+            def entry():
+                v = rng.randint(-4, 4)
+                return v if integral else Fraction(v, rng.randint(1, 5))
+
+            # count rows drawn from the span of r random sparse rows: rank <= r
+            r = rng.randint(0, min(n, count))
+            span = [[entry() if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(r)]
+            dense = [[sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(n)]
+                     for _ in range(count)]
+            new, ref = SparseRREF(), FractionRREF()
+            for row in dense:
+                sparse = {i: v for i, v in enumerate(row) if v}
+                assert new.add(sparse) == ref.add(sparse)
+                for p, stored in new.rows.items():
+                    assert all(type(v) is int for v in stored.values())
+                    assert stored[p] > 0 and gcd(*stored.values()) == 1
+            assert new.rank == ref.rank and sorted(new.rows) == sorted(ref.pivot_rows)
+            assert new.pivot_rows == ref.pivot_rows
+            for _ in range(3):
+                vec = {i: entry() for i in range(n) if rng.random() < 0.5}
+                vec = {i: v for i, v in vec.items() if v}
+                got = new.reduce(vec)
+                assert got == ref.reduce(vec) and all(_exact(v) for v in got.values())
+            rhs = [rng.randint(-3, 3) for _ in range(count)]
+            if rng.random() < 0.5:  # a consistent right-hand side
+                rhs = [sum(c * row[i] for c, row in zip(rhs, dense)) for i in range(n)]
+            else:
+                rhs = [entry() for _ in range(n)]
+            x, rank = solve(dense, rhs)
+            assert (x, rank) == fraction_solve(dense, rhs)
+            seen["non-integral"] += any(type(v) is Fraction and v.denominator > 1
+                                        for row in new.pivot_rows.values() for v in row.values())
+            seen["rank-deficient" if new.rank < count else "full-rank"] += 1
+            seen["inconsistent"] += x is None
+        assert min(seen.values()) >= 40, seen
+
+
+def _assert_exact(value):
+    """Every scalar inside an Element, dict, list or tuple is an int or a Fraction."""
+    if isinstance(value, dualcoh.algebra.Element):
+        value = value.terms
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _assert_exact(v)
+    else:
+        assert _exact(value), repr(value)
+
+
+class TestIntegerInputsStayExact:
+    """Integer-only inputs never produce a float, on every path that divides."""
+
+    def test_products_and_normal_forms(self):
+        rng = random.Random(11)
+        rings = [lagrangian_algebra(4), grassmannian_algebra(2, 3), su_algebra(4),
+                 lagrangian2(), tensor_product(lagrangian_algebra(2), su_algebra(3))]
+        for alg in rings:
+            for d in range(alg.top_degree + 1):
+                for m in _enumerate_monomials(alg._degrees, alg._parities, d):
+                    _assert_exact(alg.normal_form_monomial(m))
+                    if alg._model is not None:  # model classes are integral
+                        assert all(type(c) is int for c in alg._mont_class(m).values())
+            for _ in range(20):
+                a, b = random_homogeneous(alg, rng), random_homogeneous(alg, rng)
+                assert all(type(c) is int for c in a.terms.values())
+                _assert_exact(a * b)
+                if not a.is_zero():
+                    _assert_exact(alg.coords(a, a.homogeneous_degree()))
+
+    def test_all_three_poincare_dual_paths(self):
+        cases = {"exterior": su_algebra(4), "model dual": grassmannian_algebra(2, 3),
+                 "solve": lagrangian_algebra(3)}
+        for alg in cases.values():
+            for e in range(alg.top_degree + 1):
+                phi = {w: i - 2 for i, w in enumerate(alg.basis(e))}
+                _assert_exact(poincare_dual(alg, phi, e))
+
+    def test_solve_and_divisibility(self):
+        _assert_exact(solve([[2, 3], [4, 5], [1, 7]], [1, 1]))
+        _assert_exact(solve([[3, 6], [1, 2]], [1, 2]))
+        for alg in (lagrangian_algebra(3), lagrangian2(), su_algebra(3)):
+            for g in alg.generators:
+                for d in range(alg.top_degree + 1):
+                    for m in alg.basis(d):
+                        v = 3 * alg.gen(g.name) * alg.basis_element(m)
+                        w = is_divisible(v, g)
+                        assert w is not None and alg.gen(g.name) * w == v
+                        _assert_exact(w)
+
+    def test_proportionality_scalar(self):
+        from dualcoh.checks import _proportionality, check_kahler_tau_identity
+        alg = lagrangian_algebra(3)
+        b = 2 * alg.gen("sigma1") * alg.gen("sigma2")
+        assert _exact(_proportionality(3 * b, b))
+        assert _proportionality(3 * b, b) == 3 and _proportionality(b, 3 * b) == Fraction(1, 3)
+        detail = check_kahler_tau_identity(3).detail
+        assert "." not in detail, detail
 
 
 def _refuse_solve(*args):
@@ -432,7 +558,7 @@ class TestPoincareDual:
                     mp.setattr(dualcoh.algebra, "solve", _refuse_solve)
                     xi = poincare_dual(alg, phi, e)
                 assert xi == _poincare_dual_by_solve(alg, phi, e), (alg.generators, e)
-                assert all(type(c) is Fraction for c in xi.terms.values())
+                assert all(_exact(c) for c in xi.terms.values())
                 cases[alg.kind] += 1
         assert cases == {"quotient": 75, "exterior": 55}
 

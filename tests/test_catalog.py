@@ -1,6 +1,7 @@
 """Family constructors, decision procedures, and certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -151,7 +152,7 @@ class TestSiegel:
         prod = theta * v.fundamental_class
         assert not prod.is_zero()
         mont, c = next(iter(full.terms.items()))
-        lam = prod.coefficient(mont) / c
+        lam = Fraction(prod.coefficient(mont), c)
         assert lam != 0 and prod == lam * full
 
     def test_invalid_partition(self):
