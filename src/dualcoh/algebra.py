@@ -50,6 +50,7 @@ path is also the reference the tests hold the other two against.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import (
     CapExceededError,
@@ -243,6 +244,7 @@ class GradedAlgebra:
         if len(self._gen_index) != len(self.generators):
             raise InvalidPresentationError("duplicate generator names")
         self._dims = {}
+        self._nonzero_degrees = None
         self._basis = {}
         self._basis_pos = {}
         self._nf_table = {}       # direct quotients: degree -> {mont: {std: c}}
@@ -265,6 +267,13 @@ class GradedAlgebra:
             return 0
         return self._dims.get(d, 0)
 
+    def nonzero_degrees(self):
+        """The degrees 0..top with a nonzero component, ascending."""
+        if self._nonzero_degrees is None:
+            self._nonzero_degrees = tuple(
+                d for d in range(self.top_degree + 1) if self.dims(d))
+        return self._nonzero_degrees
+
     def basis(self, d):
         """Ordered standard-monomial basis of the degree-d component."""
         if d < 0 or d > self.top_degree:
@@ -279,7 +288,7 @@ class GradedAlgebra:
         return self._basis_pos[d]
 
     def monomial_degree(self, mont):
-        return sum(d * e for d, e in zip(self._degrees, mont))
+        return sum(map(mul, self._degrees, mont))
 
     def generator(self, name):
         return self.generators[self._gen_index[name]]
@@ -349,21 +358,20 @@ class GradedAlgebra:
         return tuple(mont)
 
     def _free_mul(self, m1, m2):
-        """Product of two ambient monomials: (sign, mont) or None if it dies."""
-        if self._odd_indices:
-            o1 = [i for i in self._odd_indices if m1[i]]
-            o2 = [j for j in self._odd_indices if m2[j]]
-            inversions = 0
-            for j in o2:
-                if m1[j]:
-                    return None
-                for i in o1:
-                    if i > j:
-                        inversions += 1
-        else:
-            inversions = 0
-        mont = tuple(a + b for a, b in zip(m1, m2))
-        return (-1 if inversions % 2 else 1), mont
+        """Product of two ambient monomials: (sign, mont) or None if it dies.
+        Without odd generators there is no Koszul sign to count."""
+        if not self._odd_indices:
+            return 1, tuple(map(add, m1, m2))
+        o1 = [i for i in self._odd_indices if m1[i]]
+        o2 = [j for j in self._odd_indices if m2[j]]
+        inversions = 0
+        for j in o2:
+            if m1[j]:
+                return None
+            for i in o1:
+                if i > j:
+                    inversions += 1
+        return (-1 if inversions % 2 else 1), tuple(map(add, m1, m2))
 
     def normal_form_monomial(self, mont):
         """Reduce one ambient monomial to a {standard monomial: coefficient} dict."""
@@ -396,16 +404,22 @@ class GradedAlgebra:
     # --------------------------------------------------------------- product
 
     def _mul_elements(self, a, b):
+        """The one product: free products summed in place, then each nonzero
+        sum replaced by its cached normal form."""
         acc = {}
+        get = acc.get
+        free_mul = self._free_mul
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
-                hit = self._free_mul(m1, m2)
+                hit = free_mul(m1, m2)
                 if hit is not None:
                     sign, mont = hit
-                    add_scaled(acc, sign * c1 * c2, {mont: 1})
+                    acc[mont] = get(mont, 0) + sign * c1 * c2
         out = {}
+        nf = self.normal_form_monomial
         for mont, c in acc.items():
-            add_scaled(out, c, self.normal_form_monomial(mont))
+            if c:
+                add_scaled(out, c, nf(mont))
         return Element(self, out)
 
     # ------------------------------------------------- direct quotient build

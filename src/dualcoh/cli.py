@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .algebra import DEFAULT_MONOMIAL_CAP, poincare_polynomial
 from .errors import (
@@ -359,8 +360,15 @@ def cmd_ring(args):
     return EXIT_OK
 
 
+@cache
+def _parser():
+    """The parser of this process: built by the first ``main`` call, not at
+    import, and reused by every later call."""
+    return build_parser()
+
+
 def main(argv=None):
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:

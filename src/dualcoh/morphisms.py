@@ -131,7 +131,7 @@ def gysin_fundamental_class(morphism):
 
 def random_homogeneous(algebra, rng, max_coeff=3):
     """Seeded random homogeneous element (possibly zero)."""
-    degs = [d for d in range(algebra.top_degree + 1) if algebra.dims(d)]
+    degs = algebra.nonzero_degrees()
     d = degs[rng.randrange(len(degs))]
     terms = {}
     for m in algebra.basis(d):

@@ -178,7 +178,9 @@ class SchurRing:
     Keys are partitions inside the p x q box (descending tuples); classes
     are {partition: int} dicts.  Only multiplication by e_k (vertical
     strips) and by h_k (horizontal strips) is ever needed, so the general
-    Littlewood-Richardson rule never enters.  The basis is self-dual:
+    Littlewood-Richardson rule never enters; each such step is memoised
+    per (partition, generator), as ``StraighteningModel`` memoises its
+    straightening.  The basis is self-dual:
     ``dual`` pairs a partition with its complement in the box (Fulton,
     *Young Tableaux*, section 9.4), which lets the Gysin class be read off
     without solving.
@@ -190,6 +192,7 @@ class SchurRing:
         self.top_degree = 2 * p * q
         self.one = {(): 1}
         self._parts = {}
+        self._memo = {}
 
     def partitions(self, n):
         if n not in self._parts:
@@ -225,10 +228,23 @@ class SchurRing:
         return tuple(v for v in (self.q - part for part in reversed(rows)) if v)
 
     def mult(self, cls, i):
-        """cls times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j."""
-        if i < self.p:
-            return self.mult_e(cls, i + 1)
-        return self.mult_h_signed(cls, i + 1 - self.p)
+        out = {}
+        for key, c in cls.items():
+            add_scaled(out, c, self._times(key, i))
+        return out
+
+    def _times(self, lam, i):
+        """s_lam times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j;
+        memoised per (lam, i).  The strips are enumerated only on a miss."""
+        out = self._memo.get((lam, i))
+        if out is None:
+            if i < self.p:
+                out = dict.fromkeys(self._vertical_strips(lam, i + 1), 1)
+            else:
+                k = i + 1 - self.p
+                out = dict.fromkeys(self._horizontal_strips(lam, k), -1 if k % 2 else 1)
+            self._memo[(lam, i)] = out
+        return out
 
     def _vertical_strips(self, lam, k):
         """Partitions obtained from lam by adding a vertical k-strip in the box.
@@ -283,19 +299,6 @@ class SchurRing:
             mu[i] = 0
 
         rec(0, k)
-        return out
-
-    def mult_e(self, cls, k):
-        out = {}
-        for lam, c in cls.items():
-            add_scaled(out, c, dict.fromkeys(self._vertical_strips(lam, k), 1))
-        return out
-
-    def mult_h_signed(self, cls, k):
-        sign = -1 if k % 2 else 1
-        out = {}
-        for lam, c in cls.items():
-            add_scaled(out, sign * c, dict.fromkeys(self._horizontal_strips(lam, k), 1))
         return out
 
 

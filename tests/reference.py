@@ -3,12 +3,46 @@
 ``FractionRREF`` and ``fraction_solve`` are the elimination over
 ``fractions.Fraction`` that ``dualcoh.linalg`` used before it went
 fraction-free: every pivot row is stored monic and every update is rational.
-They are slow and obviously exact, which is what a reference is for.
+``naive_product`` is the ring product before it was summed in place: every
+term pair becomes a one-term dict that is added in, with the Koszul sign
+counted by hand.  They are slow and obviously exact, which is what a
+reference is for.
 """
 
 from fractions import Fraction
 
+from dualcoh.algebra import Element
 from dualcoh.linalg import add_scaled
+
+
+def koszul_product(algebra, m1, m2):
+    """``(sign, m1 + m2)`` for two ambient monomials, or None when an odd
+    generator would appear twice.  Moving an odd generator of m2 past each
+    larger odd generator of m1 costs one sign."""
+    odd = [g.degree % 2 for g in algebra.generators]
+    sign = 1
+    for j, e2 in enumerate(m2):
+        if odd[j] and e2:
+            if m1[j]:
+                return None
+            sign *= (-1) ** sum(1 for i, e1 in enumerate(m1) if odd[i] and e1 and i > j)
+    return sign, tuple(a + b for a, b in zip(m1, m2))
+
+
+def naive_product(a, b):
+    """``a * b``: free products with the Koszul sign, then normal forms."""
+    alg = a.algebra
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            hit = koszul_product(alg, m1, m2)
+            if hit is not None:
+                sign, mont = hit
+                add_scaled(acc, sign * c1 * c2, {mont: 1})
+    out = {}
+    for mont, c in acc.items():
+        add_scaled(out, c, alg.normal_form_monomial(mont))
+    return Element(alg, out)
 
 
 class FractionRREF:

@@ -4,6 +4,7 @@ import doctest
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 
@@ -25,6 +26,7 @@ from dualcoh import (
     tensor_product,
 )
 from dualcoh.algebra import (
+    Element,
     _enumerate_monomials,
     _poincare_dual_by_solve,
     order_key,
@@ -33,7 +35,7 @@ from dualcoh.algebra import (
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
 from dualcoh.rings import grassmannian_algebra, lagrangian_algebra, su_algebra
-from reference import FractionRREF, fraction_solve
+from reference import FractionRREF, fraction_solve, koszul_product, naive_product
 
 
 def poly_product(factor_degrees):
@@ -580,6 +582,79 @@ class TestPoincareDual:
         alg = exterior_algebra([3, 5])
         with pytest.raises(InvalidPresentationError):
             poincare_dual(alg, {(1, 0): 0.5}, 3)
+
+
+# Rings built afresh on each call, so a test can look at untouched caches.
+PRODUCT_RINGS = {
+    "exterior": lambda: su_algebra(5),
+    "schur": lambda: grassmannian_algebra(3, 3),
+    "lagrangian": lambda: lagrangian_algebra(4),
+    "mixed": lambda: tensor_product(su_algebra(4), grassmannian_algebra(2, 2)),
+}
+
+
+def _random_element(alg, rng, terms=4):
+    """A seeded element over several degrees; some coefficients are rational."""
+    degs = alg.nonzero_degrees()
+    out = {}
+    for _ in range(terms):
+        basis = alg.basis(degs[rng.randrange(len(degs))])
+        c = rng.randint(-3, 3)
+        if rng.random() < 0.25:
+            c = Fraction(c, rng.randint(2, 5))
+        if c:
+            out[basis[rng.randrange(len(basis))]] = c
+    return Element(alg, out)
+
+
+def _cancelling_pairs(alg, rng, count):
+    """Basis monomials x != y whose free product survives, with the sign s
+    that makes the cross terms of (x + y) * (x + s*y) cancel."""
+    monts = [m for d in alg.nonzero_degrees()[1:-1] for m in alg.basis(d)]
+    rng.shuffle(monts)
+    out = []
+    for m1 in monts:
+        for m2 in monts:
+            if m1 != m2 and koszul_product(alg, m1, m2) is not None:
+                both_odd = alg.monomial_degree(m1) % 2 and alg.monomial_degree(m2) % 2
+                out.append((m1, m2, 1 if both_odd else -1))
+                break
+        if len(out) == count:
+            break
+    return out
+
+
+class TestProductKernel:
+    """``_mul_elements`` against the one-term-at-a-time reference product."""
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCT_RINGS))
+    def test_matches_the_naive_product(self, kind):
+        alg = PRODUCT_RINGS[kind]()
+        rng = random.Random(sum(map(ord, kind)))
+        for _ in range(60):
+            a, b = _random_element(alg, rng), _random_element(alg, rng)
+            got = a * b
+            assert got == naive_product(a, b)
+            assert all(got.terms.values())
+
+    @pytest.mark.parametrize("kind", sorted(PRODUCT_RINGS))
+    def test_cancelled_terms(self, kind):
+        pairs = _cancelling_pairs(PRODUCT_RINGS[kind](), random.Random(7), 5)
+        assert len(pairs) == 5
+        for m1, m2, sign in pairs:
+            dualcoh.rings.clear_ring_cache()
+            alg = PRODUCT_RINGS[kind]()
+            x, y = alg.basis_element(m1), alg.basis_element(m2)
+            a, b = x + y, x + sign * y
+            got = a * b
+            # A free sum that cancels is dropped before any normal form.
+            assert tuple(map(add, m1, m2)) not in alg._nf_cache
+            assert got == naive_product(a, b) and all(got.terms.values())
+            for u, v in ((b, a), (a, 2 * b + a)):
+                got = u * v
+                assert got == naive_product(u, v)
+                assert all(got.terms.values())
+        dualcoh.rings.clear_ring_cache()
 
 
 def test_docstrings():

@@ -1,6 +1,9 @@
 """Report documents, serialization contracts, and the CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -281,3 +284,64 @@ class TestCli:
             assert cli.main(["family", "sl-imag-sp", "--n", "2",
                              "--config", str(cfg)]) == 2, bad
             assert "usage error" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; every later call must
+    parse exactly as a freshly built parser would."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        seen = []
+        for name in ("cmd_family", "cmd_sweep", "cmd_check", "cmd_ring"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+        return seen
+
+    def test_parser_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        code = "import dualcoh.cli as c; print(c._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.strip() == "0"
+
+    def test_parser_built_once(self, monkeypatch, recorded):
+        cli._parser.cache_clear()
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        assert cli.main(["ring", "su", "--n", "3"]) == 0
+        assert cli.main(["ring", "su", "--n", "4"]) == 0
+        assert builds == [1]
+        cli._parser.cache_clear()
+
+    def test_second_call_parses_like_a_fresh_parser(self, recorded):
+        argvs = [
+            ["check", "--suite", "oracle", "--suite", "paper-identities", "--json"],
+            ["check", "--suite", "oracle", "--suite", "paper-identities", "--json"],
+            ["check"],
+            ["family", "sl-imag-sp", "--n", "2", "--checks", "oracle,properties"],
+            ["family", "sl-imag-sp", "--n", "2"],
+            ["sweep", "siegel", "--g", "2..3"],
+        ]
+        for argv in argvs:
+            assert cli.main(argv) == 0
+        assert recorded == [vars(cli.build_parser().parse_args(argv)) for argv in argvs]
+        # The append action's list default is never extended in place.
+        assert [r["suite"] for r in recorded[:3]] == [
+            ["oracle", "paper-identities"], ["oracle", "paper-identities"], []]
+        assert [r["checks"] for r in recorded[3:5]] == ["oracle,properties", ""]
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            assert cli.main(["--version"]) == 0
+            assert capsys.readouterr().out == f"dualcoh {cli.TOOL_VERSION}\n"
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert cli.main(["family"]) == 2
+        assert "family_id" in capsys.readouterr().err
+        assert cli.main(["ring", "grassmannian", "--p", "1", "--q", "1",
+                         "--poincare"]) == 0
+        assert capsys.readouterr().out.split() == ["1", "0", "1"]
+        assert cli.main(["check", "--suite"]) == 2
+        assert cli.main(["check", "--suite", "paper-identities", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["suites"] == ["paper-identities"]

@@ -1,6 +1,8 @@
 """Ring builders: closed-form shapes, and the model-backed Lagrangian and
 Grassmannian constructions against the direct row-reduction path."""
 
+import copy
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,6 +15,7 @@ from dualcoh import (
     polynomial_quotient_algebra,
 )
 from dualcoh.algebra import _enumerate_monomials, model_quotient_algebra
+from dualcoh.catalog import build_family, decide_nonvanishing
 from dualcoh.checks import box_partition_betti, strict_partition_betti
 from dualcoh.rings import (
     SchurRing,
@@ -132,20 +135,87 @@ class TestSchurModel:
 
     def test_vertical_strip_pieri(self):
         ring = SchurRing(3, 3)
-        # e_2 * s_(1) = s_(2,1)-column shapes: vertical strips of size 2 on (1)
-        out = ring.mult_e({(1,): 1}, 2)
+        # sigma_2 = e_2 (generator 1); e_2 * s_(1): vertical strips of size 2 on (1)
+        out = ring.mult({(1,): 1}, 1)
         assert out == {(2, 1): 1, (1, 1, 1): 1}
 
     def test_horizontal_strip_pieri(self):
         ring = SchurRing(3, 3)
-        # h_2 * s_(1) = s_(3) + s_(2,1); sign (-1)^2 = +1
-        out = ring.mult_h_signed({(1,): 1}, 2)
+        # tau_2 = h_2 (generator p + 1); h_2 * s_(1) = s_(3) + s_(2,1), sign (-1)^2 = +1
+        out = ring.mult({(1,): 1}, 4)
         assert out == {(3,): 1, (2, 1): 1}
+
+    def test_horizontal_strip_odd_sign(self):
+        ring = SchurRing(3, 3)
+        # tau_1 = -h_1 (generator p); 2 * s_(1) * (-h_1) = -2 s_(2) - 2 s_(1,1)
+        assert ring.mult({(1,): 2}, 3) == {(2,): -2, (1, 1): -2}
 
     def test_box_truncation(self):
         ring = SchurRing(2, 2)
-        # e_1 * s_(2,2) leaves the 2x2 box entirely
-        assert ring.mult_e({(2, 2): 1}, 1) == {}
+        # sigma_1 = e_1 (generator 0) times s_(2,2) leaves the 2x2 box entirely
+        assert ring.mult({(2, 2): 1}, 0) == {}
+
+
+def _box_partitions(p, q):
+    """Partitions in the p x q box by size, enumerated without the model."""
+    out = {}
+    for rows in product(range(q + 1), repeat=p):
+        if all(a >= b for a, b in zip(rows, rows[1:])):
+            out.setdefault(sum(rows), []).append(rows)
+    return out
+
+
+def _pieri_reference(p, box, lam, i):
+    """s_lam times generator i of the Schur model, from the strip conditions:
+    sigma_k = e_k adds a vertical k-strip (every row grows by at most one),
+    tau_k = (-1)^k h_k a horizontal one (mu_{r+1} <= lam_r)."""
+    k = i + 1 if i < p else i + 1 - p
+    sign = 1 if i < p else (-1) ** k
+    lo = tuple(lam) + (0,) * (p - len(lam))
+    out = {}
+    for mu in box.get(sum(lo) + k, []):
+        if any(m < l for m, l in zip(mu, lo)):
+            continue
+        if i < p:
+            strip = all(m - l <= 1 for m, l in zip(mu, lo))
+        else:
+            strip = all(mu[r + 1] <= lo[r] for r in range(p - 1))
+        if strip:
+            out[tuple(v for v in mu if v)] = sign
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for q in range(1, 5) for p in range(1, q + 1)])
+def test_schur_memo_matches_fresh_strips(p, q):
+    box = _box_partitions(p, q)
+    ring = SchurRing(p, q)
+    for d in range(0, ring.top_degree + 1, 2):
+        for key in ring.keys(d):
+            for i in range(p + q):
+                want = _pieri_reference(p, box, key, i)
+                assert ring.mult({key: 1}, i) == want, (key, i)
+                # the second call reads the memo; scaling must not reach it
+                assert ring.mult({key: 3}, i) == {mu: 3 * c for mu, c in want.items()}
+                assert ring.mult({key: 1}, i) == want
+
+
+def test_schur_memo_unchanged_by_later_decisions():
+    clear_ring_cache()
+    params = {"p": 4, "q": 4, "parts": [[2, 2], [2, 2]]}
+    first = decide_nonvanishing(build_family("unitary-product", params))
+    models = [ring._model for ring in dualcoh.rings._RING_CACHE.values()
+              if isinstance(ring._model, SchurRing)]
+    memos = copy.deepcopy([model._memo for model in models])
+    assert len(models) == 3 and all(memos)
+    # Callers own what mult returns: emptying it must not reach the memo.
+    for model, memo in zip(models, memos):
+        for lam, i in memo:
+            model.mult({lam: 1}, i).clear()
+    second = decide_nonvanishing(build_family("unitary-product", params))
+    assert second.fundamental_class.terms == first.fundamental_class.terms
+    for model, memo in zip(models, memos):
+        assert {entry: model._memo[entry] for entry in memo} == memo
+    clear_ring_cache()
 
 
 def test_basis_build_draws_few_monomials(monkeypatch):
