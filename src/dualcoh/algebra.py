@@ -48,6 +48,7 @@ model, tensor products, direct quotients) solves the pairing system; that
 path is also the reference the tests hold the other two against.
 """
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
@@ -292,6 +293,22 @@ class GradedAlgebra:
 
     def generator(self, name):
         return self.generators[self._gen_index[name]]
+
+    def renamed(self, names):
+        """This ring with generator i named ``names[i]``.
+
+        The copy shares every table of this ring by reference, those built
+        later included: bases, normal forms, model classes.  None of them
+        depends on generator names, so a ring and its renamings are built
+        once.  Their elements still do not mix, as they are distinct rings.
+        """
+        gens = tuple(Generator(n, g.degree) for n, g in zip(names, self.generators))
+        if len(gens) != len(self.generators) or len({g.name for g in gens}) != len(gens):
+            raise InvalidPresentationError("a renaming needs one distinct name per generator")
+        alg = copy(self)
+        alg.generators = gens
+        alg._gen_index = {g.name: i for i, g in enumerate(gens)}
+        return alg
 
     def canonical_top_monomial(self):
         top = self.basis(self.top_degree)

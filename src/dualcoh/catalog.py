@@ -225,21 +225,31 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
 
 def _composition_image(H, classes, k):
     """Degree-k part of the product of the factors' total classes, where
-    ``classes[i]`` names factor i's classes c_1, c_2, ... in order."""
-    total = H.zero()
+    ``classes[i]`` names factor i's classes c_1, c_2, ... in order.
 
-    def rec(i, rem, acc):
-        nonlocal total
-        if i == len(classes):
+    Each composition k = k_1 + k_2 + ... (k_i = 0 allowed, c_0 = 1) gives
+    the monomial with exponent 1 on each c_{k_i}, and distinct compositions
+    give distinct monomials, so the image is one ``H.element`` call.
+    """
+    position = {g.name: j for j, g in enumerate(H.generators)}
+    index = [[position[name] for name in names] for names in classes]
+    mont = [0] * len(H.generators)
+    terms = {}
+
+    def rec(i, rem):
+        if i == len(index):
             if rem == 0:
-                total = total + acc
+                terms[tuple(mont)] = 1
             return
-        rec(i + 1, rem, acc)
-        for ki in range(1, min(len(classes[i]), rem) + 1):
-            rec(i + 1, rem - ki, acc * H.gen(classes[i][ki - 1]))
+        rec(i + 1, rem)
+        for ki in range(1, min(len(index[i]), rem) + 1):
+            j = index[i][ki - 1]
+            mont[j] = 1
+            rec(i + 1, rem - ki)
+            mont[j] = 0
 
-    rec(0, k, H.one())
-    return total
+    rec(0, k)
+    return H.element(terms)
 
 
 def siegel_theta(inst):

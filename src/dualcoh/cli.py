@@ -46,12 +46,14 @@ def _parse_int_pair_list(text):
 
 
 def _parse_range(text):
-    """'2..5' or '3' -> inclusive (lo, hi)."""
+    """'2..5' or '3' -> inclusive (lo, hi); a reversed range is refused."""
     lo, sep, hi = text.partition("..")
     try:
-        return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+        lo, hi = (int(lo), int(hi)) if sep else (int(lo), int(lo))
     except ValueError:
         raise InvalidPresentationError(f"cannot parse range {text!r}; expected lo..hi")
+    _usage_if(lo > hi, f"range {text!r} is reversed; expected lo..hi with lo <= hi")
+    return lo, hi
 
 
 def _resolve_cap(args, cfg):

@@ -7,19 +7,26 @@ a Schur basis (partitions in a p x q box, Pieri-rule multiplication) for the
 (sigma, tau) Grassmannian presentations.  The exposed basis and normal forms
 follow the row-reduction contract; the direct row reduction of the relation
 span is the reference the tests compare against.
+
+Every builder caches its rings by argument.  Rings that differ only in
+generator names (the ``prefix`` and ``suffix`` of the product-family
+factors) share one build: a renamed ring is ``GradedAlgebra.renamed`` of the
+default-named ring, with its own generators over the same tables.
 """
 
 from itertools import product
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
+    GradedAlgebra,
     exterior_algebra,
     model_quotient_algebra,
 )
 from .errors import InvalidPresentationError
 from .linalg import add_scaled
 
-# Every ring built so far, by builder and arguments: equal arguments give one object.
+# Every ring built so far, by builder and arguments: equal arguments give one
+# object.  A renamed ring is cached as (GradedAlgebra.renamed, base, names).
 _RING_CACHE = {}
 
 
@@ -117,10 +124,16 @@ class StraighteningModel:
         self.top_degree = g * (g + 1)
         self.one = {(0,) * g: 1}
         self._memo = {}
+        self._keys = None
 
     def keys(self, d):
-        return [key for key in product((0, 1), repeat=self.g)
-                if sum(2 * k * e for k, e in enumerate(key, 1)) == d]
+        """The keys of degree d, in ``product((0, 1), repeat=g)`` order."""
+        if self._keys is None:
+            self._keys = {}
+            for key in product((0, 1), repeat=self.g):
+                d_key = sum(2 * k for k, e in enumerate(key, 1) if e)
+                self._keys.setdefault(d_key, []).append(key)
+        return self._keys.get(d, [])
 
     def mult(self, cls, i):
         out = {}
@@ -148,10 +161,10 @@ class StraighteningModel:
         return out
 
 
-def _lagrangian_algebra(g, monomial_cap, prefix):
+def _lagrangian_algebra(g, monomial_cap):
     if g < 1:
         raise InvalidPresentationError(f"Lagrangian ring needs g >= 1, got {g}")
-    gens = [(f"{prefix}{i}", 2 * i) for i in range(1, g + 1)]
+    gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
     return model_quotient_algebra(gens, lagrangian_relations(g),
                                   StraighteningModel(g), monomial_cap)
 
@@ -166,7 +179,11 @@ def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
     >>> L.gen("sigma3") * L.gen("sigma3")
     0
     """
-    return _cached(_lagrangian_algebra, g, monomial_cap, prefix)
+    base = _cached(_lagrangian_algebra, g, monomial_cap)
+    if prefix == "sigma":
+        return base
+    names = tuple(f"{prefix}{i}" for i in range(1, g + 1))
+    return _cached(GradedAlgebra.renamed, base, names)
 
 
 # ----------------------------------------------------- Grassmannian rings
@@ -302,14 +319,14 @@ class SchurRing:
         return out
 
 
-def grassmannian_relations(p, q, suffix=""):
+def grassmannian_relations(p, q):
     """Graded components of (1 + sigma_1 + ... )(1 + tau_1 + ...) = 1.
 
     Returns (generators, relations): generators are sigma_1..sigma_p then
     tau_1..tau_q; relation m is sum_{i+j=m} sigma_i tau_j for 1 <= m <= p+q.
     """
-    gens = [(f"sigma{i}{suffix}", 2 * i) for i in range(1, p + 1)]
-    gens += [(f"tau{j}{suffix}", 2 * j) for j in range(1, q + 1)]
+    gens = [(f"sigma{i}", 2 * i) for i in range(1, p + 1)]
+    gens += [(f"tau{j}", 2 * j) for j in range(1, q + 1)]
     k = p + q
     rels = []
     for m in range(1, p + q + 1):
@@ -329,10 +346,10 @@ def grassmannian_relations(p, q, suffix=""):
     return gens, rels
 
 
-def _grassmannian_algebra(p, q, monomial_cap, suffix):
+def _grassmannian_algebra(p, q, monomial_cap):
     if p < 1 or q < 1:
         raise InvalidPresentationError(f"Grassmannian ring needs p, q >= 1, got ({p}, {q})")
-    gens, rels = grassmannian_relations(p, q, suffix)
+    gens, rels = grassmannian_relations(p, q)
     return model_quotient_algebra(gens, rels, SchurRing(p, q), monomial_cap)
 
 
@@ -344,4 +361,8 @@ def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
     (sum sigma)(sum tau) = 1.  Internally backed by the Schur model; the
     exposed basis follows the standard-monomial contract.
     """
-    return _cached(_grassmannian_algebra, p, q, monomial_cap, suffix)
+    base = _cached(_grassmannian_algebra, p, q, monomial_cap)
+    if not suffix:
+        return base
+    names = tuple(g.name + suffix for g in base.generators)
+    return _cached(GradedAlgebra.renamed, base, names)

@@ -5,8 +5,10 @@
 fraction-free: every pivot row is stored monic and every update is rational.
 ``naive_product`` is the ring product before it was summed in place: every
 term pair becomes a one-term dict that is added in, with the Koszul sign
-counted by hand.  They are slow and obviously exact, which is what a
-reference is for.
+counted by hand.  ``product_composition_image`` is the restriction image
+of a product family before it was read off as monomials: the factors' total
+classes multiplied out one product at a time.  They are slow and obviously
+exact, which is what a reference is for.
 """
 
 from fractions import Fraction
@@ -43,6 +45,25 @@ def naive_product(a, b):
     for mont, c in acc.items():
         add_scaled(out, c, alg.normal_form_monomial(mont))
     return Element(alg, out)
+
+
+def product_composition_image(H, classes, k):
+    """Degree-k part of the product of the factors' total classes, where
+    ``classes[i]`` names factor i's classes c_1, c_2, ... in order."""
+    total = H.zero()
+
+    def rec(i, rem, acc):
+        nonlocal total
+        if i == len(classes):
+            if rem == 0:
+                total = total + acc
+            return
+        rec(i + 1, rem, acc)
+        for ki in range(1, min(len(classes[i]), rem) + 1):
+            rec(i + 1, rem - ki, acc * H.gen(classes[i][ki - 1]))
+
+    rec(0, k, H.one())
+    return total
 
 
 class FractionRREF:

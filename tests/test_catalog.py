@@ -23,7 +23,9 @@ from dualcoh import (
     siegel_theta,
 )
 from dualcoh.catalog import (
+    _FACTOR_PREFIXES,
     _divisible_by_generator,
+    sweep_parameter_list,
     two_part_partitions,
     unitary_decompositions,
 )
@@ -31,6 +33,7 @@ from dualcoh.checks import catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import apply, gysin_fundamental_class, random_homogeneous
 from dualcoh.rings import lagrangian_algebra, su_algebra
+from reference import product_composition_image
 
 
 class TestSlImagSp:
@@ -388,3 +391,37 @@ class TestRestrictionIdentities:
         lam = img.coefficient(top)
         assert lam != 0
         assert img == lam * H.basis_element(top)
+
+
+def _reference_images(family_id, params, H):
+    """Every generator image of a product family, multiplied out in H."""
+    if family_id == "siegel-product":
+        classes = [[f"{_FACTOR_PREFIXES[i]}{j}" for j in range(1, gi + 1)]
+                   for i, gi in enumerate(params["parts"])]
+        return {f"sigma{k}": product_composition_image(H, classes, k)
+                for k in range(1, params["g"] + 1)}
+    parts = params["parts"]
+    suffixes = [""] if len(parts) == 1 else [f"@{i + 1}" for i in range(len(parts))]
+    sigmas = [[f"sigma{j}{s}" for j in range(1, pi + 1)] for (pi, _), s in zip(parts, suffixes)]
+    taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
+    images = {f"sigma{k}": product_composition_image(H, sigmas, k)
+              for k in range(1, params["p"] + 1)}
+    images.update({f"tau{m}": product_composition_image(H, taus, m)
+                   for m in range(1, params["q"] + 1)})
+    return images
+
+
+_PRODUCT_SPECS = [spec for spec in catalog_sweep_specs()
+                  if spec[0] in ("siegel-product", "unitary-product")]
+_PRODUCT_SPECS += [("unitary-product", params) for params in
+                   sweep_parameter_list("unitary-product", {"p": (1, 5), "q": (1, 5)})
+                   if ("unitary-product", params) not in _PRODUCT_SPECS]
+
+
+def test_composition_images_match_the_product_reference():
+    # Certified product instances, then the unitary p <= q <= 5 sweep that
+    # the benchmark runs: the monomial images equal the multiplied-out ones.
+    for family_id, params in _PRODUCT_SPECS:
+        inst = build_family(family_id, params)
+        want = _reference_images(family_id, params, inst.dual_H)
+        assert inst.restriction.generator_images == want, (family_id, params)

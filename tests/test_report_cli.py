@@ -259,6 +259,11 @@ class TestCli:
         assert cli.main(["sweep", "siegel", "--g", "x..3"]) == 2
         assert "cannot parse range" in capsys.readouterr().err
 
+    def test_sweep_reversed_range_is_usage_error(self, capsys):
+        assert cli.main(["sweep", "siegel", "--g", "5..2", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "reversed" in captured.err and not captured.out
+
     def test_cap_env_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("DUALCOH_MONOMIAL_CAP", "abc")
         assert cli.main(["family", "sl-imag-sp", "--n", "2"]) == 2

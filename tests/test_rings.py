@@ -203,10 +203,11 @@ def test_schur_memo_unchanged_by_later_decisions():
     clear_ring_cache()
     params = {"p": 4, "q": 4, "parts": [[2, 2], [2, 2]]}
     first = decide_nonvanishing(build_family("unitary-product", params))
-    models = [ring._model for ring in dualcoh.rings._RING_CACHE.values()
-              if isinstance(ring._model, SchurRing)]
+    # Gr(4,4) and one Gr(2,2) model, which both @-renamed factors share.
+    models = list({id(ring._model): ring._model for ring in dualcoh.rings._RING_CACHE.values()
+                   if isinstance(ring._model, SchurRing)}.values())
     memos = copy.deepcopy([model._memo for model in models])
-    assert len(models) == 3 and all(memos)
+    assert sorted((m.p, m.q) for m in models) == [(2, 2), (4, 4)] and all(memos)
     # Callers own what mult returns: emptying it must not reach the memo.
     for model, memo in zip(models, memos):
         for lam, i in memo:
@@ -251,3 +252,56 @@ def test_ring_cache_shares_until_cleared():
     again = lagrangian_algebra(3)
     assert again is not first
     assert poincare_polynomial(again) == poincare_polynomial(first)
+
+
+@pytest.mark.parametrize("build,names", [
+    (lambda name: grassmannian_algebra(2, 3, suffix=name), ("", "@1", "@2")),
+    (lambda name: lagrangian_algebra(4, prefix=name), ("sigma", "alpha", "beta")),
+])
+def test_renamed_rings_share_one_build(monkeypatch, build, names):
+    built = []
+    orig = dualcoh.algebra.GradedAlgebra._build_model_basis
+
+    def counting(self, d):
+        built.append(d)
+        return orig(self, d)
+
+    monkeypatch.setattr(dualcoh.algebra.GradedAlgebra, "_build_model_basis", counting)
+    clear_ring_cache()
+    # The base and its two renamings: three rings, one basis build per degree.
+    rings = [build(name) for name in names]
+    bases = [[ring.basis(d) for d in range(ring.top_degree + 1)] for ring in rings]
+    assert sorted(built) == list(range(rings[0].top_degree + 1))
+    assert bases[1] == bases[0] and bases[2] == bases[0]
+    assert len({id(ring) for ring in rings}) == 3
+    assert all(build(name) is ring for name, ring in zip(names, rings))
+    base, copy_ = rings[0], rings[1]
+    assert copy_._model is base._model
+    first = base.generators[0].name
+    renamed = copy_.generators[0].name
+    assert renamed != first and copy_.generators[0].degree == base.generators[0].degree
+    with pytest.raises(ValueError):
+        base.gen(first) * copy_.gen(renamed)
+    with pytest.raises(KeyError):
+        copy_.gen(first)
+    square = copy_.gen(renamed) * copy_.gen(renamed)
+    assert square.terms == (base.gen(first) * base.gen(first)).terms
+    [mont] = copy_.gen(renamed).terms
+    assert copy_.monomial_string(mont) == f"{renamed}^1"
+    assert copy_.parse_monomial(f"{renamed}^1") == mont == base.parse_monomial(f"{first}^1")
+    with pytest.raises(ValueError):
+        copy_.parse_monomial(f"{first}^1")
+    clear_ring_cache()
+    built.clear()
+    fresh = build(names[1])
+    assert fresh is not copy_ and fresh.basis(fresh.top_degree) == bases[0][-1]
+    assert len(built) == 1
+    clear_ring_cache()
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_lagrangian_keys_listed_in_product_order(g):
+    model = StraighteningModel(g)
+    for d in range(-1, model.top_degree + 2):
+        assert model.keys(d) == [key for key in product((0, 1), repeat=g)
+                                 if sum(2 * k * e for k, e in enumerate(key, 1)) == d]
