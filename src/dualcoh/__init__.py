@@ -17,6 +17,7 @@ from .algebra import (
     ideal_basis_in_degree,
     is_divisible,
     pairing,
+    pairing_matrix,
     pairs_nontrivially_with_ideal,
     poincare_dual,
     poincare_polynomial,
@@ -90,6 +91,7 @@ __all__ = [
     "is_divisible",
     "lagrangian_algebra",
     "pairing",
+    "pairing_matrix",
     "pairs_nontrivially_with_ideal",
     "poincare_dual",
     "poincare_polynomial",

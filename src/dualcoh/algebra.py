@@ -725,11 +725,13 @@ def tensor_product(a, b, monomial_cap=None):
     alg = GradedAlgebra("tensor", gens, tuple(rels), top, cap)
     alg._factors = (a, b)
     alg._split = ka
-    for d in range(top + 1):
-        c = sum(a.dims(da) * b.dims(d - da) for da in range(d + 1))
-        if c > cap:
-            raise CapExceededError(f"tensor basis count {c} in degree {d} exceeds cap {cap}")
-        alg._dims[d] = c
+    dims = alg._dims
+    for da in a.nonzero_degrees():
+        for db in b.nonzero_degrees():
+            dims[da + db] = dims.get(da + db, 0) + a.dims(da) * b.dims(db)
+    for d in sorted(dims):
+        if dims[d] > cap:
+            raise CapExceededError(f"tensor basis count {dims[d]} in degree {d} exceeds cap {cap}")
     return alg
 
 
@@ -756,6 +758,31 @@ def pairing(a, b):
             f"pairing needs complementary degrees, got {da} + {db} != {alg.top_degree}")
     top = alg.canonical_top_monomial()
     return (a * b).coefficient(top)
+
+
+def pairing_matrix(alg, d):
+    """The pairings of basis(d) (rows) with basis(top - d) (columns).
+
+    Entry [i][j] is ``pairing(basis_element(u_i), basis_element(w_j))``,
+    read as the Koszul sign of the free product u_i * w_j times the
+    canonical top coefficient of its normal form, with no element built.
+
+    >>> A = exterior_algebra([3, 5, 7, 9])
+    >>> pairing_matrix(A, 3), pairing_matrix(A, 21)
+    ([[1]], [[-1]])
+    >>> A.basis(12), pairing_matrix(A, 12)
+    ([(0, 1, 1, 0), (1, 0, 0, 1)], [[0, 1], [1, 0]])
+    """
+    top = alg.canonical_top_monomial()
+    cols = alg.basis(alg.top_degree - d)
+    rows = []
+    for u in alg.basis(d):
+        row = []
+        for w in cols:
+            hit = alg._free_mul(u, w)
+            row.append(hit[0] * alg.normal_form_monomial(hit[1]).get(top, 0) if hit else 0)
+        rows.append(row)
+    return rows
 
 
 def poincare_dual(algebra, phi, e):
@@ -835,8 +862,7 @@ def _poincare_dual_by_solve(algebra, phi, e):
     """The general case: one tagged solve of the n x n pairing system."""
     d = algebra.top_degree - e
     unknowns, equations = algebra.basis(d), algebra.basis(e)
-    columns = [[pairing(algebra.basis_element(u), algebra.basis_element(w)) for w in equations]
-               for u in unknowns]
+    columns = pairing_matrix(algebra, d)
     sol, rank = solve(columns, [phi.get(w, 0) for w in equations])
     if rank < len(unknowns):
         raise InconsistentPresentationError(

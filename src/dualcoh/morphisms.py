@@ -141,12 +141,33 @@ def random_homogeneous(algebra, rng, max_coeff=3):
     return Element(algebra, terms)
 
 
-def verify_multiplicativity(morphism, sample_count=100, seed=0):
-    """Check f(a*b) == f(a)*f(b) on seeded random homogeneous pairs."""
+def sample_products(algebra, count, seed):
+    """``count`` seeded ``(a, b, a*b)`` triples of homogeneous elements.
+
+    A fresh ``random.Random(seed)`` draws a and then b for each sample, so
+    the triples depend only on the ring and the seed: every morphism out of
+    one source can be tested on one draw.
+    """
     rng = random.Random(seed)
-    for _ in range(sample_count):
-        a = random_homogeneous(morphism.source, rng)
-        b = random_homogeneous(morphism.source, rng)
-        if apply(morphism, a * b) != apply(morphism, a) * apply(morphism, b):
-            return False
-    return True
+    out = []
+    for _ in range(count):
+        a = random_homogeneous(algebra, rng)
+        b = random_homogeneous(algebra, rng)
+        out.append((a, b, a * b))
+    return out
+
+
+def multiplicative_on(morphism, triples):
+    """Whether f(ab) == f(a)f(b) on every ``(a, b, ab)`` of ``triples``."""
+    return all(apply(morphism, ab) == apply(morphism, a) * apply(morphism, b)
+               for a, b, ab in triples)
+
+
+def verify_multiplicativity(morphism, sample_count=100, seed=0):
+    """Check f(a*b) == f(a)*f(b) on ``sample_count`` seeded pairs.
+
+    The pairs are :func:`sample_products` of the source; to test several
+    morphisms out of one source, draw them once and call
+    :func:`multiplicative_on` for each.
+    """
+    return multiplicative_on(morphism, sample_products(morphism.source, sample_count, seed))

@@ -149,7 +149,7 @@ def run_family(config):
         notes={k: v for k, v in sorted(inst.notes.items()) if k != "discrepancy"},
     )
     if config.checks:
-        results = instance_checks(inst, verdict, sorted(config.checks),
+        results = instance_checks(inst, verdict, sorted(set(config.checks)),
                                   seed=config.seed)
         doc.check_results = [
             {"name": r.name, "passed": r.passed, "detail": r.detail}
@@ -212,7 +212,7 @@ def sweep_to_json(reports, errors, summary):
 
 def run_checks(config):
     """Execute the configured (default: all) global check suites."""
-    names = sorted(config.checks) if config.checks else list(SUITE_NAMES)
+    names = sorted(set(config.checks)) if config.checks else list(SUITE_NAMES)
     results = run_suites(names, seed=config.seed)
     return {
         "schema_version": SCHEMA_VERSION,

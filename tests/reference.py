@@ -7,14 +7,20 @@ fraction-free: every pivot row is stored monic and every update is rational.
 term pair becomes a one-term dict that is added in, with the Koszul sign
 counted by hand.  ``product_composition_image`` is the restriction image
 of a product family before it was read off as monomials: the factors' total
-classes multiplied out one product at a time.  They are slow and obviously
-exact, which is what a reference is for.
+classes multiplied out one product at a time.
+``sequential_multiplicativity`` is the multiplicativity check before it
+grouped morphisms by source: one fresh seeded draw and one product per pair
+for every morphism, in instance order.  They are slow and obviously exact,
+which is what a reference is for.
 """
 
+import random
 from fractions import Fraction
 
 from dualcoh.algebra import Element
+from dualcoh.checks import CheckResult
 from dualcoh.linalg import add_scaled
+from dualcoh.morphisms import apply, random_homogeneous
 
 
 def koszul_product(algebra, m1, m2):
@@ -110,3 +116,22 @@ def fraction_solve(columns, rhs):
     if any(c < m for c in left):
         return None, rank
     return [-left.get(m + j, Fraction(0)) for j in range(len(columns))], rank
+
+
+def sequential_multiplicativity(instances, seed=42, samples=100):
+    """``check_morphism_multiplicativity`` as one pass over the morphisms."""
+    count = 0
+    for inst in instances:
+        for m in (inst.restriction, inst.levi_restriction):
+            if m is None:
+                continue
+            rng = random.Random(seed)
+            for _ in range(samples):
+                a = random_homogeneous(m.source, rng)
+                b = random_homogeneous(m.source, rng)
+                if apply(m, a * b) != apply(m, a) * apply(m, b):
+                    return CheckResult("morphism-multiplicativity", False,
+                                       f"{inst.family_id} {inst.parameters}")
+            count += 1
+    return CheckResult("morphism-multiplicativity", True,
+                       f"{count} morphisms x {samples} samples, seed={seed}")

@@ -30,6 +30,7 @@ from dualcoh.algebra import (
     _enumerate_monomials,
     _poincare_dual_by_solve,
     order_key,
+    pairing_matrix,
     poincare_dual,
 )
 from dualcoh.linalg import SparseRREF, solve
@@ -171,6 +172,30 @@ class TestTensor:
         assert x * y == -(y * x)
         assert not (x * y).is_zero()
 
+    @pytest.mark.parametrize("factors", [
+        lambda: (su_algebra(4), grassmannian_algebra(2, 2)),
+        lambda: (lagrangian_algebra(3), exterior_algebra([3, 7])),
+        lambda: (exterior_algebra([1]), exterior_algebra([5, 9])),
+    ])
+    def test_dims_are_the_full_convolution(self, factors):
+        a, b = factors()
+        t = tensor_product(a, b)
+        for d in range(-1, t.top_degree + 2):
+            assert t.dims(d) == sum(a.dims(da) * b.dims(d - da) for da in range(d + 1))
+        assert t.nonzero_degrees() == tuple(
+            d for d in range(t.top_degree + 1) if t.dims(d))
+
+    def test_cap_names_the_first_offending_degree(self):
+        a, b = lagrangian_algebra(3), grassmannian_algebra(2, 2)
+        counts = [sum(a.dims(da) * b.dims(d - da) for da in range(d + 1))
+                  for d in range(a.top_degree + b.top_degree + 1)]
+        for cap in sorted(set(counts))[:-1]:
+            d = next(d for d, c in enumerate(counts) if c > cap)
+            with pytest.raises(CapExceededError) as err:
+                tensor_product(a, b, monomial_cap=cap)
+            assert str(err.value) == (
+                f"tensor basis count {counts[d]} in degree {d} exceeds cap {cap}")
+
     def test_basis_is_pairwise_products(self):
         a = lagrangian2()
         b = polynomial_quotient_algebra([("beta1", 2)], [{(2,): 1}], 2)
@@ -218,6 +243,35 @@ class TestPairing:
                     if rr.add(row) is not None:
                         rank += 1
                 assert rank == nd
+
+
+PAIRING_RINGS = {
+    "exterior": lambda: exterior_algebra([3, 5, 7, 9]),
+    "grassmannian": lambda: grassmannian_algebra(2, 3),
+    "lagrangian": lambda: lagrangian_algebra(3),
+    "lagrangian-tensor": lambda: tensor_product(
+        lagrangian_algebra(2, prefix="alpha"), lagrangian_algebra(2, prefix="beta")),
+    "mixed": lambda: tensor_product(su_algebra(4), grassmannian_algebra(2, 2)),
+}
+
+
+class TestPairingMatrix:
+    @pytest.mark.parametrize("kind", sorted(PAIRING_RINGS))
+    def test_matches_pairing_entrywise(self, kind):
+        alg = PAIRING_RINGS[kind]()
+        top = alg.top_degree
+        signs = set()
+        for d in range(top + 1):
+            expected = [[pairing(alg.basis_element(u), alg.basis_element(w))
+                         for w in alg.basis(top - d)] for u in alg.basis(d)]
+            assert pairing_matrix(alg, d) == expected, d
+            signs.update(v for row in expected for v in row if v)
+        if kind in ("exterior", "mixed"):
+            assert -1 in signs and 1 in signs  # odd generators give both signs
+
+    def test_out_of_range_degree_is_empty(self):
+        alg = lagrangian2()
+        assert pairing_matrix(alg, -1) == [] == pairing_matrix(alg, alg.top_degree + 1)
 
 
 class TestDivisibility:

@@ -1,21 +1,33 @@
 """The check-suite plumbing and its independent enumerators."""
 
+import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
 from dualcoh.checks import (
     box_partition_betti,
+    catalog_sweep_specs,
     check_grassmannian_poincare,
     check_gysin_soundness,
     check_grassmannian_relation_expansion,
     check_lagrangian_poincare,
     check_lagrangian_relation_expansion,
+    check_morphism_multiplicativity,
     instance_checks,
     run_suites,
     strict_partition_betti,
 )
-from dualcoh.catalog import decide_nonvanishing, family_siegel, family_sl_odd_real
+from dualcoh.catalog import (
+    build_family,
+    decide_nonvanishing,
+    family_siegel,
+    family_sl_odd_real,
+)
+from dualcoh.morphisms import Morphism, build_morphism, random_homogeneous, sample_products
+from dualcoh.rings import lagrangian_algebra, su_algebra
+from reference import sequential_multiplicativity
 
 
 def test_strict_partition_enumerator():
@@ -61,3 +73,65 @@ def test_instance_checks_cover_all_suites():
     assert all(r.passed for r in results)
     names = {r.name for r in results}
     assert "betti-oracle" in names and "dual-class-closed-form" in names
+
+
+@pytest.fixture(scope="module")
+def certified_instances():
+    return [build_family(fid, params) for fid, params in catalog_sweep_specs()]
+
+
+@pytest.mark.parametrize("seed", [21, 42])
+def test_grouped_multiplicativity_matches_the_sequential_pass(certified_instances, seed):
+    got = check_morphism_multiplicativity(certified_instances, seed=seed)
+    assert got.passed
+    assert got == sequential_multiplicativity(certified_instances, seed=seed)
+
+
+def _instance(name, restriction, levi=None):
+    return SimpleNamespace(family_id=name, parameters={}, restriction=restriction,
+                           levi_restriction=levi)
+
+
+def _lagrangian_maps(g):
+    """Identity, augmentation, and sigma_g -> 0 (not a ring map) on Lagrangian(g)."""
+    L = lagrangian_algebra(g)
+    gens = {x.name: L.gen(x.name) for x in L.generators}
+    bad = dict(gens, **{f"sigma{g}": L.zero()})
+    return build_morphism(L, L, gens), build_morphism(L, L, {}), Morphism(L, L, bad)
+
+
+def test_planted_failure_between_good_maps_of_its_source():
+    G = su_algebra(4)
+    ident, aug, bad = _lagrangian_maps(2)
+    instances = [
+        _instance("su", build_morphism(G, G, {})),
+        _instance("good-before", ident),
+        _instance("planted", aug, levi=bad),
+        _instance("good-after", aug, levi=ident),
+    ]
+    for seed in (21, 42):
+        got = check_morphism_multiplicativity(instances, seed=seed)
+        assert not got.passed and got.detail == "planted {}"
+        assert got == sequential_multiplicativity(instances, seed=seed)
+
+
+def test_failure_named_in_instance_order_across_sources():
+    # The first source's group fails at a later instance than the second's.
+    ident2, _, bad2 = _lagrangian_maps(2)
+    _, _, bad3 = _lagrangian_maps(3)
+    instances = [_instance("first", ident2), _instance("second", bad3),
+                 _instance("third", bad2)]
+    got = check_morphism_multiplicativity(instances, seed=21)
+    assert not got.passed and got.detail == "second {}"
+    assert got == sequential_multiplicativity(instances, seed=21)
+
+
+def test_sample_products_are_the_seeded_draw():
+    # a then b from one fresh Random(seed), as a per-morphism draw makes them
+    L = lagrangian_algebra(3)
+    rng = random.Random(7)
+    expected = []
+    for _ in range(30):
+        a, b = random_homogeneous(L, rng), random_homogeneous(L, rng)
+        expected.append((a, b, a * b))
+    assert sample_products(L, 30, 7) == expected

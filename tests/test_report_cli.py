@@ -122,6 +122,25 @@ class TestRunChecks:
             "lagrangian-square-truncation", "lagrangian-top-product"}
 
 
+    def test_repeated_suite_runs_once(self, capsys):
+        outputs = []
+        for argv in (["--suite", "oracle", "--suite", "oracle"], ["--suite", "oracle"]):
+            assert cli.main(["check", *argv, "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["suites"] == ["oracle"]
+
+    def test_repeated_family_check_runs_once(self, capsys):
+        outputs = []
+        for checks in ("oracle,oracle", "oracle"):
+            assert cli.main(["family", "sl-imag-sp", "--n", "2", "--checks", checks,
+                             "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        names = [r["name"] for r in json.loads(outputs[0])["check_results"]]
+        assert len(names) == len(set(names)) and "betti-oracle" in names
+
+
 class TestCli:
     def test_family_text(self, capsys):
         assert cli.main(["family", "sl-imag-sp", "--n", "2"]) == 0
