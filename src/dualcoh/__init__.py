@@ -21,7 +21,6 @@ from .algebra import (
     pairs_nontrivially_with_ideal,
     poincare_dual,
     poincare_polynomial,
-    polynomial_quotient_algebra,
     tensor_product,
 )
 from .catalog import (
@@ -95,7 +94,6 @@ __all__ = [
     "pairs_nontrivially_with_ideal",
     "poincare_dual",
     "poincare_polynomial",
-    "polynomial_quotient_algebra",
     "siegel_theta",
     "sp_group_algebra",
     "su_algebra",

@@ -21,9 +21,9 @@ span of relation multiples, with columns sorted by the key descending.
 ``_enumerate_monomials`` yields the monomials of one degree lazily in
 this (basis) order, so a basis build stops at its last standard monomial.
 
-Every catalog quotient comes from ``model_quotient_algebra``, which computes
-in an isomorphic model ring and selects the same standard monomials lazily;
-``polynomial_quotient_algebra`` row-reduces eagerly and is the reference.
+Quotients are built by ``model_quotient_algebra``, which computes in an
+isomorphic model ring and selects these standard monomials lazily, one
+degree at a time.
 Every ring kind has one product: ambient monomials multiply freely (with
 the Koszul sign) and each result is replaced by its cached normal form.
 
@@ -44,8 +44,8 @@ monomial, so xi is a signed sum of complements.  A model with a self-dual
 basis (``dual(key)``, as the Schur basis pairs a partition with its
 complement in the box) gives xi's model coordinates as one contraction,
 converted to standard monomials once.  Every other ring (the Lagrangian
-model, tensor products, direct quotients) solves the pairing system; that
-path is also the reference the tests hold the other two against.
+model, tensor products) solves the pairing system; that path is also the
+reference the tests hold the other two against.
 """
 
 from copy import copy
@@ -227,8 +227,8 @@ class GradedAlgebra:
     """A graded-commutative ring with explicit per-degree bases.
 
     Instances are produced by :func:`exterior_algebra`,
-    :func:`model_quotient_algebra`, :func:`polynomial_quotient_algebra` and
-    :func:`tensor_product`; the class itself only hosts shared machinery.
+    :func:`model_quotient_algebra` and :func:`tensor_product`; the class
+    itself only hosts shared machinery.
     Algebras are logically immutable; internal caches are memoization only.
     """
 
@@ -248,7 +248,6 @@ class GradedAlgebra:
         self._nonzero_degrees = None
         self._basis = {}
         self._basis_pos = {}
-        self._nf_table = {}       # direct quotients: degree -> {mont: {std: c}}
         self._nf_cache = {}
         self._factors = None      # tensor products
         self._split = None
@@ -409,12 +408,9 @@ class GradedAlgebra:
             for ma, ca in ra.items():
                 for mb, cb in rb.items():
                     result[ma + mb] = ca * cb
-        elif self._model is not None:
+        else:
             cls = self._mont_class(mont)
             result = self._model_coords_to_std(cls, d) if cls else {}
-        else:
-            table = self._nf_table.get(d, {})
-            result = table.get(mont, {mont: 1})
         self._nf_cache[mont] = result
         return result
 
@@ -439,67 +435,7 @@ class GradedAlgebra:
                 add_scaled(out, c, nf(mont))
         return Element(self, out)
 
-    # ------------------------------------------------- direct quotient build
-
-    def _build_quotient_tables(self):
-        """Per-degree row reduction of the relation-multiple span.
-
-        Builds bases and normal-form tables for every degree up to the top,
-        and verifies that nothing survives in the window above the top (which
-        forces vanishing in all higher degrees, since every monomial there
-        factors through the window).
-        """
-        degrees, parities = self._degrees, self._parities
-        maxgen = max(degrees)
-        dmax = self.top_degree + maxgen
-        counts = _count_monomials(degrees, parities, dmax)
-        worst = max(counts)
-        if worst > self.monomial_cap:
-            raise CapExceededError(
-                f"per-degree monomial count {worst} exceeds cap {self.monomial_cap}")
-        for d in range(dmax + 1):
-            if counts[d] == 0:
-                if d <= self.top_degree:
-                    self._dims[d] = 0
-                    self._basis[d] = []
-                continue
-            monts = list(_enumerate_monomials(degrees, parities, d))[::-1]
-            col = {m: i for i, m in enumerate(monts)}
-            rref = SparseRREF()
-            for rdeg, rpoly in self.relations:
-                if rdeg > d:
-                    continue
-                for m in _enumerate_monomials(degrees, parities, d - rdeg):
-                    row = {}
-                    for rm, rc in rpoly.items():
-                        prod = tuple(a + b for a, b in zip(m, rm))
-                        row[col[prod]] = row.get(col[prod], 0) + rc
-                    rref.add({c: v for c, v in row.items() if v})
-            pivot_rows = rref.pivot_rows
-            if d > self.top_degree:
-                if rref.rank != counts[d]:
-                    leftover = next(m for m in reversed(monts)
-                                    if col[m] not in pivot_rows)
-                    raise InconsistentPresentationError(
-                        f"nonzero class above expected top degree: "
-                        f"{self.monomial_string(leftover)} in degree {d}")
-                continue
-            std = [m for m in reversed(monts) if col[m] not in pivot_rows]
-            self._dims[d] = len(std)
-            self._basis[d] = std
-            table = {}
-            for p, row in pivot_rows.items():
-                expansion = {monts[c]: -v for c, v in row.items() if c != p}
-                table[monts[p]] = expansion
-            self._nf_table[d] = table
-        if self._dims.get(0) != 1 or self._dims.get(self.top_degree) != 1:
-            raise InconsistentPresentationError(
-                f"degree 0 and top degree must be one-dimensional, got "
-                f"{self._dims.get(0)} and {self._dims.get(self.top_degree)}")
-
     def _build_basis(self, d):
-        # exterior, tensor and model bases are assembled on demand; direct
-        # quotients fill every degree eagerly in _build_quotient_tables.
         if self.kind == "exterior":
             monts = list(_enumerate_monomials(self._degrees, self._parities, d))
             self._basis[d] = monts
@@ -527,7 +463,8 @@ class GradedAlgebra:
     def _build_model_basis(self, d):
         """Standard monomials of degree d: a monomial is standard exactly when
         its model class is independent of the classes of all smaller
-        monomials, which is the non-pivot condition of the direct RREF."""
+        monomials, which is the non-pivot condition of the row reduction of
+        the relation span."""
         target = self._dims[d]
         monts = _enumerate_monomials(self._degrees, self._parities, d)
         # The k-th standard monomial's row carries tag column target + k.  A
@@ -646,37 +583,19 @@ def _quotient(generators, relations, top_degree, monomial_cap):
     return GradedAlgebra("quotient", gens, rels, top_degree, monomial_cap)
 
 
-def polynomial_quotient_algebra(generators, relations, expected_top_degree,
-                                monomial_cap=DEFAULT_MONOMIAL_CAP):
-    """Quotient of a polynomial ring on even generators by homogeneous relations.
-
-    ``generators`` is a list of (name, degree) pairs; ``relations`` a list of
-    {exponent tuple: coefficient} dicts over those generators.  The caller
-    supplies the expected top degree (finite-dimensionality is a theorem
-    about the presentation, not a syntactic property); degrees above it are
-    verified to vanish.
-
-    >>> A = polynomial_quotient_algebra(
-    ...     [("sigma1", 2), ("sigma2", 4)],
-    ...     [{(2, 0): 1, (0, 1): -2}, {(0, 2): 1}], 6)
-    >>> [A.dims(d) for d in (0, 2, 4, 6)]
-    [1, 1, 1, 1]
-    """
-    alg = _quotient(generators, relations, expected_top_degree, monomial_cap)
-    alg._build_quotient_tables()
-    return alg
-
-
 def model_quotient_algebra(generators, relations, model,
                            monomial_cap=DEFAULT_MONOMIAL_CAP):
-    """The quotient :func:`polynomial_quotient_algebra` presents, computed in a model.
+    """Quotient of a polynomial ring on even generators by homogeneous
+    relations, computed in a model.
 
-    ``model`` is a ring isomorphic to the quotient that is cheap to multiply
-    in.  It provides ``top_degree``, ``keys(d)`` (its basis of degree d),
-    ``one`` (the class of 1) and ``mult(cls, i)`` (a class times generator
-    i, 0-based); classes are {key: int or Fraction} dicts over those keys.  Bases
-    and normal forms are those of the direct row reduction, and every
-    presentation relation must vanish in the model.
+    ``generators`` is a list of (name, degree) pairs; ``relations`` a list of
+    {exponent tuple: coefficient} dicts over those generators.  ``model`` is
+    a ring isomorphic to the quotient that is cheap to multiply in.  It
+    provides ``top_degree``, ``keys(d)`` (its basis of degree d), ``one``
+    (the class of 1) and ``mult(cls, i)`` (a class times generator i,
+    0-based); classes are {key: int or Fraction} dicts over those keys.
+    Bases and normal forms follow the module's standard-monomial contract,
+    and every presentation relation must vanish in the model.
 
     A model may also provide ``dual(key)``: the key of complementary
     degree whose product with ``key`` is the top key, when the product of

@@ -173,7 +173,7 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
 
 def _validate_parts(parts, total, what):
     parts = list(parts)
-    if not parts or any(int(a) != a or a < 1 for a in parts):
+    if not parts or any(type(a) is not int or a < 1 for a in parts):
         raise InvalidPresentationError(f"{what}: parts must be positive integers, got {parts}")
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise InvalidPresentationError(f"{what}: parts must be nonincreasing, got {parts}")
@@ -277,8 +277,8 @@ def siegel_theta(inst):
 
 
 def _validate_unitary_parts(p, q, parts):
-    parts = [(int(pi), int(qi)) for pi, qi in parts]
-    if not parts or any(pi < 1 or qi < 1 for pi, qi in parts):
+    parts = [(pi, qi) for pi, qi in parts]
+    if not parts or any(type(a) is not int or a < 1 for pair in parts for a in pair):
         raise InvalidPresentationError(
             f"unitary parts must be pairs of positive integers, got {parts}")
     if sum(pi for pi, _ in parts) != p:

@@ -63,9 +63,15 @@ def element_pairs(alg, elem):
 
 
 def element_from_pairs(alg, pairs):
-    """Inverse of :func:`element_pairs` (used to re-verify serialized witnesses)."""
+    """Inverse of :func:`element_pairs` (used to re-verify serialized witnesses).
+
+    A coefficient is a rational string or an ``int``; a float is refused,
+    not converted.
+    """
     raw = {}
     for monstr, coeff in pairs:
+        if type(coeff) not in (str, int):
+            raise InvalidPresentationError(f"coefficient {coeff!r} is not a string or an int")
         mont = alg.parse_monomial(monstr)
         raw[mont] = raw.get(mont, 0) + Fraction(coeff)
     return alg.element(raw)

@@ -10,16 +10,26 @@ of a product family before it was read off as monomials: the factors' total
 classes multiplied out one product at a time.
 ``sequential_multiplicativity`` is the multiplicativity check before it
 grouped morphisms by source: one fresh seeded draw and one product per pair
-for every morphism, in instance order.  They are slow and obviously exact,
-which is what a reference is for.
+for every morphism, in instance order.  ``direct_quotient`` is the quotient
+ring built by eager row reduction of every relation multiple, the
+construction the model-backed quotients must reproduce.  They are slow and
+obviously exact, which is what a reference is for.
 """
 
 import random
 from fractions import Fraction
 
-from dualcoh.algebra import Element
+from dualcoh.algebra import (
+    DEFAULT_MONOMIAL_CAP,
+    Element,
+    GradedAlgebra,
+    _count_monomials,
+    _enumerate_monomials,
+    _quotient,
+)
 from dualcoh.checks import CheckResult
-from dualcoh.linalg import add_scaled
+from dualcoh.errors import CapExceededError, InconsistentPresentationError
+from dualcoh.linalg import SparseRREF, add_scaled
 from dualcoh.morphisms import apply, random_homogeneous
 
 
@@ -135,3 +145,72 @@ def sequential_multiplicativity(instances, seed=42, samples=100):
             count += 1
     return CheckResult("morphism-multiplicativity", True,
                        f"{count} morphisms x {samples} samples, seed={seed}")
+
+
+class DirectQuotient(GradedAlgebra):
+    """A quotient whose bases and normal-form tables are filled for every
+    degree up to the top by row-reducing the relation multiples."""
+
+    def normal_form_monomial(self, mont):
+        d = self.monomial_degree(mont)
+        if d > self.top_degree:
+            return {}
+        return self._nf_table.get(d, {}).get(mont, {mont: 1})
+
+    def _build_tables(self):
+        """Bases and normal-form tables of every degree up to the top, and
+        a check that nothing survives in the window above the top (which
+        forces vanishing in all higher degrees, since every monomial there
+        factors through the window)."""
+        self._nf_table = {}  # degree -> {pivot mont: {standard mont: c}}
+        degrees, parities = self._degrees, self._parities
+        dmax = self.top_degree + max(degrees)
+        counts = _count_monomials(degrees, parities, dmax)
+        if max(counts) > self.monomial_cap:
+            raise CapExceededError(
+                f"per-degree monomial count {max(counts)} exceeds cap {self.monomial_cap}")
+        for d in range(dmax + 1):
+            if counts[d] == 0:
+                if d <= self.top_degree:
+                    self._dims[d] = 0
+                    self._basis[d] = []
+                continue
+            monts = list(_enumerate_monomials(degrees, parities, d))[::-1]
+            col = {m: i for i, m in enumerate(monts)}
+            rref = SparseRREF()
+            for rdeg, rpoly in self.relations:
+                if rdeg > d:
+                    continue
+                for m in _enumerate_monomials(degrees, parities, d - rdeg):
+                    row = {}
+                    for rm, rc in rpoly.items():
+                        c = col[tuple(a + b for a, b in zip(m, rm))]
+                        row[c] = row.get(c, 0) + rc
+                    rref.add({c: v for c, v in row.items() if v})
+            pivot_rows = rref.pivot_rows
+            if d > self.top_degree:
+                if rref.rank != counts[d]:
+                    leftover = next(m for m in reversed(monts) if col[m] not in pivot_rows)
+                    raise InconsistentPresentationError(
+                        f"nonzero class above expected top degree: "
+                        f"{self.monomial_string(leftover)} in degree {d}")
+                continue
+            self._basis[d] = [m for m in reversed(monts) if col[m] not in pivot_rows]
+            self._dims[d] = len(self._basis[d])
+            self._nf_table[d] = {
+                monts[p]: {monts[c]: -v for c, v in row.items() if c != p}
+                for p, row in pivot_rows.items()}
+        if self._dims.get(0) != 1 or self._dims.get(self.top_degree) != 1:
+            raise InconsistentPresentationError(
+                f"degree 0 and top degree must be one-dimensional, got "
+                f"{self._dims.get(0)} and {self._dims.get(self.top_degree)}")
+
+
+def direct_quotient(generators, relations, top_degree, monomial_cap=DEFAULT_MONOMIAL_CAP):
+    """The quotient of ``model_quotient_algebra``'s presentation, with the
+    caller's expected top degree in place of a model's and degrees above it
+    checked to vanish."""
+    q = _quotient(generators, relations, top_degree, monomial_cap)
+    alg = DirectQuotient(q.kind, q.generators, q.relations, q.top_degree, q.monomial_cap)
+    alg._build_tables()
+    return alg

@@ -22,21 +22,34 @@ from dualcoh import (
     pairing,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
-    polynomial_quotient_algebra,
     tensor_product,
 )
 from dualcoh.algebra import (
     Element,
     _enumerate_monomials,
     _poincare_dual_by_solve,
+    model_quotient_algebra,
     order_key,
     pairing_matrix,
     poincare_dual,
 )
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
-from dualcoh.rings import grassmannian_algebra, lagrangian_algebra, su_algebra
-from reference import FractionRREF, fraction_solve, koszul_product, naive_product
+from dualcoh.rings import (
+    SchurRing,
+    StraighteningModel,
+    grassmannian_algebra,
+    lagrangian_algebra,
+    lagrangian_relations,
+    su_algebra,
+)
+from reference import (
+    FractionRREF,
+    direct_quotient,
+    fraction_solve,
+    koszul_product,
+    naive_product,
+)
 
 
 def poly_product(factor_degrees):
@@ -51,18 +64,20 @@ def poly_product(factor_degrees):
 
 
 # The worked g=2 Lagrangian presentation: relations sigma1^2 - 2 sigma2 and
-# sigma2^2, derived by expanding prod_(i=1,2) (1 - x_i^2) = 1 by hand.
+# sigma2^2, derived by expanding prod_(i=1,2) (1 - x_i^2) = 1 by hand.  The
+# model constructor refuses it unless both relations vanish in the model.
+LAGRANGIAN2 = ([("sigma1", 2), ("sigma2", 4)], [{(2, 0): 1, (0, 1): -2}, {(0, 2): 1}])
+
+
 def lagrangian2():
-    return polynomial_quotient_algebra(
-        [("sigma1", 2), ("sigma2", 4)],
-        [{(2, 0): 1, (0, 1): -2}, {(0, 2): 1}], 6)
+    return model_quotient_algebra(*LAGRANGIAN2, StraighteningModel(2))
 
 
 def projective_line():
     # degree-1 and degree-2 parts of (1 + sigma1)(1 + tau1) = 1
-    return polynomial_quotient_algebra(
+    return model_quotient_algebra(
         [("sigma1", 2), ("tau1", 2)],
-        [{(1, 0): 1, (0, 1): 1}, {(1, 1): 1}], 2)
+        [{(1, 0): 1, (0, 1): 1}, {(1, 1): 1}], SchurRing(1, 1))
 
 
 class TestExterior:
@@ -121,37 +136,51 @@ class TestQuotient:
         s1 = alg.gen("sigma1")
         assert (s1 * s1).is_zero()
 
+    def test_reference_builds_the_worked_example(self):
+        alg = direct_quotient(*LAGRANGIAN2, 6)
+        assert [alg.dims(d) for d in (0, 2, 4, 6)] == [1, 1, 1, 1]
+        assert [alg.basis(d) for d in range(7)] == [lagrangian2().basis(d) for d in range(7)]
+
+    # Presentation checks that production makes, run through
+    # model_quotient_algebra with a real model: LG(1), Q[sigma1]/(sigma1^2).
+
     def test_degree_zero_relation_rejected(self):
-        with pytest.raises(InvalidPresentationError):
-            polynomial_quotient_algebra([("sigma1", 2)], [{(0,): 1}], 2)
+        with pytest.raises(InvalidPresentationError, match="degree-0"):
+            model_quotient_algebra([("sigma1", 2)], [{(0,): 1}], StraighteningModel(1))
 
     def test_inhomogeneous_relation_rejected(self):
-        with pytest.raises(InvalidPresentationError):
-            polynomial_quotient_algebra([("sigma1", 2)], [{(1,): 1, (2,): 1}], 2)
+        with pytest.raises(InvalidPresentationError, match="homogeneous"):
+            model_quotient_algebra([("sigma1", 2)], [{(1,): 1, (2,): 1}],
+                                   StraighteningModel(1))
 
     def test_inexact_relation_coefficient_rejected(self):
         with pytest.raises(InvalidPresentationError, match="inexact"):
-            polynomial_quotient_algebra([("sigma1", 2)], [{(2,): 0.5}], 2)
+            model_quotient_algebra([("sigma1", 2)], [{(2,): 0.5}], StraighteningModel(1))
 
     def test_odd_generator_rejected(self):
-        with pytest.raises(InvalidPresentationError):
-            polynomial_quotient_algebra([("x", 3)], [], 3)
+        with pytest.raises(InvalidPresentationError, match="even degree"):
+            model_quotient_algebra([("x", 3)], [], StraighteningModel(1))
+
+    # Checks only the direct row reduction makes: a model fixes the top
+    # degree and the dimensions itself.
 
     def test_survivors_above_top_detected(self):
         # Q[sigma1]/(sigma1^3) has classes in degree 4 > claimed top 2
-        with pytest.raises(InconsistentPresentationError):
-            polynomial_quotient_algebra([("sigma1", 2)], [{(3,): 1}], 2)
+        with pytest.raises(InconsistentPresentationError, match="above expected top"):
+            direct_quotient([("sigma1", 2)], [{(3,): 1}], 2)
 
     def test_no_relations_is_inconsistent(self):
         with pytest.raises(InconsistentPresentationError):
-            polynomial_quotient_algebra([("sigma1", 2)], [], 4)
+            direct_quotient([("sigma1", 2)], [], 4)
 
     def test_cap_enforced(self):
-        from dualcoh.rings import lagrangian_relations
+        # LG(3) has at most 7 ambient monomials in one degree up to its top
+        gens = [(f"sigma{i}", 2 * i) for i in (1, 2, 3)]
+        assert model_quotient_algebra(gens, lagrangian_relations(3), StraighteningModel(3),
+                                      monomial_cap=7).total_dimension == 8
         with pytest.raises(CapExceededError):
-            polynomial_quotient_algebra(
-                [(f"sigma{i}", 2 * i) for i in (1, 2, 3)],
-                lagrangian_relations(3), 12, monomial_cap=2)
+            model_quotient_algebra(gens, lagrangian_relations(3), StraighteningModel(3),
+                                   monomial_cap=6)
 
 
 class TestTensor:
@@ -161,8 +190,8 @@ class TestTensor:
         assert t.top_degree == 6
 
     def test_projective_line_square(self):
-        a = polynomial_quotient_algebra([("alpha1", 2)], [{(2,): 1}], 2)
-        b = polynomial_quotient_algebra([("beta1", 2)], [{(2,): 1}], 2)
+        a = direct_quotient([("alpha1", 2)], [{(2,): 1}], 2)
+        b = direct_quotient([("beta1", 2)], [{(2,): 1}], 2)
         t = tensor_product(a, b)
         assert poincare_polynomial(t) == [1, 0, 2, 0, 1]
 
@@ -198,7 +227,7 @@ class TestTensor:
 
     def test_basis_is_pairwise_products(self):
         a = lagrangian2()
-        b = polynomial_quotient_algebra([("beta1", 2)], [{(2,): 1}], 2)
+        b = direct_quotient([("beta1", 2)], [{(2,): 1}], 2)
         t = tensor_product(a, b)
         for d in range(t.top_degree + 1):
             expected = sum(a.dims(da) * b.dims(d - da) for da in range(d + 1))
@@ -332,11 +361,11 @@ class TestIdealOps:
 
     def test_projective_plane_hyperplane(self):
         # Gr(1,3) = P^2: ideal (sigma1, tau2); sigma1 pairs with itself
-        alg = polynomial_quotient_algebra(
+        alg = model_quotient_algebra(
             [("sigma1", 2), ("tau1", 2), ("tau2", 4)],
             [{(1, 0, 0): 1, (0, 1, 0): 1},
              {(1, 1, 0): 1, (0, 0, 1): 1},
-             {(1, 0, 1): 1}], 4)
+             {(1, 0, 1): 1}], SchurRing(1, 2))
         u = pairs_nontrivially_with_ideal(
             alg.gen("sigma1"), [alg.gen("sigma1"), alg.gen("tau2")])
         assert u == alg.gen("sigma1")

@@ -164,6 +164,11 @@ class TestSiegel:
         with pytest.raises(InvalidPresentationError):
             family_siegel(3, [1, 2])
 
+    @pytest.mark.parametrize("parts", [[2.0, 2.0], [2, Fraction(2)], ["2", "2"], [True, 3]])
+    def test_non_integer_parts_refused(self, parts):
+        with pytest.raises(InvalidPresentationError, match="positive integers"):
+            family_siegel(4, parts)
+
     def test_multi_part_exploratory(self):
         inst = family_siegel(3, [1, 1, 1])
         assert "exploratory" in inst.notes
@@ -213,6 +218,12 @@ class TestUnitary:
             family_unitary(2, 2, [(1, 2), (1, 1)])  # sum q_i > q
         with pytest.raises(InvalidPresentationError):
             family_unitary(3, 2, [(3, 2)])           # p > q
+
+    @pytest.mark.parametrize("parts", [[(1.9, 1.5), (1, 1)], [(1.0, 1), (1, 1)],
+                                       [("1", "1"), (1, 1)], [(1, True), (1, 1)]])
+    def test_non_integer_parts_refused(self, parts):
+        with pytest.raises(InvalidPresentationError, match="positive integers"):
+            family_unitary(2, 2, parts)
 
     def test_franke_ideal_generators(self):
         inst = family_unitary(2, 3, [(2, 3)])

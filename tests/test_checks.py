@@ -1,11 +1,15 @@
 """The check-suite plumbing and its independent enumerators."""
 
+import itertools
 import random
 import re
+import time
 from types import SimpleNamespace
 
 import pytest
 
+import dualcoh.checks
+from dualcoh.algebra import model_quotient_algebra
 from dualcoh.checks import (
     box_partition_betti,
     catalog_sweep_specs,
@@ -16,6 +20,7 @@ from dualcoh.checks import (
     check_lagrangian_relation_expansion,
     check_morphism_multiplicativity,
     instance_checks,
+    instance_identity_checks,
     run_suites,
     strict_partition_betti,
 )
@@ -24,9 +29,17 @@ from dualcoh.catalog import (
     decide_nonvanishing,
     family_siegel,
     family_sl_odd_real,
+    family_unitary,
 )
 from dualcoh.morphisms import Morphism, build_morphism, random_homogeneous, sample_products
-from dualcoh.rings import lagrangian_algebra, su_algebra
+from dualcoh.rings import (
+    SchurRing,
+    StraighteningModel,
+    grassmannian_relations,
+    lagrangian_algebra,
+    lagrangian_relations,
+    su_algebra,
+)
 from reference import sequential_multiplicativity
 
 
@@ -53,6 +66,49 @@ def test_passing_oracle_details_carry_no_times():
     for result in (check_lagrangian_poincare(gmax=3), check_grassmannian_poincare(pq_max=3)):
         assert result.passed
         assert not re.search(r"\d\.\d+s", result.detail), result.detail
+
+
+def test_poincare_oracles_ignore_the_clock(monkeypatch):
+    before = [check_lagrangian_poincare(gmax=3), check_grassmannian_poincare(pq_max=3)]
+    clock = itertools.count(step=3600.0)  # every reading is an hour after the last
+    monkeypatch.setattr(time, "monotonic", lambda: next(clock))
+    after = [check_lagrangian_poincare(gmax=3), check_grassmannian_poincare(pq_max=3)]
+    assert after == before and all(r.passed for r in after)
+
+
+def test_poincare_oracles_read_the_presentation(monkeypatch):
+    # The first relation dropped: the model, and so every Betti number, is
+    # unchanged, but the presentation no longer cuts out the ring.
+    def lagrangian(g):
+        gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
+        return model_quotient_algebra(gens, lagrangian_relations(g)[1:], StraighteningModel(g))
+
+    def grassmannian(p, q):
+        gens, rels = grassmannian_relations(p, q)
+        return model_quotient_algebra(gens, rels[1:], SchurRing(p, q))
+
+    monkeypatch.setattr(dualcoh.checks, "lagrangian_algebra", lagrangian)
+    monkeypatch.setattr(dualcoh.checks, "grassmannian_algebra", grassmannian)
+    # LG(1)'s only relation lies above its top degree, so g=2 is the first miss
+    got = check_lagrangian_poincare(gmax=3)
+    assert (got.passed, got.detail) == (
+        False, "g=2: Betti numbers differ from the presentation's Hilbert series")
+    got = check_grassmannian_poincare(pq_max=3)
+    assert (got.passed, got.detail) == (
+        False, "(1,1): Betti numbers differ from the presentation's Hilbert series")
+
+
+def _tau_shortcut(inst):
+    results = instance_identity_checks(inst, decide_nonvanishing(inst))
+    [result] = [r for r in results if r.name == "tau-restriction-shortcut"]
+    return result
+
+
+def test_tau_shortcut_check_fails_on_a_false_note():
+    full, deficit = family_unitary(2, 2, [(1, 1), (1, 1)]), family_unitary(2, 3, [(1, 1), (1, 1)])
+    assert _tau_shortcut(full).passed and _tau_shortcut(deficit).passed
+    full.notes["tau_shortcut_holds"] = False  # sum q_i = q: the note must hold
+    assert not _tau_shortcut(full).passed
 
 
 def test_gysin_soundness_siegel_g7():

@@ -16,7 +16,6 @@ from dualcoh import (
     family_unitary,
     gysin_fundamental_class,
     pairing,
-    polynomial_quotient_algebra,
     tensor_product,
     verify_multiplicativity,
 )
@@ -28,6 +27,7 @@ from dualcoh.rings import (
     su_algebra,
     su_so_algebra,
 )
+from reference import direct_quotient
 
 
 def sl_imag_sp_restriction(n):
@@ -195,9 +195,9 @@ class TestGysin:
     def test_degenerate_pairing_rejected(self):
         # x^2 = xy = 0 leaves x orthogonal to all of degree 2: the pairing
         # matrix [[0, 0], [0, 1]] has rank 1 < 2 unknowns
-        A = polynomial_quotient_algebra([("x", 2), ("y", 2)],
-                                        [{(2, 0): 1}, {(1, 1): 1}, {(0, 3): 1}], 4)
-        B = polynomial_quotient_algebra([("z", 2)], [{(2,): 1}], 2)
+        A = direct_quotient([("x", 2), ("y", 2)],
+                            [{(2, 0): 1}, {(1, 1): 1}, {(0, 3): 1}], 4)
+        B = direct_quotient([("z", 2)], [{(2,): 1}], 2)
         m = build_morphism(A, B, {"y": B.gen("z")})
         with pytest.raises(InconsistentPresentationError, match="degenerate"):
             gysin_fundamental_class(m)

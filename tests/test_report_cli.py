@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from dualcoh import cli
-from dualcoh.errors import InconsistentPresentationError
+from dualcoh.errors import InconsistentPresentationError, InvalidPresentationError
 from dualcoh.report import (
     ReportDocument,
     RunConfig,
@@ -18,6 +19,7 @@ from dualcoh.report import (
     run_sweep,
     sweep_to_json,
 )
+from dualcoh.rings import su_algebra
 
 
 def family_config(**kw):
@@ -67,6 +69,14 @@ class TestReportDocument:
         fc = element_from_pairs(G, doc.fundamental_class)
         w = element_from_pairs(G, doc.nonvanishing["witness"])
         assert pairing(fc, w) != 0
+
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, True, None, Fraction(1, 2)])
+    def test_serialized_coefficient_must_be_a_string_or_int(self, coeff):
+        G = su_algebra(3)
+        assert element_from_pairs(G, [["e3^1", "1/10"], ["e5^1", 2]]) == G.element(
+            {(1, 0): Fraction(1, 10), (0, 1): 2})
+        with pytest.raises(InvalidPresentationError, match="string or an int"):
+            element_from_pairs(G, [["e3^1", coeff]])
 
     def test_checks_attached(self):
         doc = run_family(family_config(checks=("properties",)))
