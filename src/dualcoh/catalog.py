@@ -16,7 +16,10 @@ equivalent algebraic statement exists (the substitution-kernel description
 for the Lagrangian rings) it is cross-checked in the check suites.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import product
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
@@ -33,15 +36,13 @@ from .morphisms import (
     gysin_fundamental_class,
 )
 from .rings import (
+    bind_parameters,
     grassmannian_algebra,
     lagrangian_algebra,
     sp_group_algebra,
     su_algebra,
     su_so_algebra,
 )
-
-FAMILY_IDS = ("sl-imag-sp", "sl-odd-real", "siegel-product", "unitary-product",
-              "sp-in-ugg")
 
 # Greek prefixes for the factors of product duals, in declaration order.
 _FACTOR_PREFIXES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
@@ -172,9 +173,10 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
 
 
 def _validate_parts(parts, total, what):
-    parts = list(parts)
-    if not parts or any(type(a) is not int or a < 1 for a in parts):
+    if (not isinstance(parts, (list, tuple)) or not parts
+            or any(type(a) is not int or a < 1 for a in parts)):
         raise InvalidPresentationError(f"{what}: parts must be positive integers, got {parts}")
+    parts = list(parts)
     if any(a < b for a, b in zip(parts, parts[1:])):
         raise InvalidPresentationError(f"{what}: parts must be nonincreasing, got {parts}")
     if sum(parts) != total:
@@ -196,14 +198,8 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
         raise InvalidPresentationError(f"family siegel needs g >= 1, got {g}")
     parts = _validate_parts(parts, g, "siegel partition")
     G = lagrangian_algebra(g, monomial_cap)
-    if len(parts) == 1:
-        H = lagrangian_algebra(g, monomial_cap, prefix=_FACTOR_PREFIXES[0])
-    else:
-        factors = [lagrangian_algebra(gi, monomial_cap, prefix=_FACTOR_PREFIXES[i])
-                   for i, gi in enumerate(parts)]
-        H = factors[0]
-        for f in factors[1:]:
-            H = tensor_product(H, f, monomial_cap)
+    H = _product_ring([lagrangian_algebra(gi, monomial_cap, prefix=_FACTOR_PREFIXES[i])
+                       for i, gi in enumerate(parts)], monomial_cap)
     classes = [[f"{_FACTOR_PREFIXES[i]}{j}" for j in range(1, gi + 1)]
                for i, gi in enumerate(parts)]
     images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
@@ -221,6 +217,11 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
             "partitions with more than two parts are decided by the general "
             "pairing criterion; no closed-form pairing partner is attached.")
     return inst
+
+
+def _product_ring(factors, monomial_cap):
+    """The tensor product of the factor rings, left to right."""
+    return reduce(lambda a, b: tensor_product(a, b, monomial_cap), factors)
 
 
 def _composition_image(H, classes, k):
@@ -277,10 +278,12 @@ def siegel_theta(inst):
 
 
 def _validate_unitary_parts(p, q, parts):
-    parts = [(pi, qi) for pi, qi in parts]
-    if not parts or any(type(a) is not int or a < 1 for pair in parts for a in pair):
+    if (not isinstance(parts, (list, tuple)) or not parts
+            or any(not isinstance(pair, (list, tuple)) or len(pair) != 2
+                   or any(type(a) is not int or a < 1 for a in pair) for pair in parts)):
         raise InvalidPresentationError(
             f"unitary parts must be pairs of positive integers, got {parts}")
+    parts = [tuple(pair) for pair in parts]
     if sum(pi for pi, _ in parts) != p:
         raise InvalidPresentationError(
             f"unitary parts {parts}: sum of p_i must equal p = {p}")
@@ -308,16 +311,9 @@ def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
         raise InvalidPresentationError(f"family unitary needs q >= p >= 1, got ({p}, {q})")
     parts = _validate_unitary_parts(p, q, parts)
     G = grassmannian_algebra(p, q, monomial_cap)
-    if len(parts) == 1:
-        p1, q1 = parts[0]
-        H = grassmannian_algebra(p1, q1, monomial_cap)
-    else:
-        factors = [grassmannian_algebra(pi, qi, monomial_cap, suffix=f"@{i + 1}")
-                   for i, (pi, qi) in enumerate(parts)]
-        H = factors[0]
-        for f in factors[1:]:
-            H = tensor_product(H, f, monomial_cap)
     suffixes = [""] if len(parts) == 1 else [f"@{i + 1}" for i in range(len(parts))]
+    H = _product_ring([grassmannian_algebra(pi, qi, monomial_cap, suffix=s)
+                       for (pi, qi), s in zip(parts, suffixes)], monomial_cap)
     sigmas = [[f"sigma{j}{s}" for j in range(1, pi + 1)] for (pi, _), s in zip(parts, suffixes)]
     taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
     images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
@@ -370,21 +366,39 @@ def family_sp_in_ugg(g, monomial_cap=DEFAULT_MONOMIAL_CAP):
     )
 
 
-_FAMILY_BUILDERS = {
-    "sl-imag-sp": lambda params, cap: family_sl_imag_sp(params["n"], cap),
-    "sl-odd-real": lambda params, cap: family_sl_odd_real(params["n"], cap),
-    "siegel-product": lambda params, cap: family_siegel(params["g"], params["parts"], cap),
-    "unitary-product": lambda params, cap: family_unitary(
-        params["p"], params["q"], params["parts"], cap),
-    "sp-in-ugg": lambda params, cap: family_sp_in_ugg(params["g"], cap),
+# A catalog family: its constructor, its rank parameters in order and, for
+# product families, the certified decompositions of given ranks (called with
+# the ranks and ``full_q``), each of which is a ``parts``.
+Family = namedtuple("Family", "build ranks decompositions", defaults=[None])
+FAMILIES = {
+    "sl-imag-sp": Family(family_sl_imag_sp, ("n",)),
+    "sl-odd-real": Family(family_sl_odd_real, ("n",)),
+    "siegel-product": Family(family_siegel, ("g",), lambda g, full_q: two_part_partitions(g)),
+    # The family needs q >= p, so a sweep skips the smaller q.
+    "unitary-product": Family(family_unitary, ("p", "q"), lambda p, q, full_q: (
+        unitary_decompositions(p, q, full_q) if q >= p else [])),
+    "sp-in-ugg": Family(family_sp_in_ugg, ("g",)),
 }
+FAMILY_IDS = tuple(FAMILIES)
+FAMILY_ALIASES = {"siegel": "siegel-product", "unitary": "unitary-product"}
+
+
+def canonical_family_id(name):
+    """The family id that ``name`` (an id or an alias) stands for."""
+    fid = FAMILY_ALIASES.get(name, name)
+    if fid not in FAMILIES:
+        raise InvalidPresentationError(
+            f"unknown family {name!r}; known: {', '.join(FAMILY_IDS)}")
+    return fid
 
 
 def build_family(family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP):
-    if family_id not in _FAMILY_BUILDERS:
-        raise InvalidPresentationError(
-            f"unknown family {family_id!r}; known: {', '.join(FAMILY_IDS)}")
-    return _FAMILY_BUILDERS[family_id](parameters, monomial_cap)
+    """One instance of a family (an id or an alias); ``parameters`` must
+    name exactly the family's parameters."""
+    fid = canonical_family_id(family_id)
+    family = FAMILIES[fid]
+    names = family.ranks if family.decompositions is None else (*family.ranks, "parts")
+    return family.build(*bind_parameters(f"family {fid}", names, parameters), monomial_cap)
 
 
 # ------------------------------------------------------------- decisions
@@ -481,31 +495,27 @@ def unitary_decompositions(p, q, full_q=True):
 def sweep_parameter_list(family_id, ranges):
     """Deterministic instance list for a sweep over family parameters.
 
-    ``ranges`` maps parameter names to (lo, hi) inclusive pairs; product
-    families get every certified decomposition per rank (all nonincreasing
-    two-part partitions for the symplectic products, all full-q multiset
-    decompositions for the unitary ones, plus deficit ones on request).
+    ``ranges`` maps each rank parameter of the family to an inclusive
+    (lo, hi) pair; product families get every certified decomposition per
+    rank (all nonincreasing two-part partitions for the symplectic
+    products, all full-q multiset decompositions for the unitary ones, plus
+    deficit ones when ``ranges["full_q"]`` is false).
+
+    >>> sweep_parameter_list("siegel", {"g": (2, 3)})
+    [{'g': 2, 'parts': [1, 1]}, {'g': 3, 'parts': [2, 1]}]
+    >>> sweep_parameter_list("unitary-product", {"p": (2, 2), "q": (1, 2)})
+    [{'p': 2, 'q': 2, 'parts': [[2, 2]]}, {'p': 2, 'q': 2, 'parts': [[1, 1], [1, 1]]}]
     """
+    fid = canonical_family_id(family_id)
+    family = FAMILIES[fid]
+    spans = bind_parameters(f"sweep {fid}", family.ranks,
+                            {k: v for k, v in ranges.items() if k != "full_q"})
     out = []
-    if family_id in ("sl-imag-sp", "sl-odd-real"):
-        lo, hi = ranges["n"]
-        out = [{"n": n} for n in range(lo, hi + 1)]
-    elif family_id == "siegel-product":
-        lo, hi = ranges["g"]
-        for g in range(lo, hi + 1):
-            for parts in two_part_partitions(g):
-                out.append({"g": g, "parts": parts})
-    elif family_id == "unitary-product":
-        plo, phi = ranges["p"]
-        qlo, qhi = ranges["q"]
-        full_q = ranges.get("full_q", True)
-        for p in range(plo, phi + 1):
-            for q in range(max(p, qlo), qhi + 1):
-                for parts in unitary_decompositions(p, q, full_q=full_q):
-                    out.append({"p": p, "q": q, "parts": [list(t) for t in parts]})
-    elif family_id == "sp-in-ugg":
-        lo, hi = ranges["g"]
-        out = [{"g": g} for g in range(lo, hi + 1)]
-    else:
-        raise InvalidPresentationError(f"unknown family {family_id!r}")
+    for ranks in product(*(range(lo, hi + 1) for lo, hi in spans)):
+        params = dict(zip(family.ranks, ranks))
+        if family.decompositions is None:
+            out.append(params)
+        else:
+            out.extend({**params, "parts": parts} for parts in
+                       family.decompositions(*ranks, full_q=ranges.get("full_q", True)))
     return out

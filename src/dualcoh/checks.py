@@ -171,45 +171,36 @@ def _root_product_by_degree(n, power, sign):
     return by_degree
 
 
-def check_lagrangian_relation_expansion(gmax=4):
-    """Catalog relation components equal the root-variable expansion, g <= gmax."""
-    for g in range(1, gmax + 1):
-        blocks = [(g, 0)] * g
-        expected = _root_product_by_degree(g, 2, -1)
+def _relation_expansion(name, cases, detail):
+    """Each case's (label, relations, blocks, expected root-variable
+    expansion), read lazily: the first mismatch ends the check."""
+    for label, relations, blocks, expected in cases:
         got = {}
-        for poly in lagrangian_relations(g):
+        for poly in relations:
             expanded = _expand_generator_poly(poly, blocks)
             degs = {2 * sum(k) for k in expanded}
             if len(degs) != 1:
-                return CheckResult("lagrangian-relation-expansion", False,
-                                   f"g={g}: relation expansion not homogeneous")
+                return CheckResult(name, False, f"{label}: relation expansion not homogeneous")
             got[degs.pop()] = expanded
         if got != expected:
-            missing = set(expected) ^ set(got)
-            return CheckResult("lagrangian-relation-expansion", False,
-                               f"g={g}: mismatch at degrees {sorted(missing)}")
-    return CheckResult("lagrangian-relation-expansion", True, f"g <= {gmax}")
+            bad = sorted(d for d in set(got) | set(expected) if got.get(d) != expected.get(d))
+            return CheckResult(name, False, f"{label}: expansion mismatch at degrees {bad}")
+    return CheckResult(name, True, detail)
+
+
+def check_lagrangian_relation_expansion(gmax=4):
+    """Catalog relation components equal the root-variable expansion, g <= gmax."""
+    return _relation_expansion("lagrangian-relation-expansion", (
+        (f"g={g}", lagrangian_relations(g), [(g, 0)] * g, _root_product_by_degree(g, 2, -1))
+        for g in range(1, gmax + 1)), f"g <= {gmax}")
 
 
 def check_grassmannian_relation_expansion(pq_max=6):
     """Presentation components equal the root-variable expansion, p+q <= pq_max."""
-    for p in range(1, pq_max):
-        for q in range(p, pq_max - p + 1):
-            gens, rels = grassmannian_relations(p, q)
-            blocks = [(p, 0)] * p + [(q, p)] * q
-            expected = _root_product_by_degree(p + q, 1, 1)
-            got = {}
-            for poly in rels:
-                expanded = _expand_generator_poly(poly, blocks)
-                degs = {2 * sum(k) for k in expanded}
-                if len(degs) != 1:
-                    return CheckResult("grassmannian-relation-expansion", False,
-                                       f"(p,q)=({p},{q}): not homogeneous")
-                got[degs.pop()] = expanded
-            if got != expected:
-                return CheckResult("grassmannian-relation-expansion", False,
-                                   f"(p,q)=({p},{q}): expansion mismatch")
-    return CheckResult("grassmannian-relation-expansion", True, f"p+q <= {pq_max}")
+    return _relation_expansion("grassmannian-relation-expansion", (
+        (f"(p,q)=({p},{q})", grassmannian_relations(p, q)[1], [(p, 0)] * p + [(q, p)] * q,
+         _root_product_by_degree(p + q, 1, 1))
+        for p in range(1, pq_max) for q in range(p, pq_max - p + 1)), f"p+q <= {pq_max}")
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,5 +1,11 @@
 """Command-line front end: family runs, sweeps, check suites, ring dumps.
 
+The family, sweep and ring commands take the rank flags --n, --g, --p and
+--q; which of them an id needs is read from the catalog's family table
+(``catalog.FAMILIES``) or the ring table (``rings.RINGS``), and a missing
+flag, or one the id does not take, is a usage error.  --parts takes a
+partition '2,1' or pairs '1:1,1:2', and the family checks the shape.
+
 Exit codes: 0 success (a false verdict is still success), 2 usage error,
 3 resource cap exceeded, 4 internal inconsistency.  JSON goes to stdout,
 diagnostics to stderr.  The per-degree monomial cap can be set with
@@ -14,6 +20,7 @@ import sys
 from functools import cache
 
 from .algebra import DEFAULT_MONOMIAL_CAP, poincare_polynomial
+from .catalog import FAMILIES, FAMILY_ALIASES
 from .errors import (
     CapExceededError,
     InconsistentPresentationError,
@@ -23,12 +30,12 @@ from .report import (
     SCHEMA_VERSION,
     RunConfig,
     TOOL_VERSION,
-    canonical_family_id,
     run_checks,
     run_family,
     run_sweep,
     sweep_to_json,
 )
+from .rings import RINGS, bind_parameters
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,13 +43,17 @@ EXIT_RESOURCE = 3
 EXIT_INCONSISTENT = 4
 
 
-def _parse_int_pair_list(text):
-    """'1:1,1:2' -> [(1, 1), (1, 2)]"""
-    parts = []
-    for chunk in text.split(","):
-        a, _, b = chunk.partition(":")
-        parts.append((int(a), int(b)))
-    return parts
+# The rank flags of the family, sweep and ring commands.
+_RANKS = ("n", "g", "p", "q")
+
+
+def _parse_parts(text):
+    """'2,1' -> [2, 1]; '1:1,1:2' -> [(1, 1), (1, 2)]; the family checks the shape."""
+    try:
+        return [tuple(map(int, chunk.split(":"))) if ":" in chunk else int(chunk)
+                for chunk in text.split(",")]
+    except ValueError:
+        raise InvalidPresentationError(f"cannot parse --parts {text!r}")
 
 
 def _parse_range(text):
@@ -52,7 +63,9 @@ def _parse_range(text):
         lo, hi = (int(lo), int(hi)) if sep else (int(lo), int(lo))
     except ValueError:
         raise InvalidPresentationError(f"cannot parse range {text!r}; expected lo..hi")
-    _usage_if(lo > hi, f"range {text!r} is reversed; expected lo..hi with lo <= hi")
+    if lo > hi:
+        raise InvalidPresentationError(
+            f"range {text!r} is reversed; expected lo..hi with lo <= hi")
     return lo, hi
 
 
@@ -65,7 +78,8 @@ def _resolve_cap(args, cfg):
         raise InvalidPresentationError(
             f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
     cap = _resolve_int(args, cfg, "cap", fallback)
-    _usage_if(cap < 1, f"the monomial cap must be at least 1, got {cap}")
+    if cap < 1:
+        raise InvalidPresentationError(f"the monomial cap must be at least 1, got {cap}")
     return cap
 
 
@@ -105,6 +119,13 @@ def _add_common(parser):
                              "checks defaults; flags take precedence")
 
 
+def _add_ranks(parser, table, kind, help_text):
+    """One flag per rank, its help naming the ids in ``table`` that take it."""
+    for k in _RANKS:
+        ids = ", ".join(i for i, names in table.items() if k in names)
+        parser.add_argument(f"--{k}", type=kind, help=help_text.format(k=k, ids=ids))
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="dualcoh",
@@ -113,22 +134,17 @@ def build_parser():
     ap.add_argument("--version", action="version", version=f"dualcoh {TOOL_VERSION}")
     sub = ap.add_subparsers(dest="command", required=True)
 
+    family_ids = " | ".join([*FAMILIES, *FAMILY_ALIASES])
+    family_ranks = {fid: fam.ranks for fid, fam in FAMILIES.items()}
     fam = sub.add_parser("family", help="run one (G, H) family instance")
-    fam.add_argument("family_id", help="sl-imag-sp | sl-odd-real | siegel | "
-                                       "unitary | sp-in-ugg")
-    fam.add_argument("--n", type=int, help="rank for the sl families")
-    fam.add_argument("--g", type=int, help="rank for siegel / sp-in-ugg")
-    fam.add_argument("--p", type=int, help="p for the unitary family")
-    fam.add_argument("--q", type=int, help="q for the unitary family")
-    fam.add_argument("--parts", help="siegel: '2,1'; unitary: '1:1,1:2'")
+    fam.add_argument("family_id", help=family_ids)
+    _add_ranks(fam, family_ranks, int, "{k} for {ids}")
+    fam.add_argument("--parts", help="parts of a product family: '2,1' or '1:1,1:2'")
     _add_common(fam)
 
     sw = sub.add_parser("sweep", help="run a family over parameter ranges")
-    sw.add_argument("family_id")
-    sw.add_argument("--n", help="range lo..hi for the sl families")
-    sw.add_argument("--g", help="range lo..hi for siegel / sp-in-ugg")
-    sw.add_argument("--p", help="range lo..hi for unitary")
-    sw.add_argument("--q", help="range lo..hi for unitary")
+    sw.add_argument("family_id", help=family_ids)
+    _add_ranks(sw, family_ranks, str, "range lo..hi of {k} for {ids}")
     sw.add_argument("--allow-q-deficit", action="store_true",
                     help="unitary: include decompositions with sum q_i < q")
     _add_common(sw)
@@ -140,11 +156,8 @@ def build_parser():
     ck.add_argument("--seed", type=int, default=42)
 
     rg = sub.add_parser("ring", help="dump Betti data for a catalog ring")
-    rg.add_argument("ring_id", help="su | sp-group | su-so | lagrangian | grassmannian")
-    rg.add_argument("--n", type=int)
-    rg.add_argument("--g", type=int)
-    rg.add_argument("--p", type=int)
-    rg.add_argument("--q", type=int)
+    rg.add_argument("ring_id", help=" | ".join(RINGS))
+    _add_ranks(rg, {rid: names for rid, (_, names) in RINGS.items()}, int, "{k} for {ids}")
     rg.add_argument("--poincare", action="store_true",
                     help="print only the Poincare coefficient list")
     rg.add_argument("--json", action="store_true")
@@ -152,36 +165,9 @@ def build_parser():
     return ap
 
 
-def _family_parameters(args):
-    fid = canonical_family_id(args.family_id)
-
-    def need(flag, val):
-        _usage_if(val is None, f"family {fid} needs --{flag}")
-        return val
-    if fid in ("sl-imag-sp", "sl-odd-real"):
-        return fid, {"n": need("n", args.n)}
-    if fid == "siegel-product":
-        g = need("g", args.g)
-        parts_text = need("parts", args.parts)
-        try:
-            parts = [int(x) for x in parts_text.split(",")]
-        except ValueError:
-            raise InvalidPresentationError(f"cannot parse --parts {parts_text!r}")
-        return fid, {"g": g, "parts": parts}
-    if fid == "unitary-product":
-        p, q = need("p", args.p), need("q", args.q)
-        parts_text = need("parts", args.parts)
-        try:
-            parts = _parse_int_pair_list(parts_text)
-        except ValueError:
-            raise InvalidPresentationError(f"cannot parse --parts {parts_text!r}")
-        return fid, {"p": p, "q": q, "parts": parts}
-    return fid, {"g": need("g", args.g)}
-
-
-def _usage_if(cond, message):
-    if cond:
-        raise InvalidPresentationError(message)
+def _given_ranks(args):
+    """The rank flags given on the command line, by name."""
+    return {k: getattr(args, k) for k in _RANKS if getattr(args, k) is not None}
 
 
 def _checks_tuple(value):
@@ -211,8 +197,10 @@ def _run_config(args, fid, params):
 
 
 def cmd_family(args):
-    fid, params = _family_parameters(args)
-    config = _run_config(args, fid, params)
+    params = _given_ranks(args)
+    if args.parts is not None:
+        params["parts"] = _parse_parts(args.parts)
+    config = _run_config(args, args.family_id, params)
     doc = run_family(config)
     print(f"computed in {doc.timing:.3f}s", file=sys.stderr)
     if args.json:
@@ -257,29 +245,15 @@ def _print_family_text(doc):
 
 
 def cmd_sweep(args):
-    fid = canonical_family_id(args.family_id)
-    ranges = {}
-    if fid in ("sl-imag-sp", "sl-odd-real"):
-        _usage_if(args.n is None, f"sweep {fid} needs --n lo..hi")
-        ranges["n"] = _parse_range(args.n)
-    elif fid == "siegel-product":
-        _usage_if(args.g is None, "sweep siegel needs --g lo..hi")
-        ranges["g"] = _parse_range(args.g)
-    elif fid == "unitary-product":
-        _usage_if(args.p is None or args.q is None, "sweep unitary needs --p and --q")
-        ranges["p"] = _parse_range(args.p)
-        ranges["q"] = _parse_range(args.q)
-        ranges["full_q"] = not args.allow_q_deficit
-    else:
-        _usage_if(args.g is None, "sweep sp-in-ugg needs --g lo..hi")
-        ranges["g"] = _parse_range(args.g)
-    config = _run_config(args, fid, {})
-    reports, errors, summary, timing = run_sweep(fid, ranges, config)
+    ranges = {k: _parse_range(v) for k, v in _given_ranks(args).items()}
+    ranges["full_q"] = not args.allow_q_deficit
+    config = _run_config(args, args.family_id, {})
+    reports, errors, summary, timing = run_sweep(config.family_id, ranges, config)
     print(f"swept {summary['instances']} instances in {timing:.3f}s", file=sys.stderr)
     if args.json:
         sys.stdout.write(sweep_to_json(reports, errors, summary))
         return EXIT_OK
-    print(f"sweep {fid}: {summary['instances']} instances, "
+    print(f"sweep {config.family_id}: {summary['instances']} instances, "
           f"nonvanishing true {summary['nonvanishing_true']} / "
           f"false {summary['nonvanishing_false']}, ghosts {summary['ghost_true']}, "
           f"errors {summary['errors']}")
@@ -310,42 +284,20 @@ def cmd_check(args):
 
 
 def cmd_ring(args):
-    from .rings import (
-        grassmannian_algebra,
-        lagrangian_algebra,
-        sp_group_algebra,
-        su_algebra,
-        su_so_algebra,
-    )
     cap = _resolve_cap(args, {})
-    rid = args.ring_id
-    if rid == "su":
-        _usage_if(args.n is None, "ring su needs --n")
-        alg, label = su_algebra(args.n, cap), f"su n={args.n}"
-    elif rid == "sp-group":
-        _usage_if(args.n is None, "ring sp-group needs --n")
-        alg, label = sp_group_algebra(args.n, cap), f"sp-group n={args.n}"
-    elif rid == "su-so":
-        _usage_if(args.n is None, "ring su-so needs --n")
-        alg, label = su_so_algebra(args.n, cap), f"su-so n={args.n}"
-    elif rid == "lagrangian":
-        _usage_if(args.g is None, "ring lagrangian needs --g")
-        alg, label = lagrangian_algebra(args.g, cap), f"lagrangian g={args.g}"
-    elif rid == "grassmannian":
-        _usage_if(args.p is None or args.q is None, "ring grassmannian needs --p and --q")
-        alg, label = grassmannian_algebra(args.p, args.q, cap), \
-            f"grassmannian p={args.p} q={args.q}"
-    else:
-        raise InvalidPresentationError(
-            f"unknown ring {rid!r}; known: su, sp-group, su-so, lagrangian, grassmannian")
+    rid, params = args.ring_id, _given_ranks(args)
+    if rid not in RINGS:
+        raise InvalidPresentationError(f"unknown ring {rid!r}; known: {', '.join(RINGS)}")
+    build, names = RINGS[rid]
+    alg = build(*bind_parameters(f"ring {rid}", names, params), cap)
+    label = " ".join([rid, *(f"{k}={v}" for k, v in params.items())])
     pp = poincare_polynomial(alg)
     if args.json:
         sys.stdout.write(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
             "ring": rid,
-            "parameters": {k: getattr(args, k) for k in ("n", "g", "p", "q")
-                           if getattr(args, k) is not None},
+            "parameters": params,
             "generators": [[g.name, g.degree] for g in alg.generators],
             "top_degree": alg.top_degree,
             "total_dimension": alg.total_dimension,

@@ -9,14 +9,14 @@ diagnostic) so that determinism holds at the byte level.
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__ as TOOL_VERSION
 from .algebra import DEFAULT_MONOMIAL_CAP, order_key
 from .catalog import (
-    FAMILY_IDS,
     build_family,
+    canonical_family_id,
     decide_nonvanishing,
     sweep_parameter_list,
 )
@@ -24,20 +24,6 @@ from .checks import SUITE_NAMES, instance_checks, run_suites
 from .errors import InvalidPresentationError
 
 SCHEMA_VERSION = 2
-
-FAMILY_ALIASES = {
-    "siegel": "siegel-product",
-    "unitary": "unitary-product",
-}
-
-
-def canonical_family_id(name):
-    fid = FAMILY_ALIASES.get(name, name)
-    if fid not in FAMILY_IDS:
-        raise InvalidPresentationError(
-            f"unknown family {name!r}; known: {', '.join(FAMILY_IDS)}")
-    return fid
-
 
 @dataclass
 class RunConfig:
@@ -66,14 +52,19 @@ def element_from_pairs(alg, pairs):
     """Inverse of :func:`element_pairs` (used to re-verify serialized witnesses).
 
     A coefficient is a rational string or an ``int``; a float is refused,
-    not converted.
+    not converted.  A malformed pair, monomial or coefficient is an
+    ``InvalidPresentationError``.
     """
     raw = {}
-    for monstr, coeff in pairs:
-        if type(coeff) not in (str, int):
-            raise InvalidPresentationError(f"coefficient {coeff!r} is not a string or an int")
-        mont = alg.parse_monomial(monstr)
-        raw[mont] = raw.get(mont, 0) + Fraction(coeff)
+    for pair in pairs:
+        try:
+            monstr, coeff = pair
+            if type(coeff) not in (str, int):
+                raise TypeError(f"coefficient {coeff!r} is not a string or an int")
+            mont = alg.parse_monomial(monstr)
+            raw[mont] = raw.get(mont, 0) + Fraction(coeff)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidPresentationError(f"cannot read term {pair!r}: {exc}") from None
     return alg.element(raw)
 
 
@@ -103,29 +94,11 @@ class ReportDocument:
     timing: float | None = None
 
     def to_dict(self):
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "family": self.family,
-            "parameters": self.parameters,
-            "betti_G": self.betti_G,
-            "betti_H": self.betti_H,
-            "top_degree_G": self.top_degree_G,
-            "top_degree_H": self.top_degree_H,
-            "fundamental_class": self.fundamental_class,
-            "nonvanishing": self.nonvanishing,
-            "ghost": self.ghost,
-            "notes": self.notes,
-            "check_results": self.check_results,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timing"}
 
     @classmethod
     def from_dict(cls, data):
-        fields = {k: data[k] for k in (
-            "family", "parameters", "betti_G", "betti_H", "top_degree_G",
-            "top_degree_H", "fundamental_class", "nonvanishing", "ghost",
-            "notes", "check_results", "schema_version", "tool_version")}
-        return cls(**fields)
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name != "timing"})
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"

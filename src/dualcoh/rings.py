@@ -366,3 +366,25 @@ def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
         return base
     names = tuple(g.name + suffix for g in base.generators)
     return _cached(GradedAlgebra.renamed, base, names)
+
+
+# ------------------------------------------------------------- ring table
+
+
+def bind_parameters(what, names, given):
+    """The values of ``given`` for ``names``, in order; ``given`` must name
+    exactly ``names``, else ``what`` is refused."""
+    if set(given) != set(names):
+        raise InvalidPresentationError(f"{what} needs exactly {', '.join(names)}; "
+                                       f"got {', '.join(map(str, given)) or 'none'}")
+    return [given[k] for k in names]
+
+
+# Ring id -> (builder, its parameters in order).
+RINGS = {
+    "su": (su_algebra, ("n",)),
+    "sp-group": (sp_group_algebra, ("n",)),
+    "su-so": (su_so_algebra, ("n",)),
+    "lagrangian": (lagrangian_algebra, ("g",)),
+    "grassmannian": (grassmannian_algebra, ("p", "q")),
+}

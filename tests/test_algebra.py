@@ -9,6 +9,7 @@ from operator import add
 import pytest
 
 import dualcoh.algebra
+import dualcoh.catalog
 import dualcoh.linalg
 import dualcoh.morphisms
 import dualcoh.rings
@@ -741,6 +742,7 @@ class TestProductKernel:
 
 
 def test_docstrings():
-    for module in (dualcoh.algebra, dualcoh.linalg, dualcoh.morphisms, dualcoh.rings):
+    for module in (dualcoh.algebra, dualcoh.catalog, dualcoh.linalg, dualcoh.morphisms,
+                   dualcoh.rings):
         results = doctest.testmod(module)
         assert results.attempted and results.failed == 0, module.__name__

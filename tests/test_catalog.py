@@ -24,6 +24,9 @@ from dualcoh import (
 )
 from dualcoh.catalog import (
     _FACTOR_PREFIXES,
+    FAMILIES,
+    FAMILY_ALIASES,
+    FAMILY_IDS,
     _divisible_by_generator,
     sweep_parameter_list,
     two_part_partitions,
@@ -225,6 +228,20 @@ class TestUnitary:
         with pytest.raises(InvalidPresentationError, match="positive integers"):
             family_unitary(2, 2, parts)
 
+    @pytest.mark.parametrize("build, args", [
+        (family_unitary, (2, 2, [(1, 1, 1), (1, 1)])),
+        (family_unitary, (2, 2, [1, 1])),
+        (family_unitary, (2, 2, 3)),
+        (family_unitary, (2, 2, [[2]])),
+        (family_siegel, (3, 3)),
+        (family_siegel, (3, [(2, 1)])),
+        (family_siegel, (3, "21")),
+    ], ids=["triple", "bare-ints", "not-a-list", "single", "siegel-int",
+            "siegel-pair", "siegel-str"])
+    def test_malformed_parts_refused(self, build, args):
+        with pytest.raises(InvalidPresentationError, match="positive integers"):
+            build(*args)
+
     def test_franke_ideal_generators(self):
         inst = family_unitary(2, 3, [(2, 3)])
         G = inst.dual_G
@@ -337,6 +354,59 @@ class TestWitnessSearchDifferential:
                 assert pairs_nontrivially_with_ideal(v, [g]) is None
                 negatives += self._agree(monkeypatch, v, [g])
         assert randoms >= 50 and negatives >= 10, (randoms, negatives)
+
+
+def _smallest(fid):
+    """The first instance of a sweep over ranks 1..2 in every rank parameter."""
+    ranks = FAMILIES[FAMILY_ALIASES.get(fid, fid)].ranks
+    return sweep_parameter_list(fid, {k: (1, 2) for k in ranks})[0]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("fid", [*FAMILY_IDS, *FAMILY_ALIASES])
+    def test_smallest_instance_builds(self, fid):
+        inst = build_family(fid, _smallest(fid))
+        assert inst.family_id == FAMILY_ALIASES.get(fid, fid)
+        assert inst.parameters == _smallest(fid)
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_missing_parameter_refused(self, fid):
+        params = _smallest(fid)
+        for k in params:
+            with pytest.raises(InvalidPresentationError,
+                               match=f"family {fid} needs exactly {', '.join(params)}; got"):
+                build_family(fid, {j: v for j, v in params.items() if j != k})
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_unknown_parameter_refused(self, fid):
+        with pytest.raises(InvalidPresentationError, match="needs exactly .*; got .*extra"):
+            build_family(fid, {**_smallest(fid), "extra": 1})
+
+    def test_shown_defects(self):
+        with pytest.raises(InvalidPresentationError, match="needs exactly g, parts; got g$"):
+            build_family("siegel-product", {"g": 3})
+        with pytest.raises(InvalidPresentationError, match="needs exactly n; got n, g$"):
+            build_family("sl-imag-sp", {"n": 2, "g": 9})
+        assert build_family("siegel", {"g": 3, "parts": [2, 1]}).family_id == "siegel-product"
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_missing_sweep_range_refused(self, fid):
+        ranks = FAMILIES[fid].ranks
+        for k in ranks:
+            with pytest.raises(InvalidPresentationError,
+                               match=f"sweep {fid} needs exactly {', '.join(ranks)}; got"):
+                sweep_parameter_list(fid, {j: (1, 2) for j in ranks if j != k})
+
+    def test_sweep_matches_certified_enumerators(self):
+        assert sweep_parameter_list("siegel-product", {"g": (2, 5)}) == [
+            {"g": g, "parts": parts} for g in range(2, 6) for parts in two_part_partitions(g)]
+        for full_q in (True, False):
+            got = sweep_parameter_list("unitary", {"p": (1, 3), "q": (1, 4), "full_q": full_q})
+            assert got == [{"p": p, "q": q, "parts": parts}
+                           for p in range(1, 4) for q in range(p, 5)
+                           for parts in unitary_decompositions(p, q, full_q)]
+        assert sweep_parameter_list("sl-odd-real", {"n": (2, 4)}) == [
+            {"n": 2}, {"n": 3}, {"n": 4}]
 
 
 class TestSweepEnumeration:

@@ -56,8 +56,31 @@ def test_box_partition_enumerator():
 
 
 def test_relation_expansions_small():
+    assert check_lagrangian_relation_expansion(gmax=3).detail == "g <= 3"
+    assert check_grassmannian_relation_expansion(pq_max=4).detail == "p+q <= 4"
     assert check_lagrangian_relation_expansion(gmax=3).passed
     assert check_grassmannian_relation_expansion(pq_max=4).passed
+
+
+def test_relation_expansions_report_the_first_bad_case(monkeypatch):
+    real_lagrangian, real_grassmannian = lagrangian_relations, grassmannian_relations
+
+    def lagrangian(g):
+        rels = real_lagrangian(g)
+        return rels if g < 2 else [{m: 2 * c for m, c in rels[0].items()}, *rels[1:]]
+
+    def grassmannian(p, q):
+        gens, rels = real_grassmannian(p, q)
+        return gens, ([{**rels[0], **rels[1]}, *rels[2:]] if (p, q) == (1, 2) else rels)
+
+    monkeypatch.setattr(dualcoh.checks, "lagrangian_relations", lagrangian)
+    monkeypatch.setattr(dualcoh.checks, "grassmannian_relations", grassmannian)
+    lag = check_lagrangian_relation_expansion(gmax=3)
+    assert (lag.name, lag.passed) == ("lagrangian-relation-expansion", False)
+    assert re.fullmatch(r"g=2: expansion mismatch at degrees \[\d+\]", lag.detail), lag.detail
+    gr = check_grassmannian_relation_expansion(pq_max=4)
+    assert (gr.name, gr.passed) == ("grassmannian-relation-expansion", False)
+    assert gr.detail == "(p,q)=(1,2): relation expansion not homogeneous"
 
 
 def test_passing_oracle_details_carry_no_times():

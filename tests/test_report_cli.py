@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dualcoh import cli
+from dualcoh.catalog import FAMILIES, FAMILY_ALIASES, FAMILY_IDS, sweep_parameter_list
 from dualcoh.errors import InconsistentPresentationError, InvalidPresentationError
 from dualcoh.report import (
     ReportDocument,
@@ -19,7 +20,7 @@ from dualcoh.report import (
     run_sweep,
     sweep_to_json,
 )
-from dualcoh.rings import su_algebra
+from dualcoh.rings import RINGS, su_algebra
 
 
 def family_config(**kw):
@@ -77,6 +78,15 @@ class TestReportDocument:
             {(1, 0): Fraction(1, 10), (0, 1): 2})
         with pytest.raises(InvalidPresentationError, match="string or an int"):
             element_from_pairs(G, [["e3^1", coeff]])
+
+    @pytest.mark.parametrize("pairs", [
+        [["e3^1", "abc"]], [["e3^1", "1/0"]], [["e9^1", "1"]], [["e3^x", "1"]],
+        [["e3^1"]], [["e3^1", "1", "2"]]],
+        ids=["coefficient", "zero-denominator", "generator", "exponent", "short-pair",
+             "long-pair"])
+    def test_malformed_terms_refused(self, pairs):
+        with pytest.raises(InvalidPresentationError):
+            element_from_pairs(su_algebra(3), pairs)
 
     def test_checks_attached(self):
         doc = run_family(family_config(checks=("properties",)))
@@ -318,6 +328,60 @@ class TestCli:
             assert cli.main(["family", "sl-imag-sp", "--n", "2",
                              "--config", str(cfg)]) == 2, bad
             assert "usage error" in capsys.readouterr().err
+
+
+def _flags(params):
+    """The ``family`` command-line flags for a parameter dict."""
+    out = []
+    for k, v in params.items():
+        if k == "parts":
+            v = ",".join(":".join(map(str, a)) if isinstance(a, list) else str(a) for a in v)
+        out += [f"--{k}", str(v)]
+    return out
+
+
+class TestFamilyTable:
+    """Every family id and alias of the catalog table, through the CLI."""
+
+    @staticmethod
+    def smallest(fid):
+        ranks = FAMILIES[FAMILY_ALIASES.get(fid, fid)].ranks
+        return sweep_parameter_list(fid, {k: (1, 2) for k in ranks})[0]
+
+    @pytest.mark.parametrize("fid", [*FAMILY_IDS, *FAMILY_ALIASES])
+    def test_smallest_instance(self, fid, capsys):
+        assert cli.main(["family", fid, *_flags(self.smallest(fid)), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["family"] == FAMILY_ALIASES.get(fid, fid)
+        assert data["parameters"] == self.smallest(fid)
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_missing_or_unknown_flag_exits_2(self, fid, capsys):
+        params = self.smallest(fid)
+        for k in params:
+            argv = ["family", fid, *_flags({j: v for j, v in params.items() if j != k})]
+            assert cli.main(argv) == 2, argv
+            assert f"family {fid} needs exactly" in capsys.readouterr().err
+        other = next(k for k in ("n", "g", "p", "q") if k not in params)
+        assert cli.main(["family", fid, *_flags(params), f"--{other}", "1"]) == 2
+        assert other in capsys.readouterr().err.split("; got ")[1].strip().split(", ")
+
+    @pytest.mark.parametrize("fid", FAMILY_IDS)
+    def test_sweep_missing_range_exits_2(self, fid, capsys):
+        ranks = FAMILIES[fid].ranks
+        for k in ranks:
+            argv = ["sweep", fid, *(a for j in ranks if j != k for a in (f"--{j}", "1..2"))]
+            assert cli.main(argv) == 2, argv
+            assert f"sweep {fid} needs exactly" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rid", RINGS)
+    def test_ring_missing_flag_exits_2(self, rid, capsys):
+        names = RINGS[rid][1]
+        for k in names:
+            argv = ["ring", rid, *(a for j in names if j != k for a in (f"--{j}", "2"))]
+            assert cli.main(argv) == 2, argv
+            assert f"ring {rid} needs exactly" in capsys.readouterr().err
+        assert cli.main(["ring", rid, *(a for j in names for a in (f"--{j}", "2"))]) == 0
 
 
 class TestParserReuse:
