@@ -20,12 +20,22 @@ span of relation multiples, with columns sorted by the key descending.
 
 ``_enumerate_monomials`` yields the monomials of one degree lazily in
 this (basis) order, so a basis build stops at its last standard monomial.
+Its walk enters only branches that a reach table says can still yield.  A
+ring builds that table once, up to its top degree, and every degree's walk
+reads it; renamed copies share it.
 
 Quotients are built by ``model_quotient_algebra``, which computes in an
 isomorphic model ring and selects these standard monomials lazily, one
 degree at a time.
 Every ring kind has one product: ambient monomials multiply freely (with
 the Koszul sign) and each result is replaced by its cached normal form.
+``_free_mul`` is the one free product, for ``_mul_elements``,
+``pairing_matrix`` and the exterior duals alike.  Its sign is a bit count
+over two bitmasks of odd generators, memoised per monomial and ring; a ring
+without odd generators does no sign work.  An exterior normal form is the
+identity on square-free monomials (a repeated odd generator is 0), and a
+free product that survives is square-free, so exterior products skip that
+pass.
 
 Scalars and coefficients must be ``int`` or ``Fraction``: a float is
 refused, not rounded.  Integer inputs stay ``int`` until a division
@@ -97,31 +107,38 @@ def _count_monomials(degrees, parities, dmax):
     return counts
 
 
-def _enumerate_monomials(degrees, parities, d):
-    """Exponent tuples of weighted degree d (odd exponents capped at 1),
-    yielded lazily in ascending ``order_key`` order.
-
-    Exponents are fixed from the last generator down, each in ascending
-    order, within one exponent sum at a time.  A branch is entered only if
-    the generators before it can still reach the remaining (exponent sum,
-    degree) pair, so every branch yields.
-
-    >>> list(_enumerate_monomials([2, 2, 4], [0, 0, 0], 4))
-    [(0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
-    """
-    k = len(degrees)
-    # reach[i][s]: bit t is set iff generators 0..i-1 reach exponent sum s
-    # in degree t <= d.
-    mask = (1 << (d + 1)) - 1
+def _reach_table(degrees, parities, dmax):
+    """reach[i][s]: bit t is set iff generators 0..i-1 reach exponent sum s
+    in degree t <= dmax.  One table serves the walk of every degree up to
+    dmax."""
+    mask = (1 << (dmax + 1)) - 1
     reach = [[1]]
     for deg, par in zip(degrees, parities):
-        emax = 1 if par else d // deg
+        emax = 1 if par else dmax // deg
         prev = reach[-1]
         row = [0] * (len(prev) + emax)
         for s, bits in enumerate(prev):
             for e in range(emax + 1):
                 row[s + e] |= (bits << (e * deg)) & mask
         reach.append(row)
+    return reach
+
+
+def _enumerate_monomials(degrees, parities, d, reach):
+    """Exponent tuples of weighted degree d (odd exponents capped at 1),
+    yielded lazily in ascending ``order_key`` order.
+
+    Exponents are fixed from the last generator down, each in ascending
+    order, within one exponent sum at a time.  A branch is entered only if
+    the generators before it can still reach the remaining (exponent sum,
+    degree) pair, as read off ``reach``, a ``_reach_table`` of these
+    generators up to any degree >= d; so every branch yields.
+
+    >>> reach = _reach_table([2, 2, 4], [0, 0, 0], 8)
+    >>> list(_enumerate_monomials([2, 2, 4], [0, 0, 0], 4, reach))
+    [(0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
+    """
+    k = len(degrees)
     cur = [0] * k
 
     def rec(i, s, t):
@@ -241,6 +258,8 @@ class GradedAlgebra:
         self._degrees = tuple(g.degree for g in self.generators)
         self._parities = tuple(g.parity for g in self.generators)
         self._odd_indices = tuple(i for i, p in enumerate(self._parities) if p)
+        self._odd_masks = {}      # monomial -> (odd mask, above mask), see _free_mul
+        self._reach = []          # _reach_table up to the top degree, filled on first walk
         self._gen_index = {g.name: i for i, g in enumerate(self.generators)}
         if len(self._gen_index) != len(self.generators):
             raise InvalidPresentationError("duplicate generator names")
@@ -370,24 +389,38 @@ class GradedAlgebra:
                 name, _, exp = factor.strip().rpartition("^")
                 if name not in self._gen_index:
                     raise ValueError(f"unknown generator in monomial string: {factor!r}")
+                if int(exp) < 0:
+                    raise ValueError(f"negative exponent in monomial string: {factor!r}")
                 mont[self._gen_index[name]] += int(exp)
         return tuple(mont)
 
     def _free_mul(self, m1, m2):
         """Product of two ambient monomials: (sign, mont) or None if it dies.
-        Without odd generators there is no Koszul sign to count."""
+
+        The Koszul sign is the parity of the pairs (odd generator i of m1,
+        odd generator j of m2) with i > j.  Each monomial's odd mask (bit i
+        for each odd generator present) and above mask (bit j when an odd
+        number of its odd generators lie above j) are memoised per ring, so
+        the sign is one bit count.  Without odd generators there is no sign.
+        """
         if not self._odd_indices:
             return 1, tuple(map(add, m1, m2))
-        o1 = [i for i in self._odd_indices if m1[i]]
-        o2 = [j for j in self._odd_indices if m2[j]]
-        inversions = 0
-        for j in o2:
-            if m1[j]:
-                return None
-            for i in o1:
-                if i > j:
-                    inversions += 1
-        return (-1 if inversions % 2 else 1), tuple(map(add, m1, m2))
+        masks = self._odd_masks
+        odd1, above1 = masks.get(m1) or self._masks_of(m1)
+        odd2, _ = masks.get(m2) or self._masks_of(m2)
+        if odd1 & odd2:
+            return None
+        return (-1 if (above1 & odd2).bit_count() & 1 else 1), tuple(map(add, m1, m2))
+
+    def _masks_of(self, mont):
+        odd = above = 0
+        for i in reversed(self._odd_indices):
+            if odd.bit_count() & 1:
+                above |= 1 << i
+            if mont[i]:
+                odd |= 1 << i
+        self._odd_masks[mont] = masks = (odd, above)
+        return masks
 
     def normal_form_monomial(self, mont):
         """Reduce one ambient monomial to a {standard monomial: coefficient} dict."""
@@ -398,7 +431,7 @@ class GradedAlgebra:
         if d > self.top_degree:
             result = {}
         elif self.kind == "exterior":
-            result = {mont: 1}
+            result = {} if max(mont) > 1 else {mont: 1}
         elif self._factors is not None:
             a, b = self._factors
             s = self._split
@@ -418,7 +451,8 @@ class GradedAlgebra:
 
     def _mul_elements(self, a, b):
         """The one product: free products summed in place, then each nonzero
-        sum replaced by its cached normal form."""
+        sum replaced by its cached normal form.  An exterior normal form is
+        the identity on the square-free sums, so they are the product."""
         acc = {}
         get = acc.get
         free_mul = self._free_mul
@@ -428,6 +462,8 @@ class GradedAlgebra:
                 if hit is not None:
                     sign, mont = hit
                     acc[mont] = get(mont, 0) + sign * c1 * c2
+        if self.kind == "exterior":
+            return Element(self, {mont: c for mont, c in acc.items() if c})
         out = {}
         nf = self.normal_form_monomial
         for mont, c in acc.items():
@@ -435,9 +471,17 @@ class GradedAlgebra:
                 add_scaled(out, c, nf(mont))
         return Element(self, out)
 
+    def _monomials(self, d):
+        """The ambient monomials of degree d <= top, lazily in ``order_key``
+        order.  Every degree walks the ring's one reach table, built on the
+        first walk and filled in place, so renamed copies share it."""
+        if not self._reach:
+            self._reach[:] = _reach_table(self._degrees, self._parities, self.top_degree)
+        return _enumerate_monomials(self._degrees, self._parities, d, self._reach)
+
     def _build_basis(self, d):
         if self.kind == "exterior":
-            monts = list(_enumerate_monomials(self._degrees, self._parities, d))
+            monts = list(self._monomials(d))
             self._basis[d] = monts
             self._dims[d] = len(monts)
         elif self._factors is not None:
@@ -466,7 +510,7 @@ class GradedAlgebra:
         monomials, which is the non-pivot condition of the row reduction of
         the relation span."""
         target = self._dims[d]
-        monts = _enumerate_monomials(self._degrees, self._parities, d)
+        monts = self._monomials(d)
         # The k-th standard monomial's row carries tag column target + k.  A
         # candidate is standard iff its reduced class keeps a model column
         # (below target); the finished RREF also converts model coordinates.

@@ -394,11 +394,16 @@ def canonical_family_id(name):
 
 def build_family(family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """One instance of a family (an id or an alias); ``parameters`` must
-    name exactly the family's parameters."""
+    name exactly the family's parameters, and every rank must be an ``int``
+    (a ``bool`` is refused)."""
     fid = canonical_family_id(family_id)
     family = FAMILIES[fid]
     names = family.ranks if family.decompositions is None else (*family.ranks, "parts")
-    return family.build(*bind_parameters(f"family {fid}", names, parameters), monomial_cap)
+    values = bind_parameters(f"family {fid}", names, parameters)
+    for name, v in zip(family.ranks, values):
+        if type(v) is not int:
+            raise InvalidPresentationError(f"family {fid}: rank {name} must be an int, got {v!r}")
+    return family.build(*values, monomial_cap)
 
 
 # ------------------------------------------------------------- decisions

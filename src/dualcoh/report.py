@@ -59,6 +59,8 @@ def element_from_pairs(alg, pairs):
     for pair in pairs:
         try:
             monstr, coeff = pair
+            if type(monstr) is not str:
+                raise TypeError(f"monomial {monstr!r} is not a string")
             if type(coeff) not in (str, int):
                 raise TypeError(f"coefficient {coeff!r} is not a string or an int")
             mont = alg.parse_monomial(monstr)

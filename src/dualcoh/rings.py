@@ -267,10 +267,16 @@ class SchurRing:
         """Partitions obtained from lam by adding a vertical k-strip in the box.
 
         At most one box per row; descending shape and the p x q box are
-        enforced, so classes never leave the model.
+        enforced, so classes never leave the model.  A row takes a box only
+        while it is shorter than q, so ``room[i]``, the rows from i on that
+        are shorter than q, bounds what those rows can absorb; a row is
+        entered only if the rows after it can take the boxes left.
         """
         rows = min(self.p, len(lam) + k)
         base = list(lam) + [0] * (rows - len(lam))
+        room = [0] * (rows + 1)
+        for i in range(rows - 1, -1, -1):
+            room[i] = room[i + 1] + (base[i] < self.q)
         out = []
         delta = [0] * rows
 
@@ -279,15 +285,14 @@ class SchurRing:
                 full = [base[j] + delta[j] for j in range(i)] + base[i:]
                 out.append(tuple(v for v in full if v))
                 return
-            if i == rows or rem > rows - i:
-                return
             prev = (base[i - 1] + delta[i - 1]) if i else self.q
             nv = base[i] + 1
-            if nv <= prev and nv <= self.q:
+            if nv <= prev and nv <= self.q and rem <= room[i + 1] + 1:
                 delta[i] = 1
                 rec(i + 1, rem - 1)
                 delta[i] = 0
-            rec(i + 1, rem)
+            if rem <= room[i + 1]:
+                rec(i + 1, rem)
 
         rec(0, k)
         return out
@@ -296,23 +301,26 @@ class SchurRing:
         """Partitions obtained from lam by adding a horizontal k-strip in the box.
 
         Row i may grow up to the previous row's original length (no two new
-        boxes share a column); at most one new row appears.
+        boxes share a column); at most one new row appears.  ``room[i]`` is
+        what rows i.. can take together, and row i grows by at least what
+        the rows after it cannot take.
         """
         rows = min(self.p, len(lam) + 1)
         base = list(lam) + [0] * (rows - len(lam))
+        grow = [(self.q if i == 0 else base[i - 1]) - base[i] for i in range(rows)]
+        room = [0] * (rows + 1)
+        for i in range(rows - 1, -1, -1):
+            room[i] = room[i + 1] + grow[i]
         out = []
         mu = [0] * rows
 
         def rec(i, rem):
             if i == rows:
-                if rem == 0:
-                    out.append(tuple(v for v in mu if v))
+                out.append(tuple(v for v in mu if v))
                 return
-            upper = self.q if i == 0 else base[i - 1]
-            upper = min(upper, base[i] + rem)
-            for val in range(base[i], upper + 1):
-                mu[i] = val
-                rec(i + 1, rem - (val - base[i]))
+            for add in range(max(0, rem - room[i + 1]), min(grow[i], rem) + 1):
+                mu[i] = base[i] + add
+                rec(i + 1, rem - add)
             mu[i] = 0
 
         rec(0, k)

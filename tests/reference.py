@@ -12,8 +12,13 @@ classes multiplied out one product at a time.
 grouped morphisms by source: one fresh seeded draw and one product per pair
 for every morphism, in instance order.  ``direct_quotient`` is the quotient
 ring built by eager row reduction of every relation multiple, the
-construction the model-backed quotients must reproduce.  They are slow and
-obviously exact, which is what a reference is for.
+construction the model-backed quotients must reproduce.
+``per_degree_monomials``, ``list_free_mul`` (with ``list_product``),
+``vertical_strips`` and ``horizontal_strips`` are the monomial-layer
+kernels before they shared work: the enumerator building its reach table
+for the one degree it walks, the free product collecting odd generators
+into lists for each pair, and the Pieri strip walks exploring every branch.  They are slow and obviously
+exact, which is what a reference is for.
 """
 
 import random
@@ -24,7 +29,6 @@ from dualcoh.algebra import (
     Element,
     GradedAlgebra,
     _count_monomials,
-    _enumerate_monomials,
     _quotient,
 )
 from dualcoh.checks import CheckResult
@@ -45,6 +49,127 @@ def koszul_product(algebra, m1, m2):
                 return None
             sign *= (-1) ** sum(1 for i, e1 in enumerate(m1) if odd[i] and e1 and i > j)
     return sign, tuple(a + b for a, b in zip(m1, m2))
+
+
+def per_degree_monomials(degrees, parities, d):
+    """The exponent tuples of weighted degree d in ascending ``order_key``
+    order, walked over a reach table built for degree d alone."""
+    k = len(degrees)
+    mask = (1 << (d + 1)) - 1
+    reach = [[1]]
+    for deg, par in zip(degrees, parities):
+        emax = 1 if par else d // deg
+        prev = reach[-1]
+        row = [0] * (len(prev) + emax)
+        for s, bits in enumerate(prev):
+            for e in range(emax + 1):
+                row[s + e] |= (bits << (e * deg)) & mask
+        reach.append(row)
+    cur = [0] * k
+
+    def rec(i, s, t):
+        if i == 0:
+            yield tuple(cur)
+            return
+        deg, below = degrees[i - 1], reach[i - 1]
+        emax = min(t // deg, s, 1 if parities[i - 1] else s)
+        for e in range(emax + 1):
+            if s - e < len(below) and below[s - e] >> (t - e * deg) & 1:
+                cur[i - 1] = e
+                yield from rec(i - 1, s - e, t - e * deg)
+        cur[i - 1] = 0
+
+    for s, bits in enumerate(reach[k]):
+        if bits >> d & 1:
+            yield from rec(k, s, d)
+
+
+def list_free_mul(algebra, m1, m2):
+    """``(sign, m1 + m2)`` or None, counting the Koszul inversions over two
+    lists of the odd generators present."""
+    odd = [i for i, g in enumerate(algebra.generators) if g.degree % 2]
+    mont = tuple(a + b for a, b in zip(m1, m2))
+    if not odd:
+        return 1, mont
+    o1 = [i for i in odd if m1[i]]
+    o2 = [j for j in odd if m2[j]]
+    inversions = 0
+    for j in o2:
+        if m1[j]:
+            return None
+        for i in o1:
+            if i > j:
+                inversions += 1
+    return (-1 if inversions % 2 else 1), mont
+
+
+def vertical_strips(p, q, lam, k):
+    """Partitions from lam by a vertical k-strip inside the p x q box, every
+    branch explored."""
+    rows = min(p, len(lam) + k)
+    base = list(lam) + [0] * (rows - len(lam))
+    out = []
+    delta = [0] * rows
+
+    def rec(i, rem):
+        if rem == 0:
+            full = [base[j] + delta[j] for j in range(i)] + base[i:]
+            out.append(tuple(v for v in full if v))
+            return
+        if i == rows or rem > rows - i:
+            return
+        prev = (base[i - 1] + delta[i - 1]) if i else q
+        nv = base[i] + 1
+        if nv <= prev and nv <= q:
+            delta[i] = 1
+            rec(i + 1, rem - 1)
+            delta[i] = 0
+        rec(i + 1, rem)
+
+    rec(0, k)
+    return out
+
+
+def horizontal_strips(p, q, lam, k):
+    """Partitions from lam by a horizontal k-strip inside the p x q box,
+    every branch explored."""
+    rows = min(p, len(lam) + 1)
+    base = list(lam) + [0] * (rows - len(lam))
+    out = []
+    mu = [0] * rows
+
+    def rec(i, rem):
+        if i == rows:
+            if rem == 0:
+                out.append(tuple(v for v in mu if v))
+            return
+        upper = q if i == 0 else base[i - 1]
+        upper = min(upper, base[i] + rem)
+        for val in range(base[i], upper + 1):
+            mu[i] = val
+            rec(i + 1, rem - (val - base[i]))
+        mu[i] = 0
+
+    rec(0, k)
+    return out
+
+
+def list_product(a, b):
+    """``a * b`` summed in place over ``list_free_mul``, then normal forms:
+    the one product before its signs were memoised, term order included."""
+    alg = a.algebra
+    acc = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            hit = list_free_mul(alg, m1, m2)
+            if hit is not None:
+                sign, mont = hit
+                acc[mont] = acc.get(mont, 0) + sign * c1 * c2
+    out = {}
+    for mont, c in acc.items():
+        if c:
+            add_scaled(out, c, alg.normal_form_monomial(mont))
+    return Element(alg, out)
 
 
 def naive_product(a, b):
@@ -175,13 +300,13 @@ class DirectQuotient(GradedAlgebra):
                     self._dims[d] = 0
                     self._basis[d] = []
                 continue
-            monts = list(_enumerate_monomials(degrees, parities, d))[::-1]
+            monts = list(per_degree_monomials(degrees, parities, d))[::-1]
             col = {m: i for i, m in enumerate(monts)}
             rref = SparseRREF()
             for rdeg, rpoly in self.relations:
                 if rdeg > d:
                     continue
-                for m in _enumerate_monomials(degrees, parities, d - rdeg):
+                for m in per_degree_monomials(degrees, parities, d - rdeg):
                     row = {}
                     for rm, rc in rpoly.items():
                         c = col[tuple(a + b for a, b in zip(m, rm))]

@@ -1,6 +1,8 @@
 """Core graded-algebra machinery against hand-derived and enumerated oracles."""
 
 import doctest
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,9 +11,6 @@ from operator import add
 import pytest
 
 import dualcoh.algebra
-import dualcoh.catalog
-import dualcoh.linalg
-import dualcoh.morphisms
 import dualcoh.rings
 from dualcoh import (
     CapExceededError,
@@ -29,6 +28,7 @@ from dualcoh.algebra import (
     Element,
     _enumerate_monomials,
     _poincare_dual_by_solve,
+    _reach_table,
     model_quotient_algebra,
     order_key,
     pairing_matrix,
@@ -113,6 +113,13 @@ class TestExterior:
         alg = exterior_algebra([3, 5, 7])
         for name in ("e3", "e5", "e7"):
             assert (alg.gen(name) * alg.gen(name)).is_zero()
+
+    def test_repeated_odd_generator_is_zero(self):
+        alg = exterior_algebra([3, 5, 7])
+        assert alg.element({(2, 0, 0): 1, (0, 1, 0): 1}) == alg.gen("e5")
+        assert alg.normal_form_monomial((1, 3, 0)) == {}
+        ten = tensor_product(alg, lagrangian_algebra(2))
+        assert ten.element({(0, 2, 0, 1, 0): 1}).is_zero()
 
 
 class TestQuotient:
@@ -441,8 +448,9 @@ def test_enumerator_yields_in_order_key_order(kind):
         else:
             degrees = [rng.randint(1, 7) for _ in range(k)]
         parities = [g % 2 for g in degrees]
+        reach = _reach_table(degrees, parities, 19)
         for d in range(0, 20):
-            got = list(_enumerate_monomials(degrees, parities, d))
+            got = list(_enumerate_monomials(degrees, parities, d, reach))
             assert got == _brute_force_monomials(degrees, parities, d), (degrees, d)
 
 
@@ -582,7 +590,7 @@ class TestIntegerInputsStayExact:
                  lagrangian2(), tensor_product(lagrangian_algebra(2), su_algebra(3))]
         for alg in rings:
             for d in range(alg.top_degree + 1):
-                for m in _enumerate_monomials(alg._degrees, alg._parities, d):
+                for m in alg._monomials(d):
                     _assert_exact(alg.normal_form_monomial(m))
                     if alg._model is not None:  # model classes are integral
                         assert all(type(c) is int for c in alg._mont_class(m).values())
@@ -742,7 +750,15 @@ class TestProductKernel:
 
 
 def test_docstrings():
-    for module in (dualcoh.algebra, dualcoh.catalog, dualcoh.linalg, dualcoh.morphisms,
-                   dualcoh.rings):
-        results = doctest.testmod(module)
-        assert results.attempted and results.failed == 0, module.__name__
+    # Every module of the package that holds a doctest runs, so a new
+    # doctest cannot be left out of a list.
+    finder = doctest.DocTestFinder()
+    ran = []
+    for info in pkgutil.walk_packages(dualcoh.__path__, "dualcoh."):
+        module = importlib.import_module(info.name)
+        if any(test.examples for test in finder.find(module)):
+            results = doctest.testmod(module)
+            assert results.attempted and results.failed == 0, info.name
+            ran.append(info.name)
+    assert {"dualcoh.algebra", "dualcoh.catalog", "dualcoh.linalg", "dualcoh.morphisms",
+            "dualcoh.rings"} <= set(ran)

@@ -389,6 +389,14 @@ class TestFamilyTable:
             build_family("sl-imag-sp", {"n": 2, "g": 9})
         assert build_family("siegel", {"g": 3, "parts": [2, 1]}).family_id == "siegel-product"
 
+    @pytest.mark.parametrize("fid, params", [
+        ("sp-in-ugg", {"g": "3"}), ("sl-imag-sp", {"n": 2.0}), ("sp-in-ugg", {"g": True}),
+        ("unitary", {"p": 1, "q": False, "parts": [[1, 1]]})],
+        ids=["string", "float", "bool", "bool-second-rank"])
+    def test_non_int_rank_refused(self, fid, params):
+        with pytest.raises(InvalidPresentationError, match="rank . must be an int"):
+            build_family(fid, params)
+
     @pytest.mark.parametrize("fid", FAMILY_IDS)
     def test_missing_sweep_range_refused(self, fid):
         ranks = FAMILIES[fid].ranks

@@ -81,9 +81,9 @@ class TestReportDocument:
 
     @pytest.mark.parametrize("pairs", [
         [["e3^1", "abc"]], [["e3^1", "1/0"]], [["e9^1", "1"]], [["e3^x", "1"]],
-        [["e3^1"]], [["e3^1", "1", "2"]]],
+        [["e3^1"]], [["e3^1", "1", "2"]], [[3, "1"]], [[None, "1"]], [["e3^-1", "1"]]],
         ids=["coefficient", "zero-denominator", "generator", "exponent", "short-pair",
-             "long-pair"])
+             "long-pair", "int-monomial", "none-monomial", "negative-exponent"])
     def test_malformed_terms_refused(self, pairs):
         with pytest.raises(InvalidPresentationError):
             element_from_pairs(su_algebra(3), pairs)

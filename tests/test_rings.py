@@ -53,7 +53,7 @@ def assert_model_equals_direct(direct, fast):
     for d in range(top + 1):
         assert direct.basis(d) == fast.basis(d)
     for d in range(0, top + 1, 2):
-        for m in _enumerate_monomials(direct._degrees, direct._parities, d):
+        for m in direct._monomials(d):
             assert (direct.normal_form_monomial(m)
                     == fast.normal_form_monomial(m)), (d, m)
     basis = [m for d in range(top + 1) for m in direct.basis(d)]
