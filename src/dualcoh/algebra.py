@@ -58,8 +58,8 @@ model, tensor products) solves the pairing system; that path is also the
 reference the tests hold the other two against.
 """
 
+from collections import namedtuple
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -73,12 +73,10 @@ from .linalg import SparseRREF, add_scaled, solve
 DEFAULT_MONOMIAL_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "name degree")):
     """A ring generator with a fixed cohomological degree."""
 
-    name: str
-    degree: int
+    __slots__ = ()
 
     @property
     def parity(self):
@@ -351,20 +349,37 @@ class GradedAlgebra:
         return self.element({mont: 1})
 
     def basis_element(self, mont):
+        """The basis monomial ``mont`` as an element; anything else is refused."""
+        self._check_exponents(mont)
+        if not self._is_basis_monomial(mont):
+            raise InvalidPresentationError(f"{self.monomial_string(mont)} is not a basis monomial")
         return Element(self, {mont: 1})
 
     def element(self, raw_terms):
         """Element from an ambient {exponent tuple: coefficient} dict."""
         out = {}
         for mont, c in raw_terms.items():
+            self._check_exponents(mont)
             if not isinstance(c, (int, Fraction)):
                 raise InvalidPresentationError(f"inexact coefficient {c!r}")
-            if not c:
-                continue
-            if len(mont) != len(self.generators):
-                raise ValueError("exponent tuple length does not match generators")
-            add_scaled(out, c, self.normal_form_monomial(mont))
+            if c:
+                add_scaled(out, c, self.normal_form_monomial(mont))
         return Element(self, out)
+
+    def _check_exponents(self, mont):
+        """Refuse all but a tuple of one ``int`` >= 0 (not a ``bool``) per generator."""
+        if (type(mont) is not tuple or len(mont) != len(self.generators)
+                or any(type(e) is not int or e < 0 for e in mont)):
+            raise InvalidPresentationError(f"{mont!r} is not one int >= 0 per generator")
+
+    def _is_basis_monomial(self, mont):
+        """Whether an exponent tuple is a basis monomial; exterior parts build no basis."""
+        if self.kind == "exterior":
+            return max(mont) <= 1
+        if self._factors is not None:
+            (a, b), s = self._factors, self._split
+            return a._is_basis_monomial(mont[:s]) and b._is_basis_monomial(mont[s:])
+        return mont in self.basis_positions(self.monomial_degree(mont))
 
     def coords(self, elem, d):
         pos = self.basis_positions(d)
@@ -616,7 +631,7 @@ def _normalize_relations(gens, relations):
 
 def _quotient(generators, relations, top_degree, monomial_cap):
     """The validated presentation, with no basis or product built yet."""
-    gens = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
+    gens = [Generator(*g) for g in generators]
     if not gens:
         raise InvalidPresentationError("quotient algebra needs at least one generator")
     if any(g.degree <= 0 or g.degree % 2 for g in gens):
@@ -803,21 +818,21 @@ def _model_dual(algebra, phi, e):
     monomial, and to 0 with every other key of dual(mu)'s degree."""
     model = algebra._model
     d = algebra.top_degree - e
-    keys = model.keys(e)
-    duals = [model.dual(k) for k in keys]
-    if len(set(duals)) != len(keys) or set(duals) != set(model.keys(d)):
+    duals = [model.dual(k) for k in model.keys(e)]
+    if len(set(duals)) != len(duals) or set(duals) != set(model.keys(d)):
         raise InconsistentPresentationError(
             f"model dual does not map degree {e} one-to-one onto degree {d}")
     [top_key] = model.keys(algebra.top_degree)
     c = algebra._mont_class(algebra.canonical_top_monomial()).get(top_key, 0)
     if not c:
         raise InconsistentPresentationError("canonical top monomial is zero in the model")
-    x = {}
-    for mu, dual_mu in zip(keys, duals):
-        s = sum(cw * phi.get(w, 0)
-                for w, cw in algebra._model_coords_to_std({mu: 1}, e).items())
-        if s:
-            x[dual_mu] = c * s
+    # Key i's standard coordinates are the tag part (column n + j for basis
+    # monomial j) of the degree-e conversion's monic pivot row i.
+    basis = algebra.basis(e)
+    n = len(basis)
+    phi_keys = algebra._std_convert[e].pivot_row_dots(
+        {n + j: phi[w] for j, w in enumerate(basis) if phi.get(w)})
+    x = {duals[i]: c * phi_keys[i] for i in sorted(phi_keys)}
     return Element(algebra, algebra._model_coords_to_std(x, d))
 
 
@@ -839,10 +854,7 @@ def _poincare_dual_by_solve(algebra, phi, e):
 def is_divisible(v, g):
     """Witness w with g*w == v, or None when no such element exists."""
     alg = v.algebra
-    if isinstance(g, Generator):
-        gname = g.name
-    else:
-        gname = g
+    gname = g.name if isinstance(g, Generator) else g
     ge = alg.gen(gname)
     gdeg = alg.generator(gname).degree
     if v.is_zero():

@@ -17,20 +17,17 @@ for the Lagrangian rings) it is cross-checked in the check suites.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
-    Element,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
     tensor_product,
 )
 from .errors import InvalidPresentationError
 from .morphisms import (
-    Morphism,
     apply,
     build_morphism,
     gysin_fundamental_class,
@@ -48,24 +45,28 @@ from .rings import (
 _FACTOR_PREFIXES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
 
 
-@dataclass
 class FamilyInstance:
     """One embedding H -> G from the catalog, ready for the decision procedures."""
 
-    family_id: str
-    parameters: dict
-    dual_G: object
-    dual_H: object
-    restriction: Morphism
-    franke_ideal: list          # elements of dual_G
-    compact_support_generator: str | None = None   # generator name in dual_G
-    levi_restriction: Morphism | None = None
-    levi_franke_generator: str | None = None       # generator name in the Levi dual
-    notes: dict = field(default_factory=dict)
+    def __init__(self, family_id, parameters, dual_G, dual_H, restriction,
+                 franke_ideal, compact_support_generator=None,
+                 levi_restriction=None, levi_franke_generator=None, notes=None):
+        self.family_id = family_id
+        self.parameters = parameters
+        self.dual_G = dual_G
+        self.dual_H = dual_H
+        self.restriction = restriction
+        self.franke_ideal = franke_ideal  # elements of dual_G
+        self.compact_support_generator = compact_support_generator  # a generator name in dual_G
+        self.levi_restriction = levi_restriction
+        self.levi_franke_generator = levi_franke_generator  # a generator name in the Levi dual
+        self.notes = {} if notes is None else notes
 
 
-@dataclass
-class GhostCertificate:
+class GhostCertificate(namedtuple(
+        "GhostCertificate",
+        "not_compactly_supported levi_restriction_in_levi_kernel is_ghost discrepancy_note",
+        defaults=[""])):
     """Boundary-behaviour certificate for the special-linear families.
 
     ``not_compactly_supported``: the dual class is not divisible by the top
@@ -77,20 +78,11 @@ class GhostCertificate:
     through the core divisibility primitive ``is_divisible``.
     """
 
-    not_compactly_supported: bool
-    levi_restriction_in_levi_kernel: bool
-    is_ghost: bool
-    discrepancy_note: str = ""
+    __slots__ = ()
 
 
-@dataclass
-class Verdict:
-    fundamental_class: Element
-    nonvanishing: bool
-    nonvanishing_witness: Element | None
-    ghost: GhostCertificate | None
-    betti_G: list
-    betti_H: list
+Verdict = namedtuple("Verdict", "fundamental_class nonvanishing nonvanishing_witness "
+                                "ghost betti_G betti_H")
 
 
 # ------------------------------------------------------------ SL families

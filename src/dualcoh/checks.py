@@ -21,7 +21,7 @@ on raw exponent dictionaries in the root variables.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 
@@ -58,11 +58,7 @@ from .rings import (
 SUITE_NAMES = ("oracle", "paper-identities", "properties")
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=[""])
 
 
 # ------------------------------------------------- independent enumerators
@@ -583,10 +579,7 @@ def check_scalar_invariance(cases):
                                    f"{inst.family_id} {inst.parameters}: lambda={lam}")
             if v.ghost is not None:
                 g2 = decide_ghost(inst, scaled, again is not None)
-                if (g2.not_compactly_supported, g2.levi_restriction_in_levi_kernel,
-                        g2.is_ghost) != (v.ghost.not_compactly_supported,
-                                         v.ghost.levi_restriction_in_levi_kernel,
-                                         v.ghost.is_ghost):
+                if g2 != v.ghost:
                     return CheckResult("verdict-scalar-invariance", False,
                                        f"{inst.family_id} {inst.parameters}: ghost flip")
     return CheckResult("verdict-scalar-invariance", True, f"{len(cases)} instances")

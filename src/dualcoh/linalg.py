@@ -102,6 +102,16 @@ class SparseRREF:
         """Pivot column -> monic row, computed afresh on every read."""
         return {p: _divide(row, row[p]) for p, row in self.rows.items()}
 
+    def pivot_row_dots(self, vec):
+        """Pivot column p -> monic row p dotted with the sparse ``vec``, where nonzero."""
+        out = {}
+        for p, row in self.rows.items():
+            t = sum(v * vec[c] for c, v in row.items() if c in vec)
+            if t:
+                q, r = divmod(t, row[p])
+                out[p] = Fraction(t, row[p]) if r else q
+        return out
+
     def _reduce(self, row):
         """``(w, s)`` with w an integer row and w / s the reduced ``row``."""
         w, s = _integral(row)

@@ -19,14 +19,12 @@ solves the pairing system.
 """
 
 import random
-from dataclasses import dataclass
 
 from .algebra import Element, monomial_value, poincare_dual
 from .errors import InvalidPresentationError
 from .linalg import add_scaled
 
 
-@dataclass
 class Morphism:
     """A ring homomorphism given on generators.
 
@@ -34,11 +32,10 @@ class Morphism:
     instantiation skips the relation check.
     """
 
-    source: object
-    target: object
-    generator_images: dict  # generator name -> Element of target
-
-    def __post_init__(self):
+    def __init__(self, source, target, generator_images):
+        self.source = source
+        self.target = target
+        self.generator_images = generator_images  # generator name -> Element of target
         self._image_cache = {(0,) * len(self.source.generators): self.target.one()}
 
     def image_of_monomial(self, mont):

@@ -9,7 +9,6 @@ diagnostic) so that determinism holds at the byte level.
 
 import json
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__ as TOOL_VERSION
@@ -25,21 +24,20 @@ from .errors import InvalidPresentationError
 
 SCHEMA_VERSION = 2
 
-@dataclass
 class RunConfig:
-    family_id: str | None
-    parameters: dict
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP
-    seed: int = 42
-    checks: tuple = ()
+    """One command's settings; an alias of ``family_id`` is canonicalised."""
 
-    def __post_init__(self):
-        if self.family_id is not None:
-            self.family_id = canonical_family_id(self.family_id)
-        bad = set(self.checks) - set(SUITE_NAMES)
+    def __init__(self, family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP,
+                 seed=42, checks=()):
+        self.family_id = None if family_id is None else canonical_family_id(family_id)
+        bad = set(checks) - set(SUITE_NAMES)
         if bad:
             raise InvalidPresentationError(
                 f"unknown check suites {sorted(bad)}; known: {', '.join(SUITE_NAMES)}")
+        self.parameters = parameters
+        self.monomial_cap = monomial_cap
+        self.seed = seed
+        self.checks = checks
 
 
 def element_pairs(alg, elem):
@@ -70,37 +68,44 @@ def element_from_pairs(alg, pairs):
     return alg.element(raw)
 
 
-@dataclass
 class ReportDocument:
     """One family run: parameters, Betti data, dual class, and verdicts.
 
     ``fundamental_class`` (and any witness) is a list of
     [monomial string, rational string] pairs in basis order.  ``timing`` is
-    wall-clock seconds; it is excluded from ``to_dict`` (and hence from
-    JSON) so identical configurations serialize identically.
+    wall-clock seconds; it is not one of ``FIELDS``, which ``to_dict`` (and
+    hence JSON) and ``from_dict`` read, so identical configurations
+    serialize identically.
     """
 
-    family: str
-    parameters: dict
-    betti_G: list
-    betti_H: list
-    top_degree_G: int
-    top_degree_H: int
-    fundamental_class: list
-    nonvanishing: dict
-    ghost: dict
-    notes: dict = field(default_factory=dict)
-    check_results: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = TOOL_VERSION
-    timing: float | None = None
+    FIELDS = ("family", "parameters", "betti_G", "betti_H", "top_degree_G",
+              "top_degree_H", "fundamental_class", "nonvanishing", "ghost", "notes",
+              "check_results", "schema_version", "tool_version")
+
+    def __init__(self, family, parameters, betti_G, betti_H, top_degree_G, top_degree_H,
+                 fundamental_class, nonvanishing, ghost, notes=None, check_results=None,
+                 schema_version=SCHEMA_VERSION, tool_version=TOOL_VERSION, timing=None):
+        self.family = family
+        self.parameters = parameters
+        self.betti_G = betti_G
+        self.betti_H = betti_H
+        self.top_degree_G = top_degree_G
+        self.top_degree_H = top_degree_H
+        self.fundamental_class = fundamental_class
+        self.nonvanishing = nonvanishing
+        self.ghost = ghost
+        self.notes = {} if notes is None else notes
+        self.check_results = [] if check_results is None else check_results
+        self.schema_version = schema_version
+        self.tool_version = tool_version
+        self.timing = timing
 
     def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timing"}
+        return {name: getattr(self, name) for name in self.FIELDS}
 
     @classmethod
     def from_dict(cls, data):
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name != "timing"})
+        return cls(**{name: data[name] for name in cls.FIELDS})
 
     def to_json(self):
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -132,9 +137,7 @@ def run_family(config):
     if config.checks:
         results = instance_checks(inst, verdict, sorted(set(config.checks)),
                                   seed=config.seed)
-        doc.check_results = [
-            {"name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results]
+        doc.check_results = [r._asdict() for r in results]
     doc.timing = time.monotonic() - t0
     return doc
 
@@ -142,13 +145,7 @@ def run_family(config):
 def _ghost_dict(cert):
     if cert is None:
         return {"present": False}
-    return {
-        "present": True,
-        "not_compactly_supported": cert.not_compactly_supported,
-        "levi_restriction_in_levi_kernel": cert.levi_restriction_in_levi_kernel,
-        "is_ghost": cert.is_ghost,
-        "discrepancy_note": cert.discrepancy_note,
-    }
+    return {"present": True, **cert._asdict()}
 
 
 # ------------------------------------------------------------------ sweeps
@@ -201,6 +198,5 @@ def run_checks(config):
         "seed": config.seed,
         "suites": names,
         "passed": all(r.passed for r in results),
-        "results": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results],
+        "results": [r._asdict() for r in results],
     }

@@ -425,6 +425,52 @@ class TestStructuralProperties:
         assert back == v
 
 
+class TestExponents:
+    """``element`` takes only exponent tuples of non-negative ints, and
+    ``basis_element`` only basis monomials."""
+
+    @pytest.mark.parametrize("ring, mont", [
+        (lambda: lagrangian_algebra(2), (-1, 1)),
+        (lambda: su_algebra(3), (-1, 0)),
+        (lambda: su_algebra(3), (1.0, 0)),
+        (lambda: su_algebra(3), (True, 0)),
+        (lambda: su_algebra(3), (1, 0, 0)),
+    ])
+    def test_element_refuses_a_non_exponent(self, ring, mont):
+        alg = ring()
+        with pytest.raises(InvalidPresentationError, match="one int >= 0 per generator"):
+            alg.element({mont: 1})
+        with pytest.raises(InvalidPresentationError, match="one int >= 0 per generator"):
+            alg.basis_element(mont)
+
+    def test_exterior_square_is_still_zero(self):
+        assert exterior_algebra([3, 5, 7]).element({(2, 0, 0): 1}).is_zero()
+
+    @pytest.mark.parametrize("ring, mont", [
+        (lambda: su_algebra(3), (2, 0)),
+        (lambda: su_algebra(3), (0, 5)),
+        (lambda: lagrangian_algebra(3), (2, 0, 0)),
+        (lambda: tensor_product(su_algebra(3), lagrangian_algebra(2)), (1, 1, 2, 0)),
+        (lambda: tensor_product(su_algebra(3), lagrangian_algebra(2)), (2, 0, 0, 1)),
+    ])
+    def test_basis_element_refuses_a_non_basis_monomial(self, ring, mont):
+        with pytest.raises(InvalidPresentationError, match="not a basis monomial"):
+            ring().basis_element(mont)
+
+    def test_basis_element_builds_only_the_basis_it_reads(self):
+        A, L = exterior_algebra([3, 5]), lagrangian2()
+        T = tensor_product(A, L)
+        a, t = A.basis_element((1, 1)), T.basis_element((1, 0, 0, 1))
+        assert (A._basis, T._basis, set(L._basis)) == ({}, {}, {4})
+        assert a == A.gen("e3") * A.gen("e5")
+        assert t == T.gen("e3") * T.gen("sigma2")
+
+    def test_basis_element_takes_every_basis_monomial(self):
+        T = tensor_product(su_algebra(3), lagrangian_algebra(2))
+        for d in T.nonzero_degrees():
+            assert [T.basis_element(m).terms for m in T.basis(d)] == [{m: 1} for m in T.basis(d)]
+
+
 def _brute_force_monomials(degrees, parities, d):
     """Every exponent box point of weighted degree d, sorted by order_key."""
     out = [()]
@@ -514,6 +560,21 @@ class TestSparseRREF:
         x, rank = solve([[2, 3], [4, 5]], [1, 1])
         assert rank == 2 and x == [Fraction(-1, 2), Fraction(1, 2)]
         assert all(_exact(v) for v in x)
+
+    def test_pivot_row_dots_read_the_monic_rows(self):
+        rng = random.Random(2026)
+        entries = [-3, -2, -1, 1, 2, 3]
+        for _ in range(200):
+            rr = SparseRREF()
+            for _ in range(rng.randint(1, 5)):
+                rr.add({c: rng.choice(entries) for c in rng.sample(range(8), 3)})
+            vec = {c: Fraction(rng.choice(entries), rng.randint(1, 3))
+                   for c in rng.sample(range(8), 4)}
+            want = {p: sum(v * vec.get(c, 0) for c, v in row.items())
+                    for p, row in rr.pivot_rows.items()}
+            got = rr.pivot_row_dots(vec)
+            assert got == {p: t for p, t in want.items() if t}
+            assert all((type(t) is int) == (t.denominator == 1) for t in got.values())
 
     def test_floats_refused(self):
         with pytest.raises(TypeError):
