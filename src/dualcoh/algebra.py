@@ -48,14 +48,12 @@ that checks and tests compare it against.
 
 ``poincare_dual(algebra, phi, e)`` is the class xi of degree top - e with
 <xi, w> = phi[w] on the degree-e basis, which is how the Gysin class is
-made.  Its case follows from the ring.  In an exterior algebra each basis
-monomial pairs to a sign with its complement and to 0 with every other
-monomial, so xi is a signed sum of complements.  A model with a self-dual
-basis (``dual(key)``, as the Schur basis pairs a partition with its
-complement in the box) gives xi's model coordinates as one contraction,
-converted to standard monomials once.  Every other ring (the Lagrangian
-model, tensor products) solves the pairing system; that path is also the
-reference the tests hold the other two against.
+made, without a solve.  An exterior basis monomial pairs to a sign with
+its complement and to 0 with every other monomial, so xi is a signed sum of
+complements.  Every model's basis is self-dual (``dual(key)``: a Schur
+partition pairs with its complement in the box, a Q-tilde strict partition
+with the parts it misses), so xi's model coordinates are one contraction,
+converted to standard monomials once.  A tensor product is refused.
 """
 
 from collections import namedtuple
@@ -651,16 +649,13 @@ def model_quotient_algebra(generators, relations, model,
     {exponent tuple: coefficient} dicts over those generators.  ``model`` is
     a ring isomorphic to the quotient that is cheap to multiply in.  It
     provides ``top_degree``, ``keys(d)`` (its basis of degree d), ``one``
-    (the class of 1) and ``mult(cls, i)`` (a class times generator i,
-    0-based); classes are {key: int or Fraction} dicts over those keys.
-    Bases and normal forms follow the module's standard-monomial contract,
-    and every presentation relation must vanish in the model.
-
-    A model may also provide ``dual(key)``: the key of complementary
+    (the class of 1), ``mult(cls, i)`` (a class times generator i, 0-based)
+    and ``dual(key)``, for :func:`poincare_dual`: the key of complementary
     degree whose product with ``key`` is the top key, when the product of
     ``key`` with every other key of that degree has no top-key term.
-    :func:`poincare_dual` then contracts instead of solving the pairing
-    system.
+    Classes are {key: int or Fraction} dicts over the keys.  Bases and
+    normal forms follow the module's standard-monomial contract, and every
+    presentation relation must vanish in the model.
     """
     alg = _quotient(generators, relations, model.top_degree, monomial_cap)
     worst = max(_count_monomials(alg._degrees, alg._parities, alg.top_degree))
@@ -768,10 +763,11 @@ def poincare_dual(algebra, phi, e):
 
     ``phi`` maps the basis monomials of degree e to ``int`` or ``Fraction``
     values; a monomial it omits counts as 0.  The case follows from the
-    ring: exterior algebras pair each monomial with its complement, a model
-    with ``dual(key)`` pairs each key with its dual key, and any other ring
-    solves the pairing system (``InconsistentPresentationError`` when the
-    pairing is degenerate or the system infeasible).
+    ring: exterior algebras pair each monomial with its complement, and a
+    model-backed quotient pairs each key with its ``dual(key)``.  Any other
+    ring (a tensor product) raises ``InvalidPresentationError``, and a
+    model dual that does not pair to the identity raises
+    ``InconsistentPresentationError``.
 
     >>> A = exterior_algebra([3, 5, 7, 9])
     >>> A.basis(12)
@@ -783,10 +779,10 @@ def poincare_dual(algebra, phi, e):
         raise InvalidPresentationError("inexact value in the pairing functional")
     if algebra.kind == "exterior":
         xi = _exterior_dual(algebra, phi, e)
-    elif getattr(algebra._model, "dual", None) is not None:
+    elif algebra._model is not None:
         xi = _model_dual(algebra, phi, e)
     else:
-        return _poincare_dual_by_solve(algebra, phi, e)
+        raise InvalidPresentationError(f"a {algebra.kind} ring has no dual basis")
     # Tripwire on one column; check_gysin_soundness checks them all.
     basis = algebra.basis(e)
     if basis and pairing(xi, algebra.basis_element(basis[0])) != phi.get(basis[0], 0):
@@ -834,21 +830,6 @@ def _model_dual(algebra, phi, e):
         {n + j: phi[w] for j, w in enumerate(basis) if phi.get(w)})
     x = {duals[i]: c * phi_keys[i] for i in sorted(phi_keys)}
     return Element(algebra, algebra._model_coords_to_std(x, d))
-
-
-def _poincare_dual_by_solve(algebra, phi, e):
-    """The general case: one tagged solve of the n x n pairing system."""
-    d = algebra.top_degree - e
-    unknowns, equations = algebra.basis(d), algebra.basis(e)
-    columns = pairing_matrix(algebra, d)
-    sol, rank = solve(columns, [phi.get(w, 0) for w in equations])
-    if rank < len(unknowns):
-        raise InconsistentPresentationError(
-            f"pairing between degrees {d} and {e} is degenerate")
-    if sol is None:
-        raise InconsistentPresentationError(
-            "dual-class system is infeasible; morphism or presentation is wrong")
-    return algebra.element_from_coords(sol, d)
 
 
 def is_divisible(v, g):

@@ -190,9 +190,11 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
         raise InvalidPresentationError(f"family siegel needs g >= 1, got {g}")
     parts = _validate_parts(parts, g, "siegel partition")
     G = lagrangian_algebra(g, monomial_cap)
-    H = _product_ring([lagrangian_algebra(gi, monomial_cap, prefix=_FACTOR_PREFIXES[i])
+    # factors after the sixth get f7_, f8_, ..., which start no other name
+    prefixes = _FACTOR_PREFIXES + tuple(f"f{i}_" for i in range(7, len(parts) + 1))
+    H = _product_ring([lagrangian_algebra(gi, monomial_cap, prefix=prefixes[i])
                        for i, gi in enumerate(parts)], monomial_cap)
-    classes = [[f"{_FACTOR_PREFIXES[i]}{j}" for j in range(1, gi + 1)]
+    classes = [[f"{prefixes[i]}{j}" for j in range(1, gi + 1)]
                for i, gi in enumerate(parts)]
     images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
     restriction = build_morphism(G, H, images)

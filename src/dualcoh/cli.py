@@ -70,13 +70,15 @@ def _parse_range(text):
 
 
 def _resolve_cap(args, cfg):
-    """The monomial cap from --cap, the loaded --config or DUALCOH_MONOMIAL_CAP."""
+    """The monomial cap: --cap, else the loaded --config, else DUALCOH_MONOMIAL_CAP."""
     env = os.environ.get("DUALCOH_MONOMIAL_CAP")
-    try:
-        fallback = int(env) if env else DEFAULT_MONOMIAL_CAP
-    except ValueError:
-        raise InvalidPresentationError(
-            f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
+    fallback = DEFAULT_MONOMIAL_CAP
+    if env and getattr(args, "cap", None) is None and "cap" not in cfg:
+        try:
+            fallback = int(env)
+        except ValueError:
+            raise InvalidPresentationError(
+                f"DUALCOH_MONOMIAL_CAP must be an integer, got {env!r}")
     cap = _resolve_int(args, cfg, "cap", fallback)
     if cap < 1:
         raise InvalidPresentationError(f"the monomial cap must be at least 1, got {cap}")

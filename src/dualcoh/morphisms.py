@@ -13,9 +13,9 @@ algebras is the unique xi in A of degree top(A) - top(B) such that
 where both sides use the canonical-top orientation convention.  It is the
 compact-dual avatar of integration over the subspace.  The right-hand
 sides are n applications of f; ``poincare_dual`` contracts them against a
-dual basis of A (complementary monomials for exterior sources, dual Schur
-keys for Grassmannian ones), and only a source without a known dual basis
-solves the pairing system.
+dual basis of A: complementary monomials for exterior sources, dual Schur
+keys for Grassmannian ones and dual Q-tilde keys for Lagrangian ones.
+Nothing solves the pairing system.
 """
 
 import random
@@ -104,9 +104,9 @@ def gysin_fundamental_class(morphism):
     """The dual class, contracted from the top coefficients of f on basis(top(B)).
 
     phi[w] = top-coefficient_B(f(w)) for each basis monomial w of degree
-    top(B), and :func:`~dualcoh.algebra.poincare_dual` turns phi into the
-    class against a dual basis of the source; only sources without a known
-    dual basis solve the pairing system.  Inconsistent input raises
+    top(B), and :func:`~dualcoh.algebra.poincare_dual` contracts phi
+    against a dual basis of the source; a source without one (a tensor
+    product) raises InvalidPresentationError, and inconsistent input
     InconsistentPresentationError.  The class is normalized by orienting
     both rings by their canonical top monomials; rescaling either rescales
     it, and no boolean verdict downstream depends on that.

@@ -1,12 +1,14 @@
 """Builders for the compact-dual cohomology rings used by the catalog.
 
 Exterior algebras come straight from the generic constructor.  Both
-quotient families are model-backed (``model_quotient_algebra``): square-free
-monomials with a straightening rule for the Lagrangian-Grassmannian rings,
-a Schur basis (partitions in a p x q box, Pieri-rule multiplication) for the
-(sigma, tau) Grassmannian presentations.  The exposed basis and normal forms
-follow the row-reduction contract; the direct row reduction of the relation
-span is the reference the tests compare against.
+quotient families are model-backed (``model_quotient_algebra``) on a
+self-dual Schubert basis with Pieri-rule multiplication: Q-tilde classes
+(strict partitions inside (g, ..., 1)) for the Lagrangian-Grassmannian
+rings, Schur classes (partitions in a p x q box) for the (sigma, tau)
+Grassmannian presentations.  The two models share one memoised product.
+The exposed basis and normal forms follow the row-reduction contract; the
+direct row reduction of the relation span is the reference the tests
+compare against.
 
 Every builder caches its rings by argument.  Rings that differ only in
 generator names (the ``prefix`` and ``suffix`` of the product-family
@@ -108,56 +110,83 @@ def lagrangian_relations(g):
     return rels
 
 
-class StraighteningModel:
-    """Internal model of H*(Sp(2g)/U(g)) on the 2^g square-free monomials.
+class _PieriModel:
+    """The product of the Schubert-basis models: each key's ``_step(key, i)``
+    is memoised on its first use, and callers own what ``mult`` returns."""
 
-    Keys are 0/1 exponent tuples over sigma_1..sigma_g (a basis, by
-    Pragacz's Q-tilde-polynomial theory; not the standard monomials).  A
-    repeated sigma_k is straightened by the degree-4k relation
-        sigma_k^2 = (-1)^(k+1) * 2 * sum_{j<k} (-1)^j sigma_j sigma_{2k-j},
-    with sigma_0 = 1 and sigma_k = 0 for k > g; the rewrite terminates, as
-    it strictly increases the sum of squared indices.
+    def mult(self, cls, i):
+        out = {}
+        memo = self._memo
+        for key, c in cls.items():
+            step = memo.get((key, i))
+            if step is None:
+                step = memo[(key, i)] = self._step(key, i)
+            add_scaled(out, c, step)
+        return out
+
+
+class QTildeRing(_PieriModel):
+    """Internal Schubert-basis model of H*(Sp(2g)/U(g)).
+
+    Keys are the strict partitions lam inside (g, ..., 1), for Pragacz's
+    classes Q-tilde_lam (1991); sigma_k is Q-tilde_(k), and multiplies by
+    the Pieri rule of Hiller and Boe (1986).  The basis is self-dual.
     """
 
     def __init__(self, g):
         self.g = g
         self.top_degree = g * (g + 1)
-        self.one = {(0,) * g: 1}
+        self.one = {(): 1}
         self._memo = {}
-        self._keys = None
+        # by degree, in the product((0, 1), repeat=g) order of the part sets
+        self._keys = {}
+        for parts in product((0, 1), repeat=g):
+            lam = tuple(k for k in range(g, 0, -1) if parts[k - 1])
+            self._keys.setdefault(2 * sum(lam), []).append(lam)
 
     def keys(self, d):
-        """The keys of degree d, in ``product((0, 1), repeat=g)`` order."""
-        if self._keys is None:
-            self._keys = {}
-            for key in product((0, 1), repeat=self.g):
-                d_key = sum(2 * k for k, e in enumerate(key, 1) if e)
-                self._keys.setdefault(d_key, []).append(key)
         return self._keys.get(d, [])
 
-    def mult(self, cls, i):
-        out = {}
-        for key, c in cls.items():
-            add_scaled(out, c, self._times(key, i + 1))
-        return out
+    def dual(self, lam):
+        """The parts of {1..g} that lam misses (Pragacz's duality).
 
-    def _times(self, key, k):
-        """sigma_key * sigma_k, straightened; memoised per (key, k)."""
-        if k == 0:
-            return {key: 1}
-        if k > self.g:
-            return {}
-        out = self._memo.get((key, k))
-        if out is None:
-            flipped = key[:k - 1] + (1 - key[k - 1],) + key[k:]
-            if not key[k - 1]:
-                out = {flipped: 1}
-            else:  # sigma_key = sigma_k * sigma_flipped: straighten sigma_k^2
-                out = {}
-                for j in range(k):
-                    for mid, c in self._times(flipped, j).items():
-                        add_scaled(out, (-1) ** (k + 1 + j) * 2 * c, self._times(mid, 2 * k - j))
-            self._memo[(key, k)] = out
+        >>> QTildeRing(4).dual((3, 1))
+        (4, 2)
+        """
+        return tuple(k for k in range(self.g, 0, -1) if k not in lam)
+
+    def _step(self, lam, i):
+        """Q_lam times sigma_{i+1}: each strict mu with mu_1 <= g,
+        mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... and |mu| = |lam| + i + 1, times
+        2^(a - (l(mu) - l(lam))), a the number of connected components of the
+        shifted skew diagram mu/lam.  Row r grows to lam_{r-1} (to g if r = 0;
+        one less if row r - 1 did not grow, as mu is strict), and by at least
+        what later rows cannot take (``room``).  A grown row is a new
+        component unless mu_r = lam_{r-1} joins it to the row above."""
+        g = self.g
+        rows = min(g, len(lam) + 1)
+        base = lam + (0,) * (rows - len(lam))
+        room = [0] * (rows + 1)
+        for r in range(rows - 1, -1, -1):
+            room[r] = room[r + 1] + (base[r - 1] if r else g) - base[r]
+        out = {}
+        mu = list(base)
+
+        def rec(r, rem, a):
+            lo = base[r]
+            up = base[r - 1] if r else -1
+            cap = up - (mu[r - 1] == up) if r else g
+            first, last = lo + rem - room[r + 1], lo + rem
+            for m in range(first if first > lo else lo, (last if last < cap else cap) + 1):
+                mu[r] = m
+                b = a + (m > lo and (m != up) - (not lo))
+                if m == last:  # every box placed; only a new row can be empty
+                    out[tuple(mu) if mu[-1] else tuple(mu[:-1])] = 1 << b
+                else:
+                    rec(r + 1, last - m, b)
+            mu[r] = lo
+
+        rec(0, i + 1, 0)
         return out
 
 
@@ -166,7 +195,7 @@ def _lagrangian_algebra(g, monomial_cap):
         raise InvalidPresentationError(f"Lagrangian ring needs g >= 1, got {g}")
     gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
     return model_quotient_algebra(gens, lagrangian_relations(g),
-                                  StraighteningModel(g), monomial_cap)
+                                  QTildeRing(g), monomial_cap)
 
 
 def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
@@ -189,18 +218,16 @@ def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
 # ----------------------------------------------------- Grassmannian rings
 
 
-class SchurRing:
+class SchurRing(_PieriModel):
     """Internal Schur-basis model of H*(Gr(p, p+q)).
 
     Keys are partitions inside the p x q box (descending tuples); classes
     are {partition: int} dicts.  Only multiplication by e_k (vertical
     strips) and by h_k (horizontal strips) is ever needed, so the general
     Littlewood-Richardson rule never enters; each such step is memoised
-    per (partition, generator), as ``StraighteningModel`` memoises its
-    straightening.  The basis is self-dual:
-    ``dual`` pairs a partition with its complement in the box (Fulton,
-    *Young Tableaux*, section 9.4), which lets the Gysin class be read off
-    without solving.
+    per (partition, generator) by the shared ``mult``.  The basis is
+    self-dual: ``dual`` pairs a partition with its complement in the box
+    (Fulton, *Young Tableaux*, section 9.4).
     """
 
     def __init__(self, p, q):
@@ -244,24 +271,12 @@ class SchurRing:
         rows = list(lam) + [0] * (self.p - len(lam))
         return tuple(v for v in (self.q - part for part in reversed(rows)) if v)
 
-    def mult(self, cls, i):
-        out = {}
-        for key, c in cls.items():
-            add_scaled(out, c, self._times(key, i))
-        return out
-
-    def _times(self, lam, i):
-        """s_lam times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j;
-        memoised per (lam, i).  The strips are enumerated only on a miss."""
-        out = self._memo.get((lam, i))
-        if out is None:
-            if i < self.p:
-                out = dict.fromkeys(self._vertical_strips(lam, i + 1), 1)
-            else:
-                k = i + 1 - self.p
-                out = dict.fromkeys(self._horizontal_strips(lam, k), -1 if k % 2 else 1)
-            self._memo[(lam, i)] = out
-        return out
+    def _step(self, lam, i):
+        """s_lam times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j."""
+        if i < self.p:
+            return dict.fromkeys(self._vertical_strips(lam, i + 1), 1)
+        k = i + 1 - self.p
+        return dict.fromkeys(self._horizontal_strips(lam, k), -1 if k % 2 else 1)
 
     def _vertical_strips(self, lam, k):
         """Partitions obtained from lam by adding a vertical k-strip in the box.

@@ -17,12 +17,17 @@ construction the model-backed quotients must reproduce.
 ``vertical_strips`` and ``horizontal_strips`` are the monomial-layer
 kernels before they shared work: the enumerator building its reach table
 for the one degree it walks, the free product collecting odd generators
-into lists for each pair, and the Pieri strip walks exploring every branch.  They are slow and obviously
-exact, which is what a reference is for.
+into lists for each pair, and the Pieri strip walks exploring every branch.
+``StraighteningModel`` is the Lagrangian model before the Q-tilde basis:
+square-free sigma monomials with a repeated sigma_k straightened by its
+relation.  ``poincare_dual_by_solve`` is the dual class before every source
+had a dual basis: one solve of the pairing system.  They are slow and
+obviously exact, which is what a reference is for.
 """
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from dualcoh.algebra import (
     DEFAULT_MONOMIAL_CAP,
@@ -30,10 +35,11 @@ from dualcoh.algebra import (
     GradedAlgebra,
     _count_monomials,
     _quotient,
+    pairing_matrix,
 )
 from dualcoh.checks import CheckResult
 from dualcoh.errors import CapExceededError, InconsistentPresentationError
-from dualcoh.linalg import SparseRREF, add_scaled
+from dualcoh.linalg import SparseRREF, add_scaled, solve
 from dualcoh.morphisms import apply, random_homogeneous
 
 
@@ -339,3 +345,74 @@ def direct_quotient(generators, relations, top_degree, monomial_cap=DEFAULT_MONO
     alg = DirectQuotient(q.kind, q.generators, q.relations, q.top_degree, q.monomial_cap)
     alg._build_tables()
     return alg
+
+
+class StraighteningModel:
+    """Model of H*(Sp(2g)/U(g)) on the 2^g square-free monomials.
+
+    Keys are 0/1 exponent tuples over sigma_1..sigma_g (a basis, by
+    Pragacz's Q-tilde-polynomial theory; not the standard monomials).  A
+    repeated sigma_k is straightened by the degree-4k relation
+        sigma_k^2 = (-1)^(k+1) * 2 * sum_{j<k} (-1)^j sigma_j sigma_{2k-j},
+    with sigma_0 = 1 and sigma_k = 0 for k > g; the rewrite terminates, as
+    it strictly increases the sum of squared indices.  It has no ``dual``:
+    the sigma_S basis is not self-dual.
+    """
+
+    def __init__(self, g):
+        self.g = g
+        self.top_degree = g * (g + 1)
+        self.one = {(0,) * g: 1}
+        self._memo = {}
+        self._keys = None
+
+    def keys(self, d):
+        """The keys of degree d, in ``product((0, 1), repeat=g)`` order."""
+        if self._keys is None:
+            self._keys = {}
+            for key in product((0, 1), repeat=self.g):
+                d_key = sum(2 * k for k, e in enumerate(key, 1) if e)
+                self._keys.setdefault(d_key, []).append(key)
+        return self._keys.get(d, [])
+
+    def mult(self, cls, i):
+        out = {}
+        for key, c in cls.items():
+            add_scaled(out, c, self._times(key, i + 1))
+        return out
+
+    def _times(self, key, k):
+        """sigma_key * sigma_k, straightened; memoised per (key, k)."""
+        if k == 0:
+            return {key: 1}
+        if k > self.g:
+            return {}
+        out = self._memo.get((key, k))
+        if out is None:
+            flipped = key[:k - 1] + (1 - key[k - 1],) + key[k:]
+            if not key[k - 1]:
+                out = {flipped: 1}
+            else:  # sigma_key = sigma_k * sigma_flipped: straighten sigma_k^2
+                out = {}
+                for j in range(k):
+                    for mid, c in self._times(flipped, j).items():
+                        add_scaled(out, (-1) ** (k + 1 + j) * 2 * c, self._times(mid, 2 * k - j))
+            self._memo[(key, k)] = out
+        return out
+
+
+def poincare_dual_by_solve(algebra, phi, e):
+    """The xi of degree top - e with <xi, w> = phi[w] on basis(e), by one
+    tagged solve of the n x n pairing system; any ring with a nondegenerate
+    pairing."""
+    d = algebra.top_degree - e
+    unknowns, equations = algebra.basis(d), algebra.basis(e)
+    columns = pairing_matrix(algebra, d)
+    sol, rank = solve(columns, [phi.get(w, 0) for w in equations])
+    if rank < len(unknowns):
+        raise InconsistentPresentationError(
+            f"pairing between degrees {d} and {e} is degenerate")
+    if sol is None:
+        raise InconsistentPresentationError(
+            "dual-class system is infeasible; morphism or presentation is wrong")
+    return algebra.element_from_coords(sol, d)

@@ -27,7 +27,6 @@ from dualcoh import (
 from dualcoh.algebra import (
     Element,
     _enumerate_monomials,
-    _poincare_dual_by_solve,
     _reach_table,
     model_quotient_algebra,
     order_key,
@@ -37,8 +36,8 @@ from dualcoh.algebra import (
 from dualcoh.linalg import SparseRREF, solve
 from dualcoh.morphisms import random_homogeneous
 from dualcoh.rings import (
+    QTildeRing,
     SchurRing,
-    StraighteningModel,
     grassmannian_algebra,
     lagrangian_algebra,
     lagrangian_relations,
@@ -50,6 +49,7 @@ from reference import (
     fraction_solve,
     koszul_product,
     naive_product,
+    poincare_dual_by_solve,
 )
 
 
@@ -71,7 +71,7 @@ LAGRANGIAN2 = ([("sigma1", 2), ("sigma2", 4)], [{(2, 0): 1, (0, 1): -2}, {(0, 2)
 
 
 def lagrangian2():
-    return model_quotient_algebra(*LAGRANGIAN2, StraighteningModel(2))
+    return model_quotient_algebra(*LAGRANGIAN2, QTildeRing(2))
 
 
 def projective_line():
@@ -154,20 +154,20 @@ class TestQuotient:
 
     def test_degree_zero_relation_rejected(self):
         with pytest.raises(InvalidPresentationError, match="degree-0"):
-            model_quotient_algebra([("sigma1", 2)], [{(0,): 1}], StraighteningModel(1))
+            model_quotient_algebra([("sigma1", 2)], [{(0,): 1}], QTildeRing(1))
 
     def test_inhomogeneous_relation_rejected(self):
         with pytest.raises(InvalidPresentationError, match="homogeneous"):
             model_quotient_algebra([("sigma1", 2)], [{(1,): 1, (2,): 1}],
-                                   StraighteningModel(1))
+                                   QTildeRing(1))
 
     def test_inexact_relation_coefficient_rejected(self):
         with pytest.raises(InvalidPresentationError, match="inexact"):
-            model_quotient_algebra([("sigma1", 2)], [{(2,): 0.5}], StraighteningModel(1))
+            model_quotient_algebra([("sigma1", 2)], [{(2,): 0.5}], QTildeRing(1))
 
     def test_odd_generator_rejected(self):
         with pytest.raises(InvalidPresentationError, match="even degree"):
-            model_quotient_algebra([("x", 3)], [], StraighteningModel(1))
+            model_quotient_algebra([("x", 3)], [], QTildeRing(1))
 
     # Checks only the direct row reduction makes: a model fixes the top
     # degree and the dimensions itself.
@@ -184,10 +184,10 @@ class TestQuotient:
     def test_cap_enforced(self):
         # LG(3) has at most 7 ambient monomials in one degree up to its top
         gens = [(f"sigma{i}", 2 * i) for i in (1, 2, 3)]
-        assert model_quotient_algebra(gens, lagrangian_relations(3), StraighteningModel(3),
+        assert model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3),
                                       monomial_cap=7).total_dimension == 8
         with pytest.raises(CapExceededError):
-            model_quotient_algebra(gens, lagrangian_relations(3), StraighteningModel(3),
+            model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3),
                                    monomial_cap=6)
 
 
@@ -662,9 +662,9 @@ class TestIntegerInputsStayExact:
                 if not a.is_zero():
                     _assert_exact(alg.coords(a, a.homogeneous_degree()))
 
-    def test_all_three_poincare_dual_paths(self):
-        cases = {"exterior": su_algebra(4), "model dual": grassmannian_algebra(2, 3),
-                 "solve": lagrangian_algebra(3)}
+    def test_both_poincare_dual_paths(self):
+        cases = {"exterior": su_algebra(4), "Schur dual": grassmannian_algebra(2, 3),
+                 "Q-tilde dual": lagrangian_algebra(3)}
         for alg in cases.values():
             for e in range(alg.top_degree + 1):
                 phi = {w: i - 2 for i, w in enumerate(alg.basis(e))}
@@ -698,12 +698,14 @@ def _refuse_solve(*args):
 
 class TestPoincareDual:
     def test_fast_paths_match_the_pairing_solve(self, monkeypatch):
-        # Every degree of Gr(p, p+q), p <= q <= 4 (75 cases), and of SU(n),
-        # n <= 6; the fast paths run with the solve disabled.
+        # Every nonzero degree of Gr(p, p+q), p <= q <= 4 (75 cases), of
+        # LG(g), g <= 7 (91 cases), and of SU(n), n <= 6; the contractions
+        # run with the solve disabled.
         rng = random.Random(2004)
         rings = [grassmannian_algebra(p, q) for q in range(1, 5) for p in range(1, q + 1)]
+        rings += [lagrangian_algebra(g) for g in range(1, 8)]
         rings += [su_algebra(n) for n in range(2, 7)]
-        cases = {"quotient": 0, "exterior": 0}
+        cases = {"SchurRing": 0, "QTildeRing": 0, "exterior": 0}
         for alg in rings:
             for e in range(alg.top_degree + 1):
                 if not alg.dims(e):
@@ -712,10 +714,10 @@ class TestPoincareDual:
                 with monkeypatch.context() as mp:
                     mp.setattr(dualcoh.algebra, "solve", _refuse_solve)
                     xi = poincare_dual(alg, phi, e)
-                assert xi == _poincare_dual_by_solve(alg, phi, e), (alg.generators, e)
+                assert xi == poincare_dual_by_solve(alg, phi, e), (alg.generators, e)
                 assert all(_exact(c) for c in xi.terms.values())
-                cases[alg.kind] += 1
-        assert cases == {"quotient": 75, "exterior": 55}
+                cases[type(alg._model).__name__ if alg._model else alg.kind] += 1
+        assert cases == {"SchurRing": 75, "QTildeRing": 91, "exterior": 55}
 
     def test_wrong_model_dual_is_caught(self, monkeypatch):
         alg = grassmannian_algebra(2, 3)
@@ -730,6 +732,17 @@ class TestPoincareDual:
         monkeypatch.setattr(model, "dual", lambda key: swap.get(key) or true_dual(key))
         with pytest.raises(InconsistentPresentationError, match="identity"):
             poincare_dual(alg, {alg.basis(4)[0]: 1}, 4)
+        # LG(3): the identity sends degree 4 to degree 4, not 8; in the
+        # middle degree 6 it is onto, but pairs (3) and (2, 1) with
+        # themselves rather than with each other
+        lag = lagrangian_algebra(3)
+        assert lag._model.dual((3,)) == (2, 1)
+        monkeypatch.setattr(lag._model, "dual", lambda key: key)
+        with pytest.raises(InconsistentPresentationError, match="one-to-one"):
+            poincare_dual(lag, {w: 1 for w in lag.basis(4)}, 4)
+        for w in lag.basis(6):
+            with pytest.raises(InconsistentPresentationError, match="identity"):
+                poincare_dual(lag, {w: 1}, 6)
 
     def test_inexact_values_refused(self):
         alg = exterior_algebra([3, 5])

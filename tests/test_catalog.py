@@ -23,7 +23,6 @@ from dualcoh import (
     siegel_theta,
 )
 from dualcoh.catalog import (
-    _FACTOR_PREFIXES,
     FAMILIES,
     FAMILY_ALIASES,
     FAMILY_IDS,
@@ -160,6 +159,18 @@ class TestSiegel:
         mont, c = next(iter(full.terms.items()))
         lam = Fraction(prod.coefficient(mont), c)
         assert lam != 0 and prod == lam * full
+
+    def test_more_than_six_parts(self):
+        # factors after the sixth get generated prefixes f7_, f8_, ...
+        params = {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]}
+        inst = family_siegel(**params)
+        names = [g.name for g in inst.dual_H.generators]
+        assert names[:3] == ["alpha1", "alpha2", "beta1"] and names[-1] == "f7_1"
+        assert len(set(names)) == len(names) == 8
+        want = _reference_images("siegel-product", params, inst.dual_H)
+        assert inst.restriction.generator_images == want
+        v = decide_nonvanishing(inst)
+        assert v.nonvanishing and not v.fundamental_class.is_zero()
 
     def test_invalid_partition(self):
         with pytest.raises(InvalidPresentationError):
@@ -485,8 +496,8 @@ class TestRestrictionIdentities:
 def _reference_images(family_id, params, H):
     """Every generator image of a product family, multiplied out in H."""
     if family_id == "siegel-product":
-        classes = [[f"{_FACTOR_PREFIXES[i]}{j}" for j in range(1, gi + 1)]
-                   for i, gi in enumerate(params["parts"])]
+        names = iter(g.name for g in H.generators)  # factor by factor
+        classes = [[next(names) for _ in range(gi)] for gi in params["parts"]]
         return {f"sigma{k}": product_composition_image(H, classes, k)
                 for k in range(1, params["g"] + 1)}
     parts = params["parts"]

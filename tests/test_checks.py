@@ -33,8 +33,8 @@ from dualcoh.catalog import (
 )
 from dualcoh.morphisms import Morphism, build_morphism, random_homogeneous, sample_products
 from dualcoh.rings import (
+    QTildeRing,
     SchurRing,
-    StraighteningModel,
     grassmannian_relations,
     lagrangian_algebra,
     lagrangian_relations,
@@ -104,7 +104,7 @@ def test_poincare_oracles_read_the_presentation(monkeypatch):
     # unchanged, but the presentation no longer cuts out the ring.
     def lagrangian(g):
         gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
-        return model_quotient_algebra(gens, lagrangian_relations(g)[1:], StraighteningModel(g))
+        return model_quotient_algebra(gens, lagrangian_relations(g)[1:], QTildeRing(g))
 
     def grassmannian(p, q):
         gens, rels = grassmannian_relations(p, q)

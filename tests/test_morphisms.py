@@ -19,6 +19,8 @@ from dualcoh import (
     tensor_product,
     verify_multiplicativity,
 )
+from dualcoh.catalog import build_family, decide_nonvanishing, sweep_parameter_list
+from dualcoh.checks import catalog_sweep_specs
 from dualcoh.morphisms import Morphism, random_homogeneous
 from dualcoh.rings import (
     grassmannian_algebra,
@@ -27,7 +29,7 @@ from dualcoh.rings import (
     su_algebra,
     su_so_algebra,
 )
-from reference import direct_quotient
+from reference import direct_quotient, poincare_dual_by_solve
 
 
 def sl_imag_sp_restriction(n):
@@ -147,8 +149,8 @@ class TestGysin:
         assert gysin_fundamental_class(m) == Gr.one()
 
     def test_defining_identity_full_basis(self):
-        # one source per poincare_dual case: pairing solve (Lagrangian),
-        # Schur-model contraction (Grassmannian), exterior complements
+        # one source per dual basis: Q-tilde keys (Lagrangian), Schur keys
+        # (Grassmannian), exterior complements
         for m in (siegel_two_part(2, 1),
                   family_unitary(3, 3, [(2, 2), (1, 1)]).restriction,
                   family_sl_odd_real(3).restriction):
@@ -160,15 +162,23 @@ class TestGysin:
                 we = src.basis_element(w)
                 assert pairing(xi, we) == apply(m, we).coefficient(top_t)
 
-    def test_schur_and_exterior_sources_never_solve(self, monkeypatch):
+    def test_catalog_sources_never_solve(self, monkeypatch):
+        # every certified instance and siegel g <= 8 decide with no solve
         def refuse(*args):
             raise AssertionError("the pairing system was solved")
 
         monkeypatch.setattr(dualcoh.algebra, "solve", refuse)
         monkeypatch.setattr(dualcoh.linalg, "solve", refuse)
-        unitary = family_unitary(3, 3, [(2, 2), (1, 1)]).restriction
-        assert unitary.source.kind == "quotient"
-        assert not gysin_fundamental_class(unitary).is_zero()
+        specs = catalog_sweep_specs()
+        specs += [("siegel-product", params)
+                  for params in sweep_parameter_list("siegel-product", {"g": (2, 8)})]
+        sources = set()
+        for fid, params in specs:
+            inst = build_family(fid, params)
+            assert not decide_nonvanishing(inst).fundamental_class.is_zero(), (fid, params)
+            sources.add(type(inst.dual_G._model).__name__ if inst.dual_G._model
+                        else inst.dual_G.kind)
+        assert sources == {"QTildeRing", "SchurRing", "exterior"}
         odd = family_sl_odd_real(3)
         e3, e7, e11 = (odd.dual_G.gen(f"e{d}") for d in (3, 7, 11))
         assert gysin_fundamental_class(odd.restriction) == -(e3 * e7 * e11)
@@ -198,8 +208,16 @@ class TestGysin:
         A = direct_quotient([("x", 2), ("y", 2)],
                             [{(2, 0): 1}, {(1, 1): 1}, {(0, 3): 1}], 4)
         B = direct_quotient([("z", 2)], [{(2,): 1}], 2)
-        m = build_morphism(A, B, {"y": B.gen("z")})
+        phi = {w: 1 for w in A.basis(2)}
         with pytest.raises(InconsistentPresentationError, match="degenerate"):
+            poincare_dual_by_solve(A, phi, 2)
+        # production has no solve: a source without a dual basis is refused
+        m = build_morphism(A, B, {"y": B.gen("z")})
+        with pytest.raises(InvalidPresentationError, match="no dual basis"):
+            gysin_fundamental_class(m)
+        pair = tensor_product(lagrangian_algebra(1), su_algebra(2))
+        m = build_morphism(pair, su_algebra(2), {"e3": su_algebra(2).gen("e3")})
+        with pytest.raises(InvalidPresentationError, match="no dual basis"):
             gysin_fundamental_class(m)
 
 

@@ -183,6 +183,14 @@ class TestCli:
         results = {r["name"]: r["passed"] for r in data["check_results"]}
         assert results == {"theta-pairing-identity": True}
 
+    def test_family_siegel_seven_parts(self, capsys):
+        # seven factors: more than there are Greek factor prefixes
+        assert cli.main(["family", "siegel", "--g", "7", "--parts", "1,1,1,1,1,1,1",
+                         "--checks", "oracle,paper-identities,properties", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["nonvanishing"]["verdict"] is True
+        assert data["check_results"] and all(r["passed"] for r in data["check_results"])
+
     def test_usage_errors(self, capsys):
         assert cli.main(["family", "siegel", "--g", "2", "--parts", "3"]) == 2
         assert cli.main(["family", "nonsense", "--n", "2"]) == 2
@@ -308,6 +316,20 @@ class TestCli:
         assert cli.main(["family", "sl-imag-sp", "--n", "2"]) == 2
         assert "DUALCOH_MONOMIAL_CAP" in capsys.readouterr().err
         assert cli.main(["ring", "lagrangian", "--g", "2"]) == 2
+
+    def test_cap_env_ignored_when_flag_or_config_sets_cap(self, capsys, monkeypatch, tmp_path):
+        # flags beat the config file, which beats the environment: a cap set
+        # by either leaves a malformed DUALCOH_MONOMIAL_CAP unread
+        monkeypatch.setenv("DUALCOH_MONOMIAL_CAP", "abc")
+        assert cli.main(["family", "sl-imag-sp", "--n", "2", "--cap", "1000"]) == 0
+        cfg = tmp_path / "dualcoh.json"
+        cfg.write_text(json.dumps({"cap": 1000}))
+        assert cli.main(["family", "sl-imag-sp", "--n", "2", "--config", str(cfg)]) == 0
+        assert cli.main(["ring", "lagrangian", "--g", "2", "--cap", "1000"]) == 0
+        cfg.write_text(json.dumps({"cap": 2}))
+        monkeypatch.setenv("DUALCOH_MONOMIAL_CAP", "1000000")
+        assert cli.main(["family", "siegel", "--g", "3", "--parts", "2,1",
+                         "--config", str(cfg)]) == 3
 
     def test_cap_below_one_is_usage_error(self, capsys, monkeypatch):
         assert cli.main(["ring", "lagrangian", "--g", "3", "--cap", "0"]) == 2

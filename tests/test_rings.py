@@ -17,8 +17,8 @@ from dualcoh.algebra import _enumerate_monomials, model_quotient_algebra
 from dualcoh.catalog import build_family, decide_nonvanishing
 from dualcoh.checks import box_partition_betti, strict_partition_betti
 from dualcoh.rings import (
+    QTildeRing,
     SchurRing,
-    StraighteningModel,
     clear_ring_cache,
     grassmannian_algebra,
     grassmannian_relations,
@@ -28,7 +28,7 @@ from dualcoh.rings import (
     su_algebra,
     su_so_algebra,
 )
-from reference import direct_quotient
+from reference import StraighteningModel, direct_quotient
 
 
 class TestExteriorBuilders:
@@ -91,10 +91,10 @@ class TestLagrangian:
 def test_model_construction_rejects_a_wrong_relation():
     gens = [("sigma1", 2), ("sigma2", 4)]
     rels = lagrangian_relations(2)
-    assert model_quotient_algebra(gens, rels, StraighteningModel(2)).total_dimension == 4
+    assert model_quotient_algebra(gens, rels, QTildeRing(2)).total_dimension == 4
     flipped = [{**rels[0], (2, 0): -rels[0][(2, 0)]}, rels[1]]
     with pytest.raises(InconsistentPresentationError):
-        model_quotient_algebra(gens, flipped, StraighteningModel(2))
+        model_quotient_algebra(gens, flipped, QTildeRing(2))
 
 
 class TestGrassmannian:
@@ -301,7 +301,79 @@ def test_renamed_rings_share_one_build(monkeypatch, build, names):
 
 @pytest.mark.parametrize("g", range(1, 9))
 def test_lagrangian_keys_listed_in_product_order(g):
-    model = StraighteningModel(g)
+    # key lam lists the parts k with entry k - 1 set, in product order
+    model = QTildeRing(g)
     for d in range(-1, model.top_degree + 2):
-        assert model.keys(d) == [key for key in product((0, 1), repeat=g)
-                                 if sum(2 * k * e for k, e in enumerate(key, 1)) == d]
+        assert model.keys(d) == [
+            tuple(k for k in range(g, 0, -1) if key[k - 1])
+            for key in product((0, 1), repeat=g)
+            if sum(2 * k * e for k, e in enumerate(key, 1)) == d]
+
+
+def _shifted_components(mu, lam):
+    """Connected components of the shifted skew diagram mu/lam, by a walk
+    over its boxes (row r holds columns r .. r + mu_r - 1)."""
+    lo = tuple(lam) + (0,) * (len(mu) - len(lam))
+    boxes = {(r, r + c) for r in range(len(mu)) for c in range(lo[r], mu[r])}
+    count = 0
+    while boxes:
+        count += 1
+        stack = [boxes.pop()]
+        while stack:
+            r, c = stack.pop()
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if nb in boxes:
+                    boxes.remove(nb)
+                    stack.append(nb)
+    return count
+
+
+def _qtilde_pieri_reference(g, lam, k):
+    """Q_lam * sigma_k over every strict mu inside (g, ..., 1), kept when
+    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ... and |mu| = |lam| + k."""
+    out = {}
+    for parts in product((0, 1), repeat=g):
+        mu = tuple(j for j in range(g, 0, -1) if parts[j - 1])
+        lo = tuple(lam) + (0,) * (len(mu) - len(lam))
+        if (sum(mu) != sum(lam) + k or len(lo) > len(mu)
+                or any(m < l for m, l in zip(mu, lo))
+                or any(mu[r + 1] > lo[r] for r in range(len(mu) - 1))):
+            continue
+        out[mu] = 2 ** (_shifted_components(mu, lam) - (len(mu) - len(lam)))
+    return out
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_qtilde_memo_matches_the_pieri_reference(g):
+    model = QTildeRing(g)
+    for d in range(0, model.top_degree + 1, 2):
+        for key in model.keys(d):
+            for i in range(g):
+                want = _qtilde_pieri_reference(g, key, i + 1)
+                assert model.mult({key: 1}, i) == want, (key, i)
+                # the second call reads the memo; scaling must not reach it
+                assert model.mult({key: 3}, i) == {mu: 3 * c for mu, c in want.items()}
+                assert model.mult({key: 1}, i) == want
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_qtilde_pieri_operators_commute(g):
+    model = QTildeRing(g)
+    for d in range(0, model.top_degree + 1, 2):
+        for key in model.keys(d):
+            for i in range(g):
+                once = model.mult({key: 1}, i)
+                for j in range(i):
+                    assert model.mult(once, j) == model.mult(model.mult({key: 1}, j), i)
+
+
+@pytest.mark.parametrize("g", range(1, 8))
+def test_qtilde_normal_forms_match_straightening(g):
+    # every ambient monomial of every degree: 8,561 of them at g = 7
+    gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
+    want = model_quotient_algebra(gens, lagrangian_relations(g), StraighteningModel(g))
+    got = model_quotient_algebra(gens, lagrangian_relations(g), QTildeRing(g))
+    for d in range(0, got.top_degree + 1, 2):
+        assert got.basis(d) == want.basis(d)
+        for m in got._monomials(d):
+            assert got.normal_form_monomial(m) == want.normal_form_monomial(m), m
