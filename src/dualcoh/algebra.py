@@ -571,9 +571,8 @@ def monomial_value(cache, mont, times):
 # ------------------------------------------------------------- constructors
 
 
-def exterior_algebra(generator_degrees, monomial_cap=DEFAULT_MONOMIAL_CAP,
-                     names=None):
-    """Exterior algebra on odd-degree generators (named e<degree> by default).
+def exterior_algebra(generator_degrees, monomial_cap=DEFAULT_MONOMIAL_CAP):
+    """Exterior algebra on odd-degree generators, named e<degree>.
 
     >>> A = exterior_algebra([3, 5, 7])
     >>> A.total_dimension, A.top_degree
@@ -582,13 +581,13 @@ def exterior_algebra(generator_degrees, monomial_cap=DEFAULT_MONOMIAL_CAP,
     degs = list(generator_degrees)
     if not degs:
         raise InvalidPresentationError("exterior algebra needs at least one generator")
+    if any(type(d) is not int for d in degs):
+        raise InvalidPresentationError(f"exterior generator degrees must be ints: {degs}")
     if any(d <= 0 or d % 2 == 0 for d in degs):
         raise InvalidPresentationError(f"exterior generator degrees must be odd and positive: {degs}")
     if any(b <= a for a, b in zip(degs, degs[1:])):
         raise InvalidPresentationError(f"generator degrees must be strictly increasing: {degs}")
-    if names is None:
-        names = [f"e{d}" for d in degs]
-    gens = [Generator(nm, d) for nm, d in zip(names, degs)]
+    gens = [Generator(f"e{d}", d) for d in degs]
     top = sum(degs)
     counts = _count_monomials(degs, [1] * len(degs), top)
     if max(counts) > monomial_cap:
@@ -762,10 +761,11 @@ def poincare_dual(algebra, phi, e):
     """The xi of degree top - e with <xi, w> = phi[w] for every w in basis(e).
 
     ``phi`` maps the basis monomials of degree e to ``int`` or ``Fraction``
-    values; a monomial it omits counts as 0.  The case follows from the
-    ring: exterior algebras pair each monomial with its complement, and a
-    model-backed quotient pairs each key with its ``dual(key)``.  Any other
-    ring (a tensor product) raises ``InvalidPresentationError``, and a
+    values; a monomial it omits counts as 0, and any other key, or a degree
+    e outside 0..top, raises ``InvalidPresentationError``.  The case follows
+    from the ring: exterior algebras pair each monomial with its complement,
+    and a model-backed quotient pairs each key with its ``dual(key)``.  Any
+    other ring (a tensor product) raises ``InvalidPresentationError``, and a
     model dual that does not pair to the identity raises
     ``InconsistentPresentationError``.
 
@@ -777,6 +777,12 @@ def poincare_dual(algebra, phi, e):
     """
     if any(not isinstance(c, (int, Fraction)) for c in phi.values()):
         raise InvalidPresentationError("inexact value in the pairing functional")
+    if not 0 <= e <= algebra.top_degree:
+        raise InvalidPresentationError(f"degree {e} is outside 0..{algebra.top_degree}")
+    positions = algebra.basis_positions(e)
+    for w in phi:
+        if w not in positions:
+            raise InvalidPresentationError(f"{w!r} is not a basis monomial of degree {e}")
     if algebra.kind == "exterior":
         xi = _exterior_dual(algebra, phi, e)
     elif algebra._model is not None:

@@ -36,6 +36,7 @@ from .rings import (
     bind_parameters,
     grassmannian_algebra,
     lagrangian_algebra,
+    require_int_ranks,
     sp_group_algebra,
     su_algebra,
     su_so_algebra,
@@ -88,6 +89,34 @@ Verdict = namedtuple("Verdict", "fundamental_class nonvanishing nonvanishing_wit
 # ------------------------------------------------------------ SL families
 
 
+def _sl_family(family_id, n, rank, h_algebra, dual_class_text, monomial_cap):
+    """SU(rank) restricting onto h_algebra(n) by keeping H's generators;
+    G's top generator is the kernel ideal and the compact-support generator.
+    The principal Levi SU(rank - 1), which exists from rank 3 on, carries
+    the ghost data; ``dual_class_text`` opens the closed-form dual class
+    that its discrepancy note names."""
+    if n < 1:
+        raise InvalidPresentationError(f"family {family_id} needs n >= 1, got {n}")
+    G = su_algebra(rank, monomial_cap)
+    H = h_algebra(n, monomial_cap)
+    top = G.generators[-1].name
+    inst = FamilyInstance(
+        family_id=family_id, parameters={"n": n}, dual_G=G, dual_H=H,
+        restriction=build_morphism(G, H, {g.name: H.gen(g.name) for g in H.generators}),
+        franke_ideal=[G.gen(top)], compact_support_generator=top)
+    if rank >= 3:
+        levi = su_algebra(rank - 1, monomial_cap)
+        inst.levi_restriction = build_morphism(
+            G, levi, {g.name: levi.gen(g.name) for g in levi.generators})
+        levi_top = levi.generators[-1].name
+        inst.levi_franke_generator = levi_top
+        inst.notes["discrepancy"] = (
+            f"compact-support divisibility is read against the top generator "
+            f"{top}; an {levi_top} reading would be vacuous, since the "
+            f"dual class {dual_class_text}{levi_top} contains {levi_top} as a factor.")
+    return inst
+
+
 def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """Symplectic subgroup of a special linear group over an imaginary
     quadratic field: duals SU(2n) and compact Sp(2n).
@@ -96,34 +125,10 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     ideal and the compact-support ideal are both generated by the top
     generator e_{4n-1}; the principal-Levi data (an SU(2n-1) dual) feeds
     the ghost certificate.  n = 1 is accepted but degenerate (H = G, no
-    Levi inside SU(1)), so it carries no ghost data.
+    Levi inside SU(1)), so it carries no ghost data.  Both special-linear
+    families are one call of ``_sl_family``.
     """
-    if n < 1:
-        raise InvalidPresentationError(f"family sl-imag-sp needs n >= 1, got {n}")
-    G = su_algebra(2 * n, monomial_cap)
-    H = sp_group_algebra(n, monomial_cap)
-    images = {f"e{d}": H.gen(f"e{d}") for d in range(3, 4 * n, 4)}
-    restriction = build_morphism(G, H, images)
-    top_name = f"e{4 * n - 1}"
-    inst = FamilyInstance(
-        family_id="sl-imag-sp",
-        parameters={"n": n},
-        dual_G=G,
-        dual_H=H,
-        restriction=restriction,
-        franke_ideal=[G.gen(top_name)],
-        compact_support_generator=top_name,
-    )
-    if n >= 2:
-        levi = su_algebra(2 * n - 1, monomial_cap)
-        levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n - 2, 2)}
-        inst.levi_restriction = build_morphism(G, levi, levi_images)
-        inst.levi_franke_generator = f"e{4 * n - 3}"
-        inst.notes["discrepancy"] = (
-            f"compact-support divisibility is read against the top generator "
-            f"e{4 * n - 1}; an e{4 * n - 3} reading would be vacuous, since the "
-            f"dual class e5^...^e{4 * n - 3} contains e{4 * n - 3} as a factor.")
-    return inst
+    return _sl_family("sl-imag-sp", n, 2 * n, sp_group_algebra, "e5^...^", monomial_cap)
 
 
 def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
@@ -132,33 +137,10 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
 
     The target ring lives on generators of degree 1 mod 4, so the
     restriction keeps exactly those generators (this is also forced by the
-    closed form of the dual class, e3^e7^...^e_{4n-1}).
+    closed form of the dual class, e3^e7^...^e_{4n-1}).  The ideals and the
+    principal Levi (an SU(2n) dual) are as in ``family_sl_imag_sp``.
     """
-    if n < 1:
-        raise InvalidPresentationError(f"family sl-odd-real needs n >= 1, got {n}")
-    G = su_algebra(2 * n + 1, monomial_cap)
-    H = su_so_algebra(n, monomial_cap)
-    images = {f"e{d}": H.gen(f"e{d}") for d in range(5, 4 * n + 2, 4)}
-    restriction = build_morphism(G, H, images)
-    top_name = f"e{4 * n + 1}"
-    levi = su_algebra(2 * n, monomial_cap)
-    levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n, 2)}
-    inst = FamilyInstance(
-        family_id="sl-odd-real",
-        parameters={"n": n},
-        dual_G=G,
-        dual_H=H,
-        restriction=restriction,
-        franke_ideal=[G.gen(top_name)],
-        compact_support_generator=top_name,
-        levi_restriction=build_morphism(G, levi, levi_images),
-        levi_franke_generator=f"e{4 * n - 1}",
-    )
-    inst.notes["discrepancy"] = (
-        f"compact-support divisibility is read against the top generator "
-        f"e{4 * n + 1}; an e{4 * n - 1} reading would be vacuous, since the "
-        f"dual class e3^e7^...^e{4 * n - 1} contains e{4 * n - 1} as a factor.")
-    return inst
+    return _sl_family("sl-odd-real", n, 2 * n + 1, su_so_algebra, "e3^e7^...^", monomial_cap)
 
 
 # -------------------------------------------------------- Siegel products
@@ -394,9 +376,7 @@ def build_family(family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP):
     family = FAMILIES[fid]
     names = family.ranks if family.decompositions is None else (*family.ranks, "parts")
     values = bind_parameters(f"family {fid}", names, parameters)
-    for name, v in zip(family.ranks, values):
-        if type(v) is not int:
-            raise InvalidPresentationError(f"family {fid}: rank {name} must be an int, got {v!r}")
+    require_int_ranks(f"family {fid}", **dict(zip(family.ranks, values)))
     return family.build(*values, monomial_cap)
 
 

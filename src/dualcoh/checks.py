@@ -379,15 +379,11 @@ def check_substitution_kernel(gmax=5):
                     return CheckResult("substitution-kernel", False,
                                        f"g={g} d={d}: ideal element maps nonzero")
             rr = SparseRREF()
-            rank_image = 0
-            for mont in src.basis(d):
+            pos = tgt.basis_positions(d)
+            for mont in src.basis(d):  # a zero image adds nothing to the rank
                 img = apply(m, src.basis_element(mont))
-                if img.is_zero():
-                    continue
-                pos = tgt.basis_positions(d)
-                if rr.add({pos[mm]: c for mm, c in img.terms.items()}) is not None:
-                    rank_image += 1
-            kernel_dim = src.dims(d) - rank_image
+                rr.add({pos[mm]: c for mm, c in img.terms.items()})
+            kernel_dim = src.dims(d) - rr.rank
             if kernel_dim != len(ideal_basis):
                 return CheckResult("substitution-kernel", False,
                                    f"g={g} d={d}: kernel dim {kernel_dim} != "
@@ -446,13 +442,11 @@ def check_duality_nondegeneracy(instances):
             if nd == 0:
                 continue
             rr = SparseRREF()
-            rank = 0
             for row in pairing_matrix(alg, d):
-                if rr.add({j: v for j, v in enumerate(row) if v}) is not None:
-                    rank += 1
-            if rank != nd:
+                rr.add({j: v for j, v in enumerate(row) if v})
+            if rr.rank != nd:
                 return CheckResult("duality-nondegeneracy", False,
-                                   f"degree {d} pairing rank {rank} < {nd} in {_alg_label(alg)}")
+                                   f"degree {d} pairing rank {rr.rank} < {nd} in {_alg_label(alg)}")
     return CheckResult("duality-nondegeneracy", True,
                        f"{len(_sweep_algebras(instances))} algebras")
 

@@ -126,13 +126,13 @@ def gysin_fundamental_class(morphism):
     return poincare_dual(src, phi, tgt.top_degree)
 
 
-def random_homogeneous(algebra, rng, max_coeff=3):
-    """Seeded random homogeneous element (possibly zero)."""
+def random_homogeneous(algebra, rng):
+    """Seeded random homogeneous element (possibly zero), coefficients in -3..3."""
     degs = algebra.nonzero_degrees()
     d = degs[rng.randrange(len(degs))]
     terms = {}
     for m in algebra.basis(d):
-        c = rng.randint(-max_coeff, max_coeff)
+        c = rng.randint(-3, 3)
         if c:
             terms[m] = c
     return Element(algebra, terms)

@@ -5,7 +5,9 @@ quotient families are model-backed (``model_quotient_algebra``) on a
 self-dual Schubert basis with Pieri-rule multiplication: Q-tilde classes
 (strict partitions inside (g, ..., 1)) for the Lagrangian-Grassmannian
 rings, Schur classes (partitions in a p x q box) for the (sigma, tau)
-Grassmannian presentations.  The two models share one memoised product.
+Grassmannian presentations.  The two models share one memoised product
+and one key lookup, each over a table built on first use.  The Schur model
+walks vertical strips only: a horizontal strip is a conjugate vertical one.
 The exposed basis and normal forms follow the row-reduction contract; the
 direct row reduction of the relation span is the reference the tests
 compare against.
@@ -16,7 +18,8 @@ factors) share one build: a renamed ring is ``GradedAlgebra.renamed`` of the
 default-named ring, with its own generators over the same tables.
 """
 
-from itertools import product
+from functools import cached_property
+from itertools import combinations_with_replacement, product
 
 from .algebra import (
     DEFAULT_MONOMIAL_CAP,
@@ -30,6 +33,13 @@ from .linalg import add_scaled
 # Every ring built so far, by builder and arguments: equal arguments give one
 # object.  A renamed ring is cached as (GradedAlgebra.renamed, base, names).
 _RING_CACHE = {}
+
+
+def require_int_ranks(what, **ranks):
+    """Refuse any rank that is not an ``int`` (a ``bool`` included)."""
+    for name, v in ranks.items():
+        if type(v) is not int:
+            raise InvalidPresentationError(f"{what}: rank {name} must be an int, got {v!r}")
 
 
 def _cached(build, *args):
@@ -56,6 +66,7 @@ def _su_algebra(n, monomial_cap):
 
 def su_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(SU(n)): exterior on e3, e5, ..., e_{2n-1}.  Needs n >= 2."""
+    require_int_ranks("SU(n) dual", n=n)
     return _cached(_su_algebra, n, monomial_cap)
 
 
@@ -67,6 +78,7 @@ def _sp_group_algebra(n, monomial_cap):
 
 def sp_group_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(compact Sp(2n) group): exterior on e3, e7, ..., e_{4n-1}."""
+    require_int_ranks("Sp(2n) dual", n=n)
     return _cached(_sp_group_algebra, n, monomial_cap)
 
 
@@ -78,6 +90,7 @@ def _su_so_algebra(n, monomial_cap):
 
 def su_so_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """H*(SU(2n+1)/SO(2n+1)): exterior on e5, e9, ..., e_{4n+1}."""
+    require_int_ranks("SU/SO dual", n=n)
     return _cached(_su_so_algebra, n, monomial_cap)
 
 
@@ -112,7 +125,12 @@ def lagrangian_relations(g):
 
 class _PieriModel:
     """The product of the Schubert-basis models: each key's ``_step(key, i)``
-    is memoised on its first use, and callers own what ``mult`` returns."""
+    is memoised on its first use, and callers own what ``mult`` returns;
+    ``keys(d)`` reads each model's ``_keys`` table, built on first use, so
+    a ring refused by its monomial cap never lists its keys."""
+
+    def keys(self, d):
+        return self._keys.get(d, [])
 
     def mult(self, cls, i):
         out = {}
@@ -138,14 +156,15 @@ class QTildeRing(_PieriModel):
         self.top_degree = g * (g + 1)
         self.one = {(): 1}
         self._memo = {}
-        # by degree, in the product((0, 1), repeat=g) order of the part sets
-        self._keys = {}
-        for parts in product((0, 1), repeat=g):
-            lam = tuple(k for k in range(g, 0, -1) if parts[k - 1])
-            self._keys.setdefault(2 * sum(lam), []).append(lam)
 
-    def keys(self, d):
-        return self._keys.get(d, [])
+    @cached_property
+    def _keys(self):
+        # by degree, in the product((0, 1), repeat=g) order of the part sets
+        keys = {}
+        for parts in product((0, 1), repeat=self.g):
+            lam = tuple(k for k in range(self.g, 0, -1) if parts[k - 1])
+            keys.setdefault(2 * sum(lam), []).append(lam)
+        return keys
 
     def dual(self, lam):
         """The parts of {1..g} that lam misses (Pragacz's duality).
@@ -208,6 +227,7 @@ def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
     >>> L.gen("sigma3") * L.gen("sigma3")
     0
     """
+    require_int_ranks("Lagrangian ring", g=g)
     base = _cached(_lagrangian_algebra, g, monomial_cap)
     if prefix == "sigma":
         return base
@@ -218,16 +238,59 @@ def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
 # ----------------------------------------------------- Grassmannian rings
 
 
+def _conjugate(lam):
+    """The conjugate of the partition lam: part j counts the rows of length >= j."""
+    out = []
+    below = 0
+    for rows in range(len(lam), 0, -1):
+        out += [rows] * (lam[rows - 1] - below)
+        below = lam[rows - 1]
+    return tuple(out)
+
+
+def _vertical_strips(p, q, lam, k):
+    """Partitions obtained from lam by adding a vertical k-strip in the p x q box.
+
+    At most one box per row; descending shape and the p x q box are
+    enforced, so classes never leave the model.  A row takes a box only
+    while it is shorter than q, so ``room[i]``, the rows from i on that
+    are shorter than q, bounds what those rows can absorb; a row is
+    entered only if the rows after it can take the boxes left.  The strip
+    grows ``mu`` in place, and its first n rows are the nonzero ones.
+    """
+    rows = min(p, len(lam) + k)
+    mu = list(lam) + [0] * (rows - len(lam))
+    room = [0] * (rows + 1)
+    for i in range(rows - 1, -1, -1):
+        room[i] = room[i + 1] + (mu[i] < q)
+    out = []
+
+    def rec(i, rem, n):
+        if rem == 0:
+            out.append(tuple(mu[:n]))
+            return
+        nv = mu[i] + 1
+        if nv <= (mu[i - 1] if i else q) and rem <= room[i + 1] + 1:
+            mu[i] = nv
+            rec(i + 1, rem - 1, n if nv > 1 else i + 1)
+            mu[i] = nv - 1
+        if rem <= room[i + 1]:
+            rec(i + 1, rem, n)
+
+    rec(0, k, len(lam))
+    return out
+
+
 class SchurRing(_PieriModel):
     """Internal Schur-basis model of H*(Gr(p, p+q)).
 
-    Keys are partitions inside the p x q box (descending tuples); classes
-    are {partition: int} dicts.  Only multiplication by e_k (vertical
-    strips) and by h_k (horizontal strips) is ever needed, so the general
-    Littlewood-Richardson rule never enters; each such step is memoised
-    per (partition, generator) by the shared ``mult``.  The basis is
-    self-dual: ``dual`` pairs a partition with its complement in the box
-    (Fulton, *Young Tableaux*, section 9.4).
+    Keys are partitions inside the p x q box (descending tuples), sorted
+    per degree; classes are {partition: int} dicts.  Only e_k (vertical
+    strips) and h_k (horizontal strips: by the involution omega, conjugates
+    of vertical strips on lam') ever multiply, so the general
+    Littlewood-Richardson rule never enters.  The basis is self-dual:
+    ``dual`` pairs a partition with its complement in the box (Fulton,
+    *Young Tableaux*, section 9.4).
     """
 
     def __init__(self, p, q):
@@ -235,30 +298,15 @@ class SchurRing(_PieriModel):
         self.q = q
         self.top_degree = 2 * p * q
         self.one = {(): 1}
-        self._parts = {}
         self._memo = {}
 
-    def partitions(self, n):
-        if n not in self._parts:
-            out = []
-
-            def rec(rem, maxpart, rows, cur):
-                if rem == 0:
-                    out.append(tuple(cur))
-                    return
-                if rows == 0:
-                    return
-                for part in range(min(maxpart, rem), 0, -1):
-                    cur.append(part)
-                    rec(rem - part, part, rows - 1, cur)
-                    cur.pop()
-
-            rec(n, self.q, self.p, [])
-            self._parts[n] = sorted(out)
-        return self._parts[n]
-
-    def keys(self, d):
-        return [] if d % 2 else self.partitions(d // 2)
+    @cached_property
+    def _keys(self):
+        keys = {}
+        for lam in sorted(tuple(v for v in rows if v) for rows in
+                          combinations_with_replacement(range(self.q, -1, -1), self.p)):
+            keys.setdefault(2 * sum(lam), []).append(lam)
+        return keys
 
     def dual(self, lam):
         """The complement of lam in the p x q box, rotated: s_lam * s_dual is
@@ -272,74 +320,13 @@ class SchurRing(_PieriModel):
         return tuple(v for v in (self.q - part for part in reversed(rows)) if v)
 
     def _step(self, lam, i):
-        """s_lam times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j."""
+        """s_lam times sigma_{i+1} = e_{i+1} (i < p), else tau_j = (-1)^j h_j,
+        whose strips are the conjugates of e_j's strips on lam'."""
         if i < self.p:
-            return dict.fromkeys(self._vertical_strips(lam, i + 1), 1)
+            return dict.fromkeys(_vertical_strips(self.p, self.q, lam, i + 1), 1)
         k = i + 1 - self.p
-        return dict.fromkeys(self._horizontal_strips(lam, k), -1 if k % 2 else 1)
-
-    def _vertical_strips(self, lam, k):
-        """Partitions obtained from lam by adding a vertical k-strip in the box.
-
-        At most one box per row; descending shape and the p x q box are
-        enforced, so classes never leave the model.  A row takes a box only
-        while it is shorter than q, so ``room[i]``, the rows from i on that
-        are shorter than q, bounds what those rows can absorb; a row is
-        entered only if the rows after it can take the boxes left.
-        """
-        rows = min(self.p, len(lam) + k)
-        base = list(lam) + [0] * (rows - len(lam))
-        room = [0] * (rows + 1)
-        for i in range(rows - 1, -1, -1):
-            room[i] = room[i + 1] + (base[i] < self.q)
-        out = []
-        delta = [0] * rows
-
-        def rec(i, rem):
-            if rem == 0:
-                full = [base[j] + delta[j] for j in range(i)] + base[i:]
-                out.append(tuple(v for v in full if v))
-                return
-            prev = (base[i - 1] + delta[i - 1]) if i else self.q
-            nv = base[i] + 1
-            if nv <= prev and nv <= self.q and rem <= room[i + 1] + 1:
-                delta[i] = 1
-                rec(i + 1, rem - 1)
-                delta[i] = 0
-            if rem <= room[i + 1]:
-                rec(i + 1, rem)
-
-        rec(0, k)
-        return out
-
-    def _horizontal_strips(self, lam, k):
-        """Partitions obtained from lam by adding a horizontal k-strip in the box.
-
-        Row i may grow up to the previous row's original length (no two new
-        boxes share a column); at most one new row appears.  ``room[i]`` is
-        what rows i.. can take together, and row i grows by at least what
-        the rows after it cannot take.
-        """
-        rows = min(self.p, len(lam) + 1)
-        base = list(lam) + [0] * (rows - len(lam))
-        grow = [(self.q if i == 0 else base[i - 1]) - base[i] for i in range(rows)]
-        room = [0] * (rows + 1)
-        for i in range(rows - 1, -1, -1):
-            room[i] = room[i + 1] + grow[i]
-        out = []
-        mu = [0] * rows
-
-        def rec(i, rem):
-            if i == rows:
-                out.append(tuple(v for v in mu if v))
-                return
-            for add in range(max(0, rem - room[i + 1]), min(grow[i], rem) + 1):
-                mu[i] = base[i] + add
-                rec(i + 1, rem - add)
-            mu[i] = 0
-
-        rec(0, k)
-        return out
+        strips = _vertical_strips(self.q, self.p, _conjugate(lam), k)
+        return dict.fromkeys(map(_conjugate, strips), -1 if k % 2 else 1)
 
 
 def grassmannian_relations(p, q):
@@ -384,6 +371,7 @@ def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
     (sum sigma)(sum tau) = 1.  Internally backed by the Schur model; the
     exposed basis follows the standard-monomial contract.
     """
+    require_int_ranks("Grassmannian ring", p=p, q=q)
     base = _cached(_grassmannian_algebra, p, q, monomial_cap)
     if not suffix:
         return base

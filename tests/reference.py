@@ -21,8 +21,10 @@ into lists for each pair, and the Pieri strip walks exploring every branch.
 ``StraighteningModel`` is the Lagrangian model before the Q-tilde basis:
 square-free sigma monomials with a repeated sigma_k straightened by its
 relation.  ``poincare_dual_by_solve`` is the dual class before every source
-had a dual basis: one solve of the pairing system.  They are slow and
-obviously exact, which is what a reference is for.
+had a dual basis: one solve of the pairing system.  ``family_sl_imag_sp``
+and ``family_sl_odd_real`` are the two special-linear constructors before
+they shared one, each written out with its own generator ranges.  They are
+slow and obviously exact, which is what a reference is for.
 """
 
 import random
@@ -37,10 +39,16 @@ from dualcoh.algebra import (
     _quotient,
     pairing_matrix,
 )
+from dualcoh.catalog import FamilyInstance
 from dualcoh.checks import CheckResult
-from dualcoh.errors import CapExceededError, InconsistentPresentationError
+from dualcoh.errors import (
+    CapExceededError,
+    InconsistentPresentationError,
+    InvalidPresentationError,
+)
 from dualcoh.linalg import SparseRREF, add_scaled, solve
-from dualcoh.morphisms import apply, random_homogeneous
+from dualcoh.morphisms import apply, build_morphism, random_homogeneous
+from dualcoh.rings import sp_group_algebra, su_algebra, su_so_algebra
 
 
 def koszul_product(algebra, m1, m2):
@@ -416,3 +424,76 @@ def poincare_dual_by_solve(algebra, phi, e):
         raise InconsistentPresentationError(
             "dual-class system is infeasible; morphism or presentation is wrong")
     return algebra.element_from_coords(sol, d)
+
+
+def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+    """Symplectic subgroup of a special linear group over an imaginary
+    quadratic field: duals SU(2n) and compact Sp(2n).
+
+    Restriction keeps exactly the generators of degree 3 mod 4.  The kernel
+    ideal and the compact-support ideal are both generated by the top
+    generator e_{4n-1}; the principal-Levi data (an SU(2n-1) dual) feeds
+    the ghost certificate.  n = 1 is accepted but degenerate (H = G, no
+    Levi inside SU(1)), so it carries no ghost data.
+    """
+    if n < 1:
+        raise InvalidPresentationError(f"family sl-imag-sp needs n >= 1, got {n}")
+    G = su_algebra(2 * n, monomial_cap)
+    H = sp_group_algebra(n, monomial_cap)
+    images = {f"e{d}": H.gen(f"e{d}") for d in range(3, 4 * n, 4)}
+    restriction = build_morphism(G, H, images)
+    top_name = f"e{4 * n - 1}"
+    inst = FamilyInstance(
+        family_id="sl-imag-sp",
+        parameters={"n": n},
+        dual_G=G,
+        dual_H=H,
+        restriction=restriction,
+        franke_ideal=[G.gen(top_name)],
+        compact_support_generator=top_name,
+    )
+    if n >= 2:
+        levi = su_algebra(2 * n - 1, monomial_cap)
+        levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n - 2, 2)}
+        inst.levi_restriction = build_morphism(G, levi, levi_images)
+        inst.levi_franke_generator = f"e{4 * n - 3}"
+        inst.notes["discrepancy"] = (
+            f"compact-support divisibility is read against the top generator "
+            f"e{4 * n - 1}; an e{4 * n - 3} reading would be vacuous, since the "
+            f"dual class e5^...^e{4 * n - 3} contains e{4 * n - 3} as a factor.")
+    return inst
+
+
+def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+    """Odd special linear group over a totally real field inside its
+    restriction of scalars: duals SU(2n+1) and SU(2n+1)/SO(2n+1).
+
+    The target ring lives on generators of degree 1 mod 4, so the
+    restriction keeps exactly those generators (this is also forced by the
+    closed form of the dual class, e3^e7^...^e_{4n-1}).
+    """
+    if n < 1:
+        raise InvalidPresentationError(f"family sl-odd-real needs n >= 1, got {n}")
+    G = su_algebra(2 * n + 1, monomial_cap)
+    H = su_so_algebra(n, monomial_cap)
+    images = {f"e{d}": H.gen(f"e{d}") for d in range(5, 4 * n + 2, 4)}
+    restriction = build_morphism(G, H, images)
+    top_name = f"e{4 * n + 1}"
+    levi = su_algebra(2 * n, monomial_cap)
+    levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n, 2)}
+    inst = FamilyInstance(
+        family_id="sl-odd-real",
+        parameters={"n": n},
+        dual_G=G,
+        dual_H=H,
+        restriction=restriction,
+        franke_ideal=[G.gen(top_name)],
+        compact_support_generator=top_name,
+        levi_restriction=build_morphism(G, levi, levi_images),
+        levi_franke_generator=f"e{4 * n - 1}",
+    )
+    inst.notes["discrepancy"] = (
+        f"compact-support divisibility is read against the top generator "
+        f"e{4 * n + 1}; an e{4 * n - 1} reading would be vacuous, since the "
+        f"dual class e3^e7^...^e{4 * n - 1} contains e{4 * n - 1} as a factor.")
+    return inst

@@ -749,6 +749,33 @@ class TestPoincareDual:
         with pytest.raises(InvalidPresentationError):
             poincare_dual(alg, {(1, 0): 0.5}, 3)
 
+    @pytest.mark.parametrize("build", [lambda: exterior_algebra([3, 5]),
+                                       lambda: lagrangian_algebra(2),
+                                       lambda: grassmannian_algebra(2, 2)],
+                             ids=["exterior", "Q-tilde", "Schur"])
+    def test_degree_outside_the_ring_refused(self, build):
+        alg = build()
+        for e in (-1, alg.top_degree + 1, 99):
+            with pytest.raises(InvalidPresentationError, match="outside"):
+                poincare_dual(alg, {}, e)
+        assert poincare_dual(alg, {}, alg.top_degree).is_zero()
+
+    @pytest.mark.parametrize("build,e,bad", [
+        (lambda: exterior_algebra([3, 5]), 3, [(0, 1), (1, 1), (2, 0), (1, 0, 0)]),
+        (lambda: lagrangian_algebra(2), 2, [(0, 1), (5, 5), (1,), (1, -1)]),
+        # sigma1^2 has degree 4 but is not a standard monomial
+        (lambda: lagrangian_algebra(2), 4, [(2, 0), (1, 0)]),
+        (lambda: grassmannian_algebra(2, 2), 4, [(2, 0, 0, 0), (1, 0, 1, 0), (1, 0, 0, 0)]),
+    ], ids=["exterior", "Q-tilde", "Q-tilde-same-degree", "Schur"])
+    def test_key_outside_the_basis_refused(self, build, e, bad):
+        alg = build()
+        good = alg.basis(e)[0]
+        for w in bad:
+            assert w not in alg.basis(e)
+            with pytest.raises(InvalidPresentationError):
+                poincare_dual(alg, {good: 1, w: 1}, e)
+        assert not poincare_dual(alg, {good: 1}, e).is_zero()
+
 
 # Rings built afresh on each call, so a test can look at untouched caches.
 PRODUCT_RINGS = {

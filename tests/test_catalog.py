@@ -7,6 +7,7 @@ import pytest
 
 import dualcoh.algebra
 from dualcoh import (
+    CapExceededError,
     InvalidPresentationError,
     build_family,
     decide_ghost,
@@ -35,6 +36,8 @@ from dualcoh.checks import catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import apply, gysin_fundamental_class, random_homogeneous
 from dualcoh.rings import lagrangian_algebra, su_algebra
+from reference import family_sl_imag_sp as sl_imag_sp_oracle
+from reference import family_sl_odd_real as sl_odd_real_oracle
 from reference import product_composition_image
 
 
@@ -105,6 +108,62 @@ class TestSlOddReal:
         assert is_divisible(v.fundamental_class, G.generator("e9")) is None
         assert v.nonvanishing and v.ghost.is_ghost
         assert "e9" in v.ghost.discrepancy_note and "e7" in v.ghost.discrepancy_note
+
+
+def _ring_shape(alg):
+    return [(g.name, g.degree) for g in alg.generators]
+
+
+def _images(morphism):
+    return {name: v.terms for name, v in morphism.generator_images.items()}
+
+
+@pytest.mark.parametrize("build,oracle", [(family_sl_imag_sp, sl_imag_sp_oracle),
+                                          (family_sl_odd_real, sl_odd_real_oracle)],
+                         ids=["sl-imag-sp", "sl-odd-real"])
+def test_shared_sl_constructor_matches_the_two_written_out(build, oracle):
+    for n in range(1, 9):
+        got, want = build(n), oracle(n)
+        assert (got.family_id, got.parameters) == (want.family_id, want.parameters)
+        assert _ring_shape(got.dual_G) == _ring_shape(want.dual_G)
+        assert _ring_shape(got.dual_H) == _ring_shape(want.dual_H)
+        assert _images(got.restriction) == _images(want.restriction)
+        assert [v.terms for v in got.franke_ideal] == [v.terms for v in want.franke_ideal]
+        assert got.compact_support_generator == want.compact_support_generator
+        assert got.levi_franke_generator == want.levi_franke_generator
+        assert got.notes == want.notes
+        assert (got.levi_restriction is None) == (want.levi_restriction is None) == (
+            build is family_sl_imag_sp and n == 1)
+        if want.levi_restriction is not None:
+            assert (_ring_shape(got.levi_restriction.target)
+                    == _ring_shape(want.levi_restriction.target))
+            assert _images(got.levi_restriction) == _images(want.levi_restriction)
+        vg, vw = decide_nonvanishing(got), decide_nonvanishing(want)
+        assert vg.fundamental_class.terms == vw.fundamental_class.terms
+        assert vg.nonvanishing == vw.nonvanishing
+        assert (vg.nonvanishing_witness.terms == vw.nonvanishing_witness.terms
+                if vw.nonvanishing else vg.nonvanishing_witness is None)
+        assert (vg.ghost, vg.betti_G, vg.betti_H) == (vw.ghost, vw.betti_G, vw.betti_H)
+
+
+@pytest.mark.parametrize("build,oracle", [(family_sl_imag_sp, sl_imag_sp_oracle),
+                                          (family_sl_odd_real, sl_odd_real_oracle)],
+                         ids=["sl-imag-sp", "sl-odd-real"])
+def test_shared_sl_constructor_refuses_as_the_two_written_out(build, oracle):
+    # G, then H, then the Levi: a cap stops the same ring in both.
+    refused = 0
+    for n in range(0, 9):
+        for cap in (1, 2, 3, 5, 10, 40):
+            errors = []
+            for f in (build, oracle):
+                try:
+                    f(n, cap)
+                    errors.append(None)
+                except (CapExceededError, InvalidPresentationError) as exc:
+                    errors.append((type(exc), str(exc)))
+            assert errors[0] == errors[1], (n, cap)
+            refused += errors[0] is not None
+    assert refused > 20
 
 
 class TestGhostDivisibility:

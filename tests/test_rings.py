@@ -11,14 +11,17 @@ import dualcoh.algebra
 from dualcoh import (
     InconsistentPresentationError,
     InvalidPresentationError,
+    exterior_algebra,
     poincare_polynomial,
 )
 from dualcoh.algebra import _enumerate_monomials, model_quotient_algebra
 from dualcoh.catalog import build_family, decide_nonvanishing
 from dualcoh.checks import box_partition_betti, strict_partition_betti
 from dualcoh.rings import (
+    RINGS,
     QTildeRing,
     SchurRing,
+    _conjugate,
     clear_ring_cache,
     grassmannian_algebra,
     grassmannian_relations,
@@ -43,6 +46,29 @@ class TestExteriorBuilders:
 
     def test_su_so_degrees(self):
         assert [g.degree for g in su_so_algebra(2).generators] == [5, 9]
+
+    def test_non_int_degree_refused(self):
+        for degrees in ([3.0], [3, 5.0], [True, 3], ["3"]):
+            with pytest.raises(InvalidPresentationError, match="must be ints"):
+                exterior_algebra(degrees)
+
+
+# Each builder of RINGS with a good rank, then a bad one in each position;
+# the cache already holds the good ring, which 2.0 == 2 would find.
+@pytest.mark.parametrize("ring_id,good,bad", [
+    ("su", (3,), [(3.0,), (True,), ("3",)]),
+    ("sp-group", (2,), [(2.0,), (True,), (None,)]),
+    ("su-so", (1,), [(1.0,), (True,), ("1",)]),
+    ("lagrangian", (2,), [(2.0,), (True,), ("2",)]),
+    ("grassmannian", (2, 2), [("2", 2), (2, 2.0), (True, 2), (2, False)]),
+])
+def test_builders_refuse_a_non_int_rank(ring_id, good, bad):
+    build, names = RINGS[ring_id]
+    assert len(names) == len(good)
+    build(*good)
+    for ranks in bad:
+        with pytest.raises(InvalidPresentationError, match="rank . must be an int"):
+            build(*ranks)
 
 
 def assert_model_equals_direct(direct, fast):
@@ -165,6 +191,26 @@ def _box_partitions(p, q):
     return out
 
 
+@pytest.mark.parametrize("p", range(1, 7))
+def test_schur_keys_are_the_sorted_box_partitions(p):
+    for q in range(1, 7):
+        ring, box = SchurRing(p, q), _box_partitions(p, q)
+        for n in range(p * q + 1):
+            want = sorted(tuple(v for v in rows if v) for rows in box[n])
+            assert ring.keys(2 * n) == want, (p, q, n)
+            assert ring.keys(2 * n + 1) == []
+        assert sorted(ring._keys) == list(range(0, 2 * p * q + 1, 2))
+
+
+def test_conjugate_is_the_transpose_in_a_7x7_box():
+    for parts in _box_partitions(7, 7).values():
+        for rows in parts:
+            lam = tuple(v for v in rows if v)
+            counts = (sum(part >= j for part in lam) for j in range(1, 8))
+            assert _conjugate(lam) == tuple(c for c in counts if c), lam
+            assert _conjugate(_conjugate(lam)) == lam
+
+
 def _pieri_reference(p, box, lam, i):
     """s_lam times generator i of the Schur model, from the strip conditions:
     sigma_k = e_k adds a vertical k-strip (every row grows by at most one),
@@ -242,6 +288,27 @@ def test_grassmannian_cap_refused_at_construction():
     from dualcoh import CapExceededError
     with pytest.raises(CapExceededError):
         grassmannian_algebra(3, 3, 5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: grassmannian_algebra(14, 14),
+    lambda: lagrangian_algebra(26),
+    lambda: build_family("sp-in-ugg", {"g": 14}),
+], ids=["Gr(14,28)", "LG(26)", "sp-in-ugg g=14"])
+def test_cap_refused_before_any_key_is_listed(monkeypatch, build):
+    """Gr(14, 28) has C(28, 14) = 40,116,600 box partitions and LG(26) has
+    2^26 strict ones; a ring over its monomial cap is refused without
+    listing any of them."""
+    from dualcoh import CapExceededError
+
+    def refuse(model):
+        raise AssertionError("key table built before the cap check")
+
+    monkeypatch.setattr(SchurRing, "_keys", property(refuse))
+    monkeypatch.setattr(QTildeRing, "_keys", property(refuse))
+    clear_ring_cache()
+    with pytest.raises(CapExceededError, match="exceeds cap"):
+        build()
 
 
 def test_ring_cache_shares_until_cleared():
