@@ -42,9 +42,12 @@ refused, not rounded.  Integer inputs stay ``int`` until a division
 leaves a denominator; ``SparseRREF`` eliminates over the integers and
 returns a ``Fraction`` only for an entry its final division does not clear.
 
-The witness search walks the ideal's spanning products m*g_i without row
-reduction; ``ideal_basis_in_degree`` (an echelon basis) is the reference
-that checks and tests compare it against.
+The witness search tests the ideal's spanning products m*g_i without row
+reduction.  In a model-backed ring each test is a contraction of model
+classes over the self-dual keys, with one model product per generator and
+no normal form; other rings pair each m*g_i.  ``ideal_basis_in_degree``
+(an echelon basis) is the reference that checks and tests compare it
+against.
 
 ``poincare_dual(algebra, phi, e)`` is the class xi of degree top - e with
 <xi, w> = phi[w] on the degree-e basis, which is how the Gysin class is
@@ -517,6 +520,26 @@ class GradedAlgebra:
         """Model class of an ambient monomial, as a {model key: coefficient} dict."""
         return monomial_value(self._mont_class_cache, mont, self._model.mult)
 
+    def _class_of(self, terms):
+        """Model class of an ambient {monomial: coefficient} dict."""
+        cls = {}
+        for m, c in terms.items():
+            add_scaled(cls, c, self._mont_class(m))
+        return cls
+
+    def _times_terms(self, cls, terms):
+        """A model class times an ambient {monomial: coefficient} dict,
+        computed in the model: one chain of ``mult`` steps per monomial."""
+        mult = self._model.mult
+        out = {}
+        for mont, c in terms.items():
+            part = cls
+            for i, e in enumerate(mont):
+                for _ in range(e):
+                    part = mult(part, i)
+            add_scaled(out, c, part)
+        return out
+
     def _build_model_basis(self, d):
         """Standard monomials of degree d: a monomial is standard exactly when
         its model class is independent of the classes of all smaller
@@ -667,10 +690,7 @@ def model_quotient_algebra(generators, relations, model,
         alg._dims[d] = len(keys)
         alg._key_index.update((k, i) for i, k in enumerate(keys))
     for rdeg, poly in alg.relations:
-        cls = {}
-        for m, c in poly.items():
-            add_scaled(cls, c, alg._mont_class(m))
-        if cls:
+        if alg._class_of(poly):
             raise InconsistentPresentationError(
                 f"a degree-{rdeg} relation does not vanish in the model")
     return alg
@@ -893,17 +913,50 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
     v survives the map whose kernel is the ideal's orthogonal complement.
     A functional vanishes on the ideal's degree-du piece iff it vanishes on
     the spanning products m*g_i (m a basis monomial), so u is the first of
-    those that pairs nonzero.
+    those that pairs nonzero, generators in order and m in basis order.
+
+    In a model-backed ring <v, m*g> = <v*g, m> is read by contraction: the
+    model class V of v*g is formed in the model once per generator, and
+    <v*g, m> is c^-1 * sum_k class(m)[k] * V[dual k], c the model coefficient
+    of the canonical top monomial, which a nonzero test does not need.  So
+    the only product formed is the returned m*g.  Other rings form each
+    m*g and pair it.  Zero generators are skipped; a generator of another
+    ring, or an inhomogeneous v or generator, raises ``ValueError``.
     """
     alg = v.algebra
     if v.is_zero():
         return None
     du = alg.top_degree - v.homogeneous_degree()
+    model = alg._model
+    if model is not None:
+        cv = alg._class_of(v.terms)
     for g in ideal_gens:
         if g.is_zero():
             continue
-        for m in alg.basis(du - g.homogeneous_degree()):
-            u = alg.basis_element(m) * g
-            if pairing(v, u):
-                return u
+        v._check_owner(g)
+        ms = alg.basis(du - g.homogeneous_degree())
+        if model is None:
+            for m in ms:
+                u = alg.basis_element(m) * g
+                if pairing(v, u):
+                    return u
+        elif ms:
+            vg = _by_dual(model, alg._times_terms(cv, g.terms))
+            for m in ms:
+                if _contract(alg._mont_class(m), vg):
+                    return alg.basis_element(m) * g
     return None
+
+
+def _by_dual(model, cls):
+    """A model class re-keyed by ``dual``: key k's coefficient at dual(k)."""
+    return {model.dual(k): c for k, c in cls.items()}
+
+
+def _contract(cls, keyed):
+    """sum_k cls[k] * keyed[k].  With ``keyed = _by_dual(model, A)`` and B
+    of complementary degree, this is the top-key coefficient of A*B (each
+    key pairs to the top key with its dual and to 0 with the rest), so c
+    times the pairing of the elements with classes A and B."""
+    get = keyed.get
+    return sum(c * get(k, 0) for k, c in cls.items())

@@ -23,8 +23,11 @@ square-free sigma monomials with a repeated sigma_k straightened by its
 relation.  ``poincare_dual_by_solve`` is the dual class before every source
 had a dual basis: one solve of the pairing system.  ``family_sl_imag_sp``
 and ``family_sl_odd_real`` are the two special-linear constructors before
-they shared one, each written out with its own generator ranges.  They are
-slow and obviously exact, which is what a reference is for.
+they shared one, each written out with its own generator ranges.
+``witness_by_products`` is the witness search before model rings read
+their pairings by contraction: every spanning product m*g formed and
+paired in full.  They are slow and obviously exact, which is what a
+reference is for.
 """
 
 import random
@@ -37,6 +40,7 @@ from dualcoh.algebra import (
     GradedAlgebra,
     _count_monomials,
     _quotient,
+    pairing,
     pairing_matrix,
 )
 from dualcoh.catalog import FamilyInstance
@@ -497,3 +501,20 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
         f"e{4 * n + 1}; an e{4 * n - 1} reading would be vacuous, since the "
         f"dual class e3^e7^...^e{4 * n - 1} contains e{4 * n - 1} as a factor.")
     return inst
+
+
+def witness_by_products(v, ideal_gens):
+    """The first spanning product m*g (generators in order, m in basis
+    order) that pairs nonzero with v, or None; each product formed in full."""
+    alg = v.algebra
+    if v.is_zero():
+        return None
+    du = alg.top_degree - v.homogeneous_degree()
+    for g in ideal_gens:
+        if g.is_zero():
+            continue
+        for m in alg.basis(du - g.homogeneous_degree()):
+            u = alg.basis_element(m) * g
+            if pairing(v, u):
+                return u
+    return None

@@ -380,6 +380,43 @@ class TestIdealOps:
         assert pairing(alg.gen("sigma1"), u) == 1
 
 
+def _witness_case(kind):
+    """v, a generator g with g*g = 0 and pairs(v, [g]) nonzero, and g's
+    copy in an equal but distinct ring."""
+    if kind == "model":
+        L = lagrangian_algebra(2)
+        return L.gen("sigma1"), L.gen("sigma2"), lagrangian_algebra(2, prefix="tau").gen("tau2")
+    A = exterior_algebra([3, 5, 7])
+    return A.gen("e5"), A.gen("e7"), exterior_algebra([3, 5, 7]).gen("e7")
+
+
+@pytest.mark.parametrize("kind", ["model", "exterior"])
+class TestWitnessSearchRefusals:
+    def test_generator_of_another_ring(self, kind):
+        v, g, foreign = _witness_case(kind)
+        for w in (v, g):  # v pairs with (g); g*g = 0, so g pairs with nothing
+            with pytest.raises(ValueError, match="elements belong to different algebras"):
+                pairs_nontrivially_with_ideal(w, [foreign])
+
+    def test_inhomogeneous_class(self, kind):
+        v, g, _ = _witness_case(kind)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            pairs_nontrivially_with_ideal(v + v.algebra.one(), [g])
+
+    def test_inhomogeneous_generator(self, kind):
+        v, g, _ = _witness_case(kind)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            pairs_nontrivially_with_ideal(v, [g + v.algebra.one()])
+
+    def test_zero_generators_skipped(self, kind):
+        v, g, foreign = _witness_case(kind)
+        u = pairs_nontrivially_with_ideal(v, [g])
+        assert u is not None
+        zero = v.algebra.zero()
+        assert pairs_nontrivially_with_ideal(v, [zero, foreign.algebra.zero(), g]) == u
+        assert pairs_nontrivially_with_ideal(v, [zero]) is None
+
+
 class TestStructuralProperties:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_graded_commutativity(self, seed):

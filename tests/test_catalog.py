@@ -23,6 +23,7 @@ from dualcoh import (
     pairs_nontrivially_with_ideal,
     siegel_theta,
 )
+from dualcoh.algebra import Element, GradedAlgebra, _by_dual, _contract
 from dualcoh.catalog import (
     FAMILIES,
     FAMILY_ALIASES,
@@ -32,13 +33,13 @@ from dualcoh.catalog import (
     two_part_partitions,
     unitary_decompositions,
 )
-from dualcoh.checks import catalog_sweep_specs
+from dualcoh.checks import _sweep_algebras, catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import apply, gysin_fundamental_class, random_homogeneous
 from dualcoh.rings import lagrangian_algebra, su_algebra
 from reference import family_sl_imag_sp as sl_imag_sp_oracle
 from reference import family_sl_odd_real as sl_odd_real_oracle
-from reference import product_composition_image
+from reference import product_composition_image, witness_by_products
 
 
 class TestSlImagSp:
@@ -375,20 +376,34 @@ def _refuse(*args, **kwargs):
 
 
 class TestWitnessSearchDifferential:
-    """The product walk of pairs_nontrivially_with_ideal against the echelon
-    basis of ideal_basis_in_degree, over the certified sweep."""
+    """pairs_nontrivially_with_ideal against the echelon basis of
+    ideal_basis_in_degree and against the walk that forms and pairs every
+    spanning product, over the certified sweep."""
 
     @staticmethod
     def _agree(monkeypatch, v, ideal):
-        """Assert the two agree on v; True when the ideal's degree-du piece is nonzero."""
+        """Assert the three agree on v, and that a model ring's search forms
+        no product but the witness; True when the ideal's degree-du piece is
+        nonzero."""
         alg = v.algebra
         du = alg.top_degree - v.homogeneous_degree()
         basis = ideal_basis_in_degree(ideal, du)
-        alg.canonical_top_monomial()
+        expected = witness_by_products(v, ideal)
+        products = []
+        mul = GradedAlgebra._mul_elements
+
+        def counted(self, a, b):
+            products.append(b)
+            return mul(self, a, b)
+
         with monkeypatch.context() as patch:
             patch.setattr(dualcoh.algebra, "SparseRREF", _refuse)
             patch.setattr(dualcoh.algebra, "ideal_basis_in_degree", _refuse)
+            patch.setattr(GradedAlgebra, "_mul_elements", counted)
             u = pairs_nontrivially_with_ideal(v, ideal)
+        assert u == expected
+        if alg._model is not None:
+            assert len(products) == (u is not None)
         assert (u is None) == all(pairing(v, b) == 0 for b in basis)
         if u is not None:
             assert pairing(v, u) != 0
@@ -424,6 +439,33 @@ class TestWitnessSearchDifferential:
                 assert pairs_nontrivially_with_ideal(v, [g]) is None
                 negatives += self._agree(monkeypatch, v, [g])
         assert randoms >= 50 and negatives >= 10, (randoms, negatives)
+
+    def test_sp_in_ugg_g6(self, monkeypatch):
+        inst = family_sp_in_ugg(6, monomial_cap=2_000_000)
+        fc = decide_nonvanishing(inst).fundamental_class
+        assert self._agree(monkeypatch, fc, inst.franke_ideal)
+
+    def test_contraction_is_c_times_the_pairing(self):
+        """On every model ring of the sweep and every complementary degree
+        pair, _contract of two classes is c times the pairing, c the model
+        coefficient of the canonical top monomial."""
+        rng = random.Random(17)
+        instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
+        rings = [alg for alg in _sweep_algebras(instances) if alg._model is not None]
+        assert len(rings) >= 10
+        for alg in rings:
+            model = alg._model
+            [top_key] = model.keys(alg.top_degree)
+            c = alg._mont_class(alg.canonical_top_monomial())[top_key]
+            for d in alg.nonzero_degrees():
+                a = _random_of_degree(alg, d, rng)
+                b = _random_of_degree(alg, alg.top_degree - d, rng)
+                keyed = _by_dual(model, alg._class_of(a.terms))
+                assert _contract(alg._class_of(b.terms), keyed) == c * pairing(a, b)
+
+
+def _random_of_degree(alg, d, rng):
+    return Element(alg, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in alg.basis(d)})
 
 
 def _smallest(fid):

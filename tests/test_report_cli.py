@@ -406,6 +406,25 @@ class TestFamilyTable:
         assert cli.main(["ring", rid, *(a for j in names for a in (f"--{j}", "2"))]) == 0
 
 
+def test_python_m_dualcoh_prints_what_main_prints(capsys):
+    # -I would also drop the working directory (src) from sys.path, so the
+    # run is isolated with -E -s instead.
+    argv = ["ring", "su", "--n", "3", "--json"]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-E", "-s", "-m", "dualcoh", *argv], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_cli_import_does_not_import_main():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, dualcoh.cli; print('dualcoh.__main__' in sys.modules)"
+    out = subprocess.run([sys.executable, "-E", "-s", "-c", code], cwd=src,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process; every later call must
     parse exactly as a freshly built parser would."""
