@@ -42,10 +42,16 @@ refused, not rounded.  Integer inputs stay ``int`` until a division
 leaves a denominator; ``SparseRREF`` eliminates over the integers and
 returns a ``Fraction`` only for an entry its final division does not clear.
 
-The witness search tests the ideal's spanning products m*g_i without row
-reduction.  In a model-backed ring each test is a contraction of model
-classes over the self-dual keys, with one model product per generator and
-no normal form; other rings pair each m*g_i.  ``ideal_basis_in_degree``
+Every model's keys are self-dual, so in a model-backed ring, and in a
+tensor product of them (keys are pairs of factor keys, duals taken factor
+by factor), the top coefficient of a product A*B of classes of
+complementary degree is one contraction, sum_k A[k] * B[dual k], with no
+product formed.  Two readers use it.  The Gysin functional of
+``morphisms.gysin_fundamental_class`` contracts the classes of two
+half-degree images.  The witness search tests the ideal's spanning
+products m*g_i without row reduction: in a model-backed ring each test
+contracts class(m) against the class of v*g_i, formed in the model once
+per generator; other rings pair each m*g_i.  ``ideal_basis_in_degree``
 (an echelon basis) is the reference that checks and tests compare it
 against.
 
@@ -272,6 +278,7 @@ class GradedAlgebra:
         self._model = None        # model-backed quotients
         self._key_index = {}      # model key -> position in model.keys(its degree)
         self._mont_class_cache = {}
+        self._dual_keys = {}      # model key -> model.dual(key), see _dual_key
         self._std_convert = {}    # degree -> tagged SparseRREF selecting the basis
 
     # ---------------------------------------------------------------- basics
@@ -517,8 +524,16 @@ class GradedAlgebra:
     # ------------------------------------------------- model-backed quotient
 
     def _mont_class(self, mont):
-        """Model class of an ambient monomial, as a {model key: coefficient} dict."""
-        return monomial_value(self._mont_class_cache, mont, self._model.mult)
+        """Model class of an ambient monomial, as a {model key: coefficient}
+        dict.  In a tensor product of model-backed rings a key is the pair
+        (key of the first factor, key of the second), nested as the factors
+        are; only the factors memoise their classes, so a tensor product
+        holds none."""
+        if self._factors is None:
+            return monomial_value(self._mont_class_cache, mont, self._model.mult)
+        (a, b), s = self._factors, self._split
+        cb = b._mont_class(mont[s:]).items()
+        return {(ka, kb): x * y for ka, x in a._mont_class(mont[:s]).items() for kb, y in cb}
 
     def _class_of(self, terms):
         """Model class of an ambient {monomial: coefficient} dict."""
@@ -526,6 +541,36 @@ class GradedAlgebra:
         for m, c in terms.items():
             add_scaled(cls, c, self._mont_class(m))
         return cls
+
+    def _model_backed(self):
+        """Whether classes and duals are read in a model: a model-backed
+        quotient, or a tensor product whose factors all are."""
+        if self._factors is not None:
+            return all(f._model_backed() for f in self._factors)
+        return self._model is not None
+
+    def _dual_key(self, key):
+        """The key that pairs with ``key`` to the top key: the model's
+        ``dual``, memoised, or in a tensor product the factors' duals."""
+        if self._factors is not None:
+            a, b = self._factors
+            return a._dual_key(key[0]), b._dual_key(key[1])
+        dual = self._dual_keys.get(key)
+        if dual is None:
+            dual = self._dual_keys[key] = self._model.dual(key)
+        return dual
+
+    def _top_coefficient(self):
+        """c: the canonical top monomial's model class is c times the top
+        key; in a tensor product, the product of the factors' c."""
+        if self._factors is not None:
+            a, b = self._factors
+            return a._top_coefficient() * b._top_coefficient()
+        [top_key] = self._model.keys(self.top_degree)
+        c = self._mont_class(self.canonical_top_monomial()).get(top_key, 0)
+        if not c:
+            raise InconsistentPresentationError("canonical top monomial is zero in the model")
+        return c
 
     def _times_terms(self, cls, terms):
         """A model class times an ambient {monomial: coefficient} dict,
@@ -758,6 +803,9 @@ def pairing_matrix(alg, d):
     Entry [i][j] is ``pairing(basis_element(u_i), basis_element(w_j))``,
     read as the Koszul sign of the free product u_i * w_j times the
     canonical top coefficient of its normal form, with no element built.
+    In an exterior ring only the complement of u_i is read: two square-free
+    monomials of complementary degree with disjoint support are
+    complements, and every other free product vanishes.
 
     >>> A = exterior_algebra([3, 5, 7, 9])
     >>> pairing_matrix(A, 3), pairing_matrix(A, 21)
@@ -765,9 +813,17 @@ def pairing_matrix(alg, d):
     >>> A.basis(12), pairing_matrix(A, 12)
     ([(0, 1, 1, 0), (1, 0, 0, 1)], [[0, 1], [1, 0]])
     """
-    top = alg.canonical_top_monomial()
     cols = alg.basis(alg.top_degree - d)
     rows = []
+    if alg.kind == "exterior":
+        column = {w: j for j, w in enumerate(cols)}
+        for u in alg.basis(d):
+            wc = tuple(1 - x for x in u)
+            row = [0] * len(cols)
+            row[column[wc]] = alg._free_mul(u, wc)[0]
+            rows.append(row)
+        return rows
+    top = alg.canonical_top_monomial()
     for u in alg.basis(d):
         row = []
         for w in cols:
@@ -844,10 +900,7 @@ def _model_dual(algebra, phi, e):
     if len(set(duals)) != len(duals) or set(duals) != set(model.keys(d)):
         raise InconsistentPresentationError(
             f"model dual does not map degree {e} one-to-one onto degree {d}")
-    [top_key] = model.keys(algebra.top_degree)
-    c = algebra._mont_class(algebra.canonical_top_monomial()).get(top_key, 0)
-    if not c:
-        raise InconsistentPresentationError("canonical top monomial is zero in the model")
+    c = algebra._top_coefficient()
     # Key i's standard coordinates are the tag part (column n + j for basis
     # monomial j) of the degree-e conversion's monic pivot row i.
     basis = algebra.basis(e)
@@ -941,22 +994,24 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
                 if pairing(v, u):
                     return u
         elif ms:
-            vg = _by_dual(model, alg._times_terms(cv, g.terms))
+            vg = _by_dual(alg, alg._times_terms(cv, g.terms))
             for m in ms:
                 if _contract(alg._mont_class(m), vg):
                     return alg.basis_element(m) * g
     return None
 
 
-def _by_dual(model, cls):
-    """A model class re-keyed by ``dual``: key k's coefficient at dual(k)."""
-    return {model.dual(k): c for k, c in cls.items()}
+def _by_dual(alg, cls):
+    """A class of ``alg`` re-keyed by its duals: key k's coefficient at dual(k)."""
+    dual = alg._dual_key
+    return {dual(k): c for k, c in cls.items()}
 
 
 def _contract(cls, keyed):
-    """sum_k cls[k] * keyed[k].  With ``keyed = _by_dual(model, A)`` and B
-    of complementary degree, this is the top-key coefficient of A*B (each
-    key pairs to the top key with its dual and to 0 with the rest), so c
-    times the pairing of the elements with classes A and B."""
+    """sum_k cls[k] * keyed[k].  With ``keyed = _by_dual(alg, A)`` and B of
+    complementary degree, this is the top-key coefficient of A*B (each key
+    pairs to the top key with its dual and to 0 with the rest), so
+    ``alg._top_coefficient()`` times the pairing of the elements with
+    classes A and B."""
     get = keyed.get
     return sum(c * get(k, 0) for k, c in cls.items())

@@ -1,9 +1,10 @@
 """Degree-preserving ring homomorphisms and dual fundamental classes.
 
 A morphism is stored by its images on generators and extended
-multiplicatively through normal forms.  Construction eagerly verifies that
-every defining relation of the source maps to zero; a silent
-non-homomorphism would corrupt every verdict computed downstream.
+multiplicatively through normal forms, memoised per monomial from the
+generator images on.  Construction eagerly verifies that every defining
+relation of the source maps to zero; a silent non-homomorphism would
+corrupt every verdict computed downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
 algebras is the unique xi in A of degree top(A) - top(B) such that
@@ -11,16 +12,22 @@ algebras is the unique xi in A of degree top(A) - top(B) such that
     <xi, w>_A = top-coefficient_B(f(w))   for every w of degree top(B),
 
 where both sides use the canonical-top orientation convention.  It is the
-compact-dual avatar of integration over the subspace.  The right-hand
-sides are n applications of f; ``poincare_dual`` contracts them against a
-dual basis of A: complementary monomials for exterior sources, dual Schur
-keys for Grassmannian ones and dual Q-tilde keys for Lagrangian ones.
-Nothing solves the pairing system.
+compact-dual avatar of integration over the subspace.  When B reads its
+classes in a self-dual model (a Grassmannian or Lagrangian ring, or a
+tensor product of them), each right-hand side is one contraction of the
+model classes of f(a) and f(b), where w = a*b splits at half of top(B), so
+no image above that degree (plus one generator) is formed.  Otherwise f(w)
+is formed in full.  ``poincare_dual`` contracts the right-hand sides
+against a dual basis of A: complementary monomials for exterior sources,
+dual Schur keys for Grassmannian ones and dual Q-tilde keys for Lagrangian
+ones.  Nothing solves the pairing system.
 """
 
 import random
+from fractions import Fraction
+from operator import sub
 
-from .algebra import Element, monomial_value, poincare_dual
+from .algebra import Element, _by_dual, _contract, monomial_value, poincare_dual
 from .errors import InvalidPresentationError
 from .linalg import add_scaled
 
@@ -36,7 +43,13 @@ class Morphism:
         self.source = source
         self.target = target
         self.generator_images = generator_images  # generator name -> Element of target
-        self._image_cache = {(0,) * len(self.source.generators): self.target.one()}
+        # Seeded with 1 and the generator images, which are normal forms
+        # already, so no chain multiplies by one.
+        k = len(source.generators)
+        cache = self._image_cache = {(0,) * k: target.one()}
+        for i, g in enumerate(source.generators):
+            if g.name in generator_images:
+                cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = generator_images[g.name]
 
     def image_of_monomial(self, mont):
         return monomial_value(self._image_cache, mont, self._times_generator)
@@ -111,6 +124,9 @@ def gysin_fundamental_class(morphism):
     both rings by their canonical top monomials; rescaling either rescales
     it, and no boolean verdict downstream depends on that.
 
+    When B reads its classes in a model and A has no odd generator, phi is
+    :func:`_phi_by_halves`; otherwise each f(w) is formed in full.
+
     >>> from dualcoh.rings import sp_group_algebra, su_algebra
     >>> G, H = su_algebra(4), sp_group_algebra(2)
     >>> gysin_fundamental_class(build_morphism(G, H, {"e3": H.gen("e3"), "e7": H.gen("e7")}))
@@ -120,10 +136,56 @@ def gysin_fundamental_class(morphism):
     if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    tgt_top = tgt.canonical_top_monomial()
-    phi = {w: apply(morphism, src.basis_element(w)).coefficient(tgt_top)
-           for w in src.basis(tgt.top_degree)}
+    if src._odd_indices or not tgt._model_backed():
+        tgt_top = tgt.canonical_top_monomial()
+        phi = {w: apply(morphism, src.basis_element(w)).coefficient(tgt_top)
+               for w in src.basis(tgt.top_degree)}
+    else:
+        phi = _phi_by_halves(morphism)
     return poincare_dual(src, phi, tgt.top_degree)
+
+
+def _phi_by_halves(morphism):
+    """phi[w] = c^-1 * sum_k A[k] * B[dual k], with no image above half degree.
+
+    w = a*b, where a is the longest prefix of w (generators in order) of
+    degree at most top(B)/2, and A, B are the model classes of f(a) and
+    f(b).  Keys are self-dual, so the sum is the top-key coefficient of
+    the class of f(w) = f(a)*f(b), and c, the model coefficient of B's
+    canonical top monomial, turns it into that monomial's coefficient,
+    exactly: an ``int`` where it divides.  Each distinct a and b is
+    converted once, and f(b) stays within top(B)/2 plus the largest
+    generator degree of A.  Zero entries are left out of phi.
+    """
+    src, tgt = morphism.source, morphism.target
+    image = morphism.image_of_monomial
+    half = tgt.top_degree // 2
+    c = tgt._top_coefficient()
+    firsts, seconds, phi = {}, {}, {}
+    for w in src.basis(tgt.top_degree):
+        a = _prefix(w, src._degrees, half)
+        b = tuple(map(sub, w, a))
+        A = firsts.get(a)
+        if A is None:
+            A = firsts[a] = tgt._class_of(image(a).terms)
+        B = seconds.get(b)
+        if B is None:
+            B = seconds[b] = _by_dual(tgt, tgt._class_of(image(b).terms))
+        s = _contract(A, B)
+        if s:
+            q, r = divmod(s, c)
+            phi[w] = Fraction(s, c) if r else q
+    return phi
+
+
+def _prefix(w, degrees, room):
+    """The longest prefix of w, generators in order, of degree <= room."""
+    for i, (e, d) in enumerate(zip(w, degrees)):
+        k = min(e, room // d)
+        if k < e:
+            return w[:i] + (k,) + (0,) * (len(w) - i - 1)
+        room -= k * d
+    return w
 
 
 def random_homogeneous(algebra, rng):

@@ -26,8 +26,12 @@ and ``family_sl_odd_real`` are the two special-linear constructors before
 they shared one, each written out with its own generator ranges.
 ``witness_by_products`` is the witness search before model rings read
 their pairings by contraction: every spanning product m*g formed and
-paired in full.  They are slow and obviously exact, which is what a
-reference is for.
+paired in full.  ``phi_by_full_images`` is the Gysin functional before
+model targets read it by contraction: f(w) formed in full for every basis
+monomial w of degree top(B), and its top coefficient read.
+``dense_pairing_matrix`` is the pairing matrix before exterior rings read
+only each row's complement: every free product of the two bases formed.
+They are slow and obviously exact, which is what a reference is for.
 """
 
 import random
@@ -42,6 +46,7 @@ from dualcoh.algebra import (
     _quotient,
     pairing,
     pairing_matrix,
+    poincare_dual,
 )
 from dualcoh.catalog import FamilyInstance
 from dualcoh.checks import CheckResult
@@ -518,3 +523,32 @@ def witness_by_products(v, ideal_gens):
             if pairing(v, u):
                 return u
     return None
+
+
+def phi_by_full_images(morphism):
+    """phi[w] = top-coefficient_B(f(w)) for each w of basis(top(B)), each
+    f(w) formed in full."""
+    src, tgt = morphism.source, morphism.target
+    tgt_top = tgt.canonical_top_monomial()
+    return {w: apply(morphism, src.basis_element(w)).coefficient(tgt_top)
+            for w in src.basis(tgt.top_degree)}
+
+
+def gysin_by_full_images(morphism):
+    """The dual class contracted from ``phi_by_full_images``."""
+    return poincare_dual(morphism.source, phi_by_full_images(morphism),
+                         morphism.target.top_degree)
+
+
+def dense_pairing_matrix(alg, d):
+    """The pairings of basis(d) with basis(top - d), every free product read."""
+    top = alg.canonical_top_monomial()
+    cols = alg.basis(alg.top_degree - d)
+    rows = []
+    for u in alg.basis(d):
+        row = []
+        for w in cols:
+            hit = alg._free_mul(u, w)
+            row.append(hit[0] * alg.normal_form_monomial(hit[1]).get(top, 0) if hit else 0)
+        rows.append(row)
+    return rows

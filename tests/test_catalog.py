@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import dualcoh.algebra
+import dualcoh.morphisms
 from dualcoh import (
     CapExceededError,
     InvalidPresentationError,
@@ -23,7 +24,7 @@ from dualcoh import (
     pairs_nontrivially_with_ideal,
     siegel_theta,
 )
-from dualcoh.algebra import Element, GradedAlgebra, _by_dual, _contract
+from dualcoh.algebra import Element, GradedAlgebra, _by_dual, _contract, pairing_matrix
 from dualcoh.catalog import (
     FAMILIES,
     FAMILY_ALIASES,
@@ -35,11 +36,23 @@ from dualcoh.catalog import (
 )
 from dualcoh.checks import _sweep_algebras, catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
-from dualcoh.morphisms import apply, gysin_fundamental_class, random_homogeneous
+from dualcoh.morphisms import (
+    Morphism,
+    _phi_by_halves,
+    apply,
+    gysin_fundamental_class,
+    random_homogeneous,
+)
 from dualcoh.rings import lagrangian_algebra, su_algebra
 from reference import family_sl_imag_sp as sl_imag_sp_oracle
 from reference import family_sl_odd_real as sl_odd_real_oracle
-from reference import product_composition_image, witness_by_products
+from reference import (
+    dense_pairing_matrix,
+    gysin_by_full_images,
+    phi_by_full_images,
+    product_composition_image,
+    witness_by_products,
+)
 
 
 class TestSlImagSp:
@@ -446,22 +459,124 @@ class TestWitnessSearchDifferential:
         assert self._agree(monkeypatch, fc, inst.franke_ideal)
 
     def test_contraction_is_c_times_the_pairing(self):
-        """On every model ring of the sweep and every complementary degree
-        pair, _contract of two classes is c times the pairing, c the model
-        coefficient of the canonical top monomial."""
+        """On every model ring of the sweep, every tensor product of them
+        and every complementary degree pair, _contract of two classes is C
+        times the pairing: C the model coefficient of the canonical top
+        monomial, or in a tensor product (keys are tuples of factor keys)
+        the product of the factors' coefficients."""
         rng = random.Random(17)
         instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
-        rings = [alg for alg in _sweep_algebras(instances) if alg._model is not None]
-        assert len(rings) >= 10
+        rings = [alg for alg in _sweep_algebras(instances) if alg.kind != "exterior"]
+        tensors = sum(alg._factors is not None for alg in rings)
+        assert len(rings) - tensors >= 10 and tensors >= 20
         for alg in rings:
-            model = alg._model
-            [top_key] = model.keys(alg.top_degree)
-            c = alg._mont_class(alg.canonical_top_monomial())[top_key]
+            assert alg._model_backed()
+            C = 1
+            for leaf in _model_leaves(alg):
+                [top_key] = leaf._model.keys(leaf.top_degree)
+                C *= leaf._mont_class(leaf.canonical_top_monomial())[top_key]
+            assert alg._top_coefficient() == C
             for d in alg.nonzero_degrees():
                 a = _random_of_degree(alg, d, rng)
                 b = _random_of_degree(alg, alg.top_degree - d, rng)
-                keyed = _by_dual(model, alg._class_of(a.terms))
-                assert _contract(alg._class_of(b.terms), keyed) == c * pairing(a, b)
+                keyed = _by_dual(alg, alg._class_of(a.terms))
+                assert _contract(alg._class_of(b.terms), keyed) == C * pairing(a, b)
+
+
+def _model_leaves(alg):
+    """The model-backed factors of a tensor product, left to right."""
+    if alg._factors is None:
+        return [alg]
+    return [leaf for f in alg._factors for leaf in _model_leaves(f)]
+
+
+def _model_phi_specs():
+    """Instances whose Gysin functional is read by contraction, besides
+    the certified sweep."""
+    specs = [("siegel-product", params)
+             for params in sweep_parameter_list("siegel-product", {"g": (2, 8)})]
+    specs.append(("siegel-product", {"g": 7, "parts": [1] * 7}))
+    specs += [("unitary-product", params) for params in sweep_parameter_list(
+        "unitary-product", {"p": (1, 4), "q": (1, 4), "full_q": False})]
+    specs += [("sp-in-ugg", {"g": g}) for g in range(1, 6)]
+    return specs
+
+
+def _fresh(m):
+    """The same morphism with an empty image memo, for an oracle that must
+    form its own images."""
+    return Morphism(m.source, m.target, m.generator_images)
+
+
+def _exact(c):
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+class TestGysinByHalves:
+    """phi by contraction of two half-degree images against the full-image
+    oracle in ``reference.py``."""
+
+    def test_phi_and_class_equal_the_full_images(self):
+        by_halves = fallback = 0
+        for fid, params in catalog_sweep_specs() + _model_phi_specs():
+            m = build_family(fid, params).restriction
+            oracle = phi_by_full_images(_fresh(m))
+            xi = gysin_fundamental_class(m)
+            if m.target._model_backed():
+                phi = _phi_by_halves(m)
+                assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
+                assert all(_exact(v) for v in phi.values())
+                by_halves += 1
+            else:
+                fallback += 1
+            assert xi.terms == gysin_by_full_images(_fresh(m)).terms, (fid, params)
+            assert all(_exact(c) for c in xi.terms.values())
+        assert by_halves >= 100 and fallback == 8, (by_halves, fallback)
+
+    @pytest.mark.parametrize("fid, params", [
+        ("siegel-product", {"g": 8, "parts": [4, 4]}),
+        ("unitary-product", {"p": 4, "q": 4, "parts": [[2, 2], [2, 2]]})],
+        ids=["siegel-8-4-4", "unitary-4-4-22-22"])
+    def test_no_image_above_half_degree(self, monkeypatch, fid, params):
+        m = build_family(fid, params).restriction
+        src, tgt = m.source, m.target
+        formed = []
+        mul = GradedAlgebra._mul_elements
+
+        def recorded(self, a, b):
+            if self is tgt and a.terms and b.terms:
+                formed.append(tgt.monomial_degree(next(iter(a.terms)))
+                              + tgt.monomial_degree(next(iter(b.terms))))
+            return mul(self, a, b)
+
+        monkeypatch.setattr(GradedAlgebra, "_mul_elements", recorded)
+        xi = gysin_fundamental_class(_fresh(m))
+        ours = list(formed)
+        formed.clear()
+        assert gysin_by_full_images(_fresh(m)) == xi
+        ceiling = tgt.top_degree // 2 + max(g.degree for g in src.generators)
+        assert max(ours) <= ceiling and max(ours) < max(formed) == tgt.top_degree
+        assert len(ours) < len(formed)
+
+    def test_exterior_targets_form_full_images(self, monkeypatch):
+        def refuse(morphism):
+            raise AssertionError("an exterior target's phi was read by contraction")
+
+        monkeypatch.setattr(dualcoh.morphisms, "_phi_by_halves", refuse)
+        for n in range(1, 7):
+            for inst in (family_sl_imag_sp(n), family_sl_odd_real(n)):
+                m = inst.restriction
+                assert gysin_fundamental_class(m) == gysin_by_full_images(_fresh(m))
+
+
+class TestExteriorPairingMatrix:
+    def test_complements_equal_the_dense_walk(self):
+        instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
+        rings = [alg for alg in _sweep_algebras(instances) if alg.kind == "exterior"]
+        assert len(rings) >= 8
+        for alg in rings:
+            for d in range(-1, alg.top_degree + 2):
+                assert pairing_matrix(alg, d) == dense_pairing_matrix(alg, d), d
 
 
 def _random_of_degree(alg, d, rng):

@@ -21,7 +21,7 @@ from dualcoh import (
 )
 from dualcoh.catalog import build_family, decide_nonvanishing, sweep_parameter_list
 from dualcoh.checks import catalog_sweep_specs
-from dualcoh.morphisms import Morphism, random_homogeneous
+from dualcoh.morphisms import Morphism, _phi_by_halves, random_homogeneous
 from dualcoh.rings import (
     grassmannian_algebra,
     lagrangian_algebra,
@@ -29,7 +29,7 @@ from dualcoh.rings import (
     su_algebra,
     su_so_algebra,
 )
-from reference import direct_quotient, poincare_dual_by_solve
+from reference import direct_quotient, phi_by_full_images, poincare_dual_by_solve
 
 
 def sl_imag_sp_restriction(n):
@@ -219,6 +219,45 @@ class TestGysin:
         m = build_morphism(pair, su_algebra(2), {"e3": su_algebra(2).gen("e3")})
         with pytest.raises(InvalidPresentationError, match="no dual basis"):
             gysin_fundamental_class(m)
+        # into a model target phi is read by contraction, and the class is
+        # still refused
+        L = lagrangian_algebra(1)
+        m = build_morphism(A, L, {"y": L.gen("sigma1")})
+        assert _phi_by_halves(m) == {w: v for w, v in phi_by_full_images(m).items() if v}
+        with pytest.raises(InvalidPresentationError, match="no dual basis"):
+            gysin_fundamental_class(m)
+
+
+class TestImageMemo:
+    def test_generator_images_are_seeded(self, monkeypatch):
+        m = siegel_two_part(2, 1)
+        src, tgt = m.source, m.target
+        f = Morphism(src, tgt, m.generator_images)
+        units = [tuple(int(j == i) for j in range(len(src.generators)))
+                 for i in range(len(src.generators))]
+        w = tuple(map(sum, zip(units[0], units[1])))
+        expected = apply(m, src.basis_element(w))
+        products = []
+        mul = dualcoh.algebra.GradedAlgebra._mul_elements
+
+        def counted(self, a, b):
+            products.append(self)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(dualcoh.algebra.GradedAlgebra, "_mul_elements", counted)
+        for g, unit in zip(src.generators, units):
+            assert f.image_of_monomial(unit) is m.generator_images[g.name]
+        assert f.image_of_monomial((0,) * len(units)) == tgt.one()
+        assert products == []
+        assert f.image_of_monomial(w) == expected
+        assert products == [tgt]
+
+    def test_a_missing_image_fails_when_read(self):
+        G = su_algebra(3)
+        f = Morphism(G, G, {"e3": G.gen("e3")})
+        assert f.image_of_monomial((1, 0)) == G.gen("e3")
+        with pytest.raises(KeyError):
+            f.image_of_monomial((0, 1))
 
 
 class TestMultiplicativity:
