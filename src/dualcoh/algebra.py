@@ -42,26 +42,25 @@ refused, not rounded.  Integer inputs stay ``int`` until a division
 leaves a denominator; ``SparseRREF`` eliminates over the integers and
 returns a ``Fraction`` only for an entry its final division does not clear.
 
-Every model's keys are self-dual, so in a model-backed ring, and in a
-tensor product of them (keys are pairs of factor keys, duals taken factor
-by factor), the top coefficient of a product A*B of classes of
-complementary degree is one contraction, sum_k A[k] * B[dual k], with no
-product formed.  Two readers use it.  The Gysin functional of
-``morphisms.gysin_fundamental_class`` contracts the classes of two
-half-degree images.  The witness search tests the ideal's spanning
-products m*g_i without row reduction: in a model-backed ring each test
-contracts class(m) against the class of v*g_i, formed in the model once
-per generator; other rings pair each m*g_i.  ``ideal_basis_in_degree``
-(an echelon basis) is the reference that checks and tests compare it
-against.
+Every ring has self-dual keys: a model's keys, the square-free monomials
+of an exterior ring (a monomial's class is its normal form), and pairs of
+factor keys in a tensor product.  A key k pairs with dual(k) to s_k times
+the top key (s_k = 1 in a model; in an exterior ring dual(k) is the
+complement and s_k a Koszul sign) and to 0 with every other key, so the
+top coefficient of A*B, for classes of complementary degree, is one
+contraction sum_k A[dual k] * s_k * B[k], with no product formed.  The
+Gysin functional of ``morphisms.gysin_fundamental_class`` contracts the
+classes of two half-degree images, and the witness search tests each
+spanning product m*g_i of the ideal, without row reduction, by
+contracting class(m) against the class of v*g_i, formed once per
+generator.  ``ideal_basis_in_degree`` (an echelon basis) is the reference
+that checks and tests compare it against.
 
 ``poincare_dual(algebra, phi, e)`` is the class xi of degree top - e with
-<xi, w> = phi[w] on the degree-e basis, which is how the Gysin class is
-made, without a solve.  An exterior basis monomial pairs to a sign with
-its complement and to 0 with every other monomial, so xi is a signed sum of
-complements.  Every model's basis is self-dual (``dual(key)``: a Schur
-partition pairs with its complement in the box, a Q-tilde strict partition
-with the parts it misses), so xi's model coordinates are one contraction,
+<xi, w> = phi[w] on the degree-e basis, made without a solve: in an
+exterior ring (keys are the basis) phi re-keyed by ``_by_dual``; in a
+model one contraction against ``dual(key)`` (a Schur partition's complement
+in the box, the parts of {1..g} a Q-tilde strict partition misses),
 converted to standard monomials once.  A tensor product is refused.
 """
 
@@ -521,64 +520,77 @@ class GradedAlgebra:
         else:
             self._build_model_basis(d)
 
-    # ------------------------------------------------- model-backed quotient
+    # ------------------------------------ self-dual keys, model-backed quotient
 
     def _mont_class(self, mont):
-        """Model class of an ambient monomial, as a {model key: coefficient}
-        dict.  In a tensor product of model-backed rings a key is the pair
-        (key of the first factor, key of the second), nested as the factors
-        are; only the factors memoise their classes, so a tensor product
-        holds none."""
-        if self._factors is None:
+        """Class of an ambient monomial, as a {key: coefficient} dict: the
+        model class, or an exterior normal form.  In a tensor product a key
+        is the pair (key of the first factor, key of the second), nested as
+        the factors are; only the factors memoise their classes, so a tensor
+        product holds none.  Any other ring has no keys and is refused."""
+        if self._factors is not None:
+            (a, b), s = self._factors, self._split
+            cb = b._mont_class(mont[s:]).items()
+            return {(ka, kb): x * y for ka, x in a._mont_class(mont[:s]).items() for kb, y in cb}
+        if self._model is not None:
             return monomial_value(self._mont_class_cache, mont, self._model.mult)
-        (a, b), s = self._factors, self._split
-        cb = b._mont_class(mont[s:]).items()
-        return {(ka, kb): x * y for ka, x in a._mont_class(mont[:s]).items() for kb, y in cb}
+        if self.kind != "exterior":
+            raise InvalidPresentationError(f"a {self.kind} ring has no dual basis")
+        return self.normal_form_monomial(mont)
 
     def _class_of(self, terms):
-        """Model class of an ambient {monomial: coefficient} dict."""
+        """Class of an ambient {monomial: coefficient} dict."""
         cls = {}
         for m, c in terms.items():
             add_scaled(cls, c, self._mont_class(m))
         return cls
 
-    def _model_backed(self):
-        """Whether classes and duals are read in a model: a model-backed
-        quotient, or a tensor product whose factors all are."""
-        if self._factors is not None:
-            return all(f._model_backed() for f in self._factors)
-        return self._model is not None
-
     def _dual_key(self, key):
-        """The key that pairs with ``key`` to the top key: the model's
-        ``dual``, memoised, or in a tensor product the factors' duals."""
+        """The key that pairs with ``key`` to +-top key: the model's ``dual``,
+        memoised, the exterior complement, or the factors' duals."""
         if self._factors is not None:
             a, b = self._factors
             return a._dual_key(key[0]), b._dual_key(key[1])
+        if self._model is None:
+            return tuple(1 - x for x in key)
         dual = self._dual_keys.get(key)
         if dual is None:
             dual = self._dual_keys[key] = self._model.dual(key)
         return dual
 
-    def _top_coefficient(self):
-        """c: the canonical top monomial's model class is c times the top
-        key; in a tensor product, the product of the factors' c."""
+    def _dual_sign(self, key):
+        """s with dual(key) * key = s * top key: 1 in a model, the Koszul
+        sign in an exterior ring, and in a tensor product the factors' signs
+        times (-1)^(deg dual(kb) * deg ka) for key = (ka, kb)."""
+        if not self._odd_indices:
+            return 1
+        if self._factors is None:
+            return self._free_mul(self._dual_key(key), key)[0]
+        (a, b), (ka, kb) = self._factors, key
+        s = a._dual_sign(ka) * b._dual_sign(kb)
+        return -s if a._key_parity(ka) and b._key_parity(b._dual_key(kb)) else s
+
+    def _key_parity(self, key):
+        """The parity of a key's degree: 0 without odd generators."""
         if self._factors is not None:
             a, b = self._factors
-            return a._top_coefficient() * b._top_coefficient()
-        [top_key] = self._model.keys(self.top_degree)
-        c = self._mont_class(self.canonical_top_monomial()).get(top_key, 0)
-        if not c:
-            raise InconsistentPresentationError("canonical top monomial is zero in the model")
+            return a._key_parity(key[0]) ^ b._key_parity(key[1])
+        return self.monomial_degree(key) & 1 if self._odd_indices else 0
+
+    def _top_coefficient(self):
+        """c: the class of the canonical top monomial is c times the top key."""
+        [c] = self._mont_class(self.canonical_top_monomial()).values()
         return c
 
-    def _times_terms(self, cls, terms):
-        """A model class times an ambient {monomial: coefficient} dict,
-        computed in the model: one chain of ``mult`` steps per monomial."""
+    def _class_of_product(self, v, g, cv):
+        """The class of v*g, cv the class of v: in a model one chain of
+        ``mult`` steps per term of g, no normal form; elsewhere v*g."""
+        if self._model is None:
+            return self._class_of(self._mul_elements(v, g).terms)
         mult = self._model.mult
         out = {}
-        for mont, c in terms.items():
-            part = cls
+        for mont, c in g.terms.items():
+            part = cv
             for i, e in enumerate(mont):
                 for _ in range(e):
                     part = mult(part, i)
@@ -839,11 +851,11 @@ def poincare_dual(algebra, phi, e):
     ``phi`` maps the basis monomials of degree e to ``int`` or ``Fraction``
     values; a monomial it omits counts as 0, and any other key, or a degree
     e outside 0..top, raises ``InvalidPresentationError``.  The case follows
-    from the ring: exterior algebras pair each monomial with its complement,
-    and a model-backed quotient pairs each key with its ``dual(key)``.  Any
-    other ring (a tensor product) raises ``InvalidPresentationError``, and a
-    model dual that does not pair to the identity raises
-    ``InconsistentPresentationError``.
+    from the ring: an exterior algebra's xi is the nonzero part of phi
+    re-keyed by ``_by_dual``, and a model-backed quotient pairs each key
+    with its ``dual(key)``.  Any other ring (a tensor product) raises
+    ``InvalidPresentationError``, and a model dual that does not pair to
+    the identity raises ``InconsistentPresentationError``.
 
     >>> A = exterior_algebra([3, 5, 7, 9])
     >>> A.basis(12)
@@ -860,7 +872,7 @@ def poincare_dual(algebra, phi, e):
         if w not in positions:
             raise InvalidPresentationError(f"{w!r} is not a basis monomial of degree {e}")
     if algebra.kind == "exterior":
-        xi = _exterior_dual(algebra, phi, e)
+        xi = Element(algebra, {k: v for k, v in _by_dual(algebra, phi).items() if v})
     elif algebra._model is not None:
         xi = _model_dual(algebra, phi, e)
     else:
@@ -871,23 +883,6 @@ def poincare_dual(algebra, phi, e):
         raise InconsistentPresentationError(
             f"dual basis of degree {e} does not pair to the identity")
     return xi
-
-
-def _exterior_dual(algebra, phi, e):
-    """The complement w^c pairs with w to a sign (w^c * w = +-top) and to 0
-    with every other monomial of w's degree."""
-    terms = {}
-    for w in algebra.basis(e):
-        v = phi.get(w, 0)
-        if not v:
-            continue
-        wc = tuple(1 - x for x in w)
-        hit = algebra._free_mul(wc, w)
-        if hit is None:
-            raise InconsistentPresentationError(
-                f"{algebra.monomial_string(wc)} does not pair with its complement")
-        terms[wc] = v * hit[0]
-    return Element(algebra, terms)
 
 
 def _model_dual(algebra, phi, e):
@@ -968,33 +963,25 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
     the spanning products m*g_i (m a basis monomial), so u is the first of
     those that pairs nonzero, generators in order and m in basis order.
 
-    In a model-backed ring <v, m*g> = <v*g, m> is read by contraction: the
-    model class V of v*g is formed in the model once per generator, and
-    <v*g, m> is c^-1 * sum_k class(m)[k] * V[dual k], c the model coefficient
-    of the canonical top monomial, which a nonzero test does not need.  So
-    the only product formed is the returned m*g.  Other rings form each
-    m*g and pair it.  Zero generators are skipped; a generator of another
-    ring, or an inhomogeneous v or generator, raises ``ValueError``.
+    <v, m*g> = +-<m, v*g> is read by contraction: the class V of v*g is
+    formed once per generator, and <m, v*g> is c^-1 times the contraction
+    of class(m) with V, which a nonzero test does not need.  So the only
+    other product formed is the returned m*g.  Zero generators are
+    skipped; a generator of another ring, or an inhomogeneous v or
+    generator, raises ``ValueError``.
     """
     alg = v.algebra
     if v.is_zero():
         return None
     du = alg.top_degree - v.homogeneous_degree()
-    model = alg._model
-    if model is not None:
-        cv = alg._class_of(v.terms)
+    cv = alg._class_of(v.terms)
     for g in ideal_gens:
         if g.is_zero():
             continue
         v._check_owner(g)
         ms = alg.basis(du - g.homogeneous_degree())
-        if model is None:
-            for m in ms:
-                u = alg.basis_element(m) * g
-                if pairing(v, u):
-                    return u
-        elif ms:
-            vg = _by_dual(alg, alg._times_terms(cv, g.terms))
+        if ms:
+            vg = _by_dual(alg, alg._class_of_product(v, g, cv))
             for m in ms:
                 if _contract(alg._mont_class(m), vg):
                     return alg.basis_element(m) * g
@@ -1002,9 +989,13 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
 
 
 def _by_dual(alg, cls):
-    """A class of ``alg`` re-keyed by its duals: key k's coefficient at dual(k)."""
+    """A class of ``alg`` re-keyed by its duals: key k's coefficient times
+    s_k (dual(k) * k = s_k * top key, 1 without odd generators) at dual(k)."""
     dual = alg._dual_key
-    return {dual(k): c for k, c in cls.items()}
+    if not alg._odd_indices:
+        return {dual(k): c for k, c in cls.items()}
+    sign = alg._dual_sign
+    return {dual(k): sign(k) * c for k, c in cls.items()}
 
 
 def _contract(cls, keyed):

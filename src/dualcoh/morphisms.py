@@ -12,12 +12,12 @@ algebras is the unique xi in A of degree top(A) - top(B) such that
     <xi, w>_A = top-coefficient_B(f(w))   for every w of degree top(B),
 
 where both sides use the canonical-top orientation convention.  It is the
-compact-dual avatar of integration over the subspace.  When B reads its
-classes in a self-dual model (a Grassmannian or Lagrangian ring, or a
-tensor product of them), each right-hand side is one contraction of the
-model classes of f(a) and f(b), where w = a*b splits at half of top(B), so
-no image above that degree (plus one generator) is formed.  Otherwise f(w)
-is formed in full.  ``poincare_dual`` contracts the right-hand sides
+compact-dual avatar of integration over the subspace.  Every target B
+has self-dual keys (model keys, exterior monomials, or pairs of them in a
+tensor product), so each right-hand side is one contraction of the
+classes of f(a) and f(b), where w = a*b splits at half of top(B), and no
+image above that degree (plus one generator) is formed.
+``poincare_dual`` contracts the right-hand sides
 against a dual basis of A: complementary monomials for exterior sources,
 dual Schur keys for Grassmannian ones and dual Q-tilde keys for Lagrangian
 ones.  Nothing solves the pairing system.
@@ -119,13 +119,13 @@ def gysin_fundamental_class(morphism):
     phi[w] = top-coefficient_B(f(w)) for each basis monomial w of degree
     top(B), and :func:`~dualcoh.algebra.poincare_dual` contracts phi
     against a dual basis of the source; a source without one (a tensor
-    product) raises InvalidPresentationError, and inconsistent input
+    product), or a target without self-dual keys, raises
+    InvalidPresentationError, and inconsistent input
     InconsistentPresentationError.  The class is normalized by orienting
     both rings by their canonical top monomials; rescaling either rescales
     it, and no boolean verdict downstream depends on that.
 
-    When B reads its classes in a model and A has no odd generator, phi is
-    :func:`_phi_by_halves`; otherwise each f(w) is formed in full.
+    phi is :func:`_phi_by_halves`: no image above half of top(B) is formed.
 
     >>> from dualcoh.rings import sp_group_algebra, su_algebra
     >>> G, H = su_algebra(4), sp_group_algebra(2)
@@ -136,25 +136,21 @@ def gysin_fundamental_class(morphism):
     if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    if src._odd_indices or not tgt._model_backed():
-        tgt_top = tgt.canonical_top_monomial()
-        phi = {w: apply(morphism, src.basis_element(w)).coefficient(tgt_top)
-               for w in src.basis(tgt.top_degree)}
-    else:
-        phi = _phi_by_halves(morphism)
-    return poincare_dual(src, phi, tgt.top_degree)
+    return poincare_dual(src, _phi_by_halves(morphism), tgt.top_degree)
 
 
 def _phi_by_halves(morphism):
-    """phi[w] = c^-1 * sum_k A[k] * B[dual k], with no image above half degree.
+    """phi[w] = c^-1 * sum_k A[dual k] * s_k * B[k]: no image above half degree.
 
     w = a*b, where a is the longest prefix of w (generators in order) of
-    degree at most top(B)/2, and A, B are the model classes of f(a) and
-    f(b).  Keys are self-dual, so the sum is the top-key coefficient of
-    the class of f(w) = f(a)*f(b), and c, the model coefficient of B's
-    canonical top monomial, turns it into that monomial's coefficient,
-    exactly: an ``int`` where it divides.  Each distinct a and b is
-    converted once, and f(b) stays within top(B)/2 plus the largest
+    degree at most top(B)/2, so no odd generator of b precedes one of a
+    and the product takes no sign.  A and B are the classes of f(a) and
+    f(b), and s_k is the sign of dual(k)*k (``_by_dual``).  Keys are
+    self-dual, so the sum is the top-key coefficient of the class of
+    f(w) = f(a)*f(b), and c, the coefficient of the target's canonical top
+    monomial (1 in an exterior ring), turns it into that monomial's
+    coefficient, exactly: an ``int`` where it divides.  Each distinct a and
+    b is converted once, and f(b) stays within top(B)/2 plus the largest
     generator degree of A.  Zero entries are left out of phi.
     """
     src, tgt = morphism.source, morphism.target

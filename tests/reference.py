@@ -24,11 +24,11 @@ relation.  ``poincare_dual_by_solve`` is the dual class before every source
 had a dual basis: one solve of the pairing system.  ``family_sl_imag_sp``
 and ``family_sl_odd_real`` are the two special-linear constructors before
 they shared one, each written out with its own generator ranges.
-``witness_by_products`` is the witness search before model rings read
-their pairings by contraction: every spanning product m*g formed and
-paired in full.  ``phi_by_full_images`` is the Gysin functional before
-model targets read it by contraction: f(w) formed in full for every basis
-monomial w of degree top(B), and its top coefficient read.
+``witness_by_products`` is the witness search before rings read their
+pairings by contraction: every spanning product m*g formed and paired in
+full.  ``phi_by_full_images`` is the Gysin functional before targets read
+it by contraction: f(w) formed in full for every basis monomial w of
+degree top(B), and its top coefficient read.
 ``dense_pairing_matrix`` is the pairing matrix before exterior rings read
 only each row's complement: every free product of the two bases formed.
 They are slow and obviously exact, which is what a reference is for.

@@ -6,13 +6,14 @@ from fractions import Fraction
 import pytest
 
 import dualcoh.algebra
-import dualcoh.morphisms
 from dualcoh import (
     CapExceededError,
     InvalidPresentationError,
     build_family,
+    build_morphism,
     decide_ghost,
     decide_nonvanishing,
+    exterior_algebra,
     family_siegel,
     family_sl_imag_sp,
     family_sl_odd_real,
@@ -23,6 +24,7 @@ from dualcoh import (
     pairing,
     pairs_nontrivially_with_ideal,
     siegel_theta,
+    tensor_product,
 )
 from dualcoh.algebra import Element, GradedAlgebra, _by_dual, _contract, pairing_matrix
 from dualcoh.catalog import (
@@ -395,8 +397,9 @@ class TestWitnessSearchDifferential:
 
     @staticmethod
     def _agree(monkeypatch, v, ideal):
-        """Assert the three agree on v, and that a model ring's search forms
-        no product but the witness; True when the ideal's degree-du piece is
+        """Assert the three agree on v, and that the search forms no product
+        but the witness and, in an exterior ring, one v*g for each nonzero
+        generator g it tries; True when the ideal's degree-du piece is
         nonzero."""
         alg = v.algebra
         du = alg.top_degree - v.homogeneous_degree()
@@ -415,8 +418,8 @@ class TestWitnessSearchDifferential:
             patch.setattr(GradedAlgebra, "_mul_elements", counted)
             u = pairs_nontrivially_with_ideal(v, ideal)
         assert u == expected
-        if alg._model is not None:
-            assert len(products) == (u is not None)
+        tried = _generators_tried(v, ideal, u) if alg._model is None else 0
+        assert len(products) == tried + (u is not None)
         assert (u is None) == all(pairing(v, b) == 0 for b in basis)
         if u is not None:
             assert pairing(v, u) != 0
@@ -453,41 +456,87 @@ class TestWitnessSearchDifferential:
                 negatives += self._agree(monkeypatch, v, [g])
         assert randoms >= 50 and negatives >= 10, (randoms, negatives)
 
+    def test_sl_families_up_to_n8(self, monkeypatch):
+        for n in range(1, 9):
+            for inst in (family_sl_imag_sp(n), family_sl_odd_real(n)):
+                fc = decide_nonvanishing(inst).fundamental_class
+                assert inst.dual_G.kind == "exterior"
+                self._agree(monkeypatch, fc, inst.franke_ideal)
+
+    def test_random_ideals_in_exterior_rings(self, monkeypatch):
+        rng = random.Random(19)
+        hits = misses = 0
+        for _ in range(60):
+            degrees = sorted(rng.sample(range(1, 16, 2), rng.randint(2, 5)))
+            alg = exterior_algebra(degrees)
+            v = random_homogeneous(alg, rng)
+            if v.is_zero():
+                continue
+            ideal = [random_homogeneous(alg, rng) for _ in range(rng.randint(1, 3))]
+            self._agree(monkeypatch, v, ideal)
+            if pairs_nontrivially_with_ideal(v, ideal) is None:
+                misses += 1
+            else:
+                hits += 1
+        assert hits >= 15 and misses >= 15, (hits, misses)
+
     def test_sp_in_ugg_g6(self, monkeypatch):
         inst = family_sp_in_ugg(6, monomial_cap=2_000_000)
         fc = decide_nonvanishing(inst).fundamental_class
         assert self._agree(monkeypatch, fc, inst.franke_ideal)
 
     def test_contraction_is_c_times_the_pairing(self):
-        """On every model ring of the sweep, every tensor product of them
-        and every complementary degree pair, _contract of two classes is C
-        times the pairing: C the model coefficient of the canonical top
-        monomial, or in a tensor product (keys are tuples of factor keys)
-        the product of the factors' coefficients."""
+        """On every ring of the sweep (exterior, model-backed, or a tensor
+        product of them), on tensor products that mix exterior and
+        Lagrangian factors, and for every complementary degree pair,
+        _contract(class(a), _by_dual(class(b))) is C times the pairing: C
+        the product, over the factors, of the model coefficient of the
+        canonical top monomial (1 for an exterior factor)."""
         rng = random.Random(17)
         instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
-        rings = [alg for alg in _sweep_algebras(instances) if alg.kind != "exterior"]
+        rings = _sweep_algebras(instances)
+        exterior = sum(alg.kind == "exterior" for alg in rings)
         tensors = sum(alg._factors is not None for alg in rings)
-        assert len(rings) - tensors >= 10 and tensors >= 20
+        assert exterior >= 8 and len(rings) - exterior - tensors >= 10 and tensors >= 20
+        E, L = exterior_algebra([3, 5, 7]), lagrangian_algebra(2)
+        rings += [tensor_product(E, exterior_algebra([1, 5])), tensor_product(E, L),
+                  tensor_product(L, E), tensor_product(tensor_product(E, L), E)]
         for alg in rings:
-            assert alg._model_backed()
             C = 1
-            for leaf in _model_leaves(alg):
-                [top_key] = leaf._model.keys(leaf.top_degree)
-                C *= leaf._mont_class(leaf.canonical_top_monomial())[top_key]
+            for leaf in _leaves(alg):
+                if leaf._model is not None:
+                    [top_key] = leaf._model.keys(leaf.top_degree)
+                    C *= leaf._mont_class(leaf.canonical_top_monomial())[top_key]
             assert alg._top_coefficient() == C
             for d in alg.nonzero_degrees():
                 a = _random_of_degree(alg, d, rng)
                 b = _random_of_degree(alg, alg.top_degree - d, rng)
-                keyed = _by_dual(alg, alg._class_of(a.terms))
-                assert _contract(alg._class_of(b.terms), keyed) == C * pairing(a, b)
+                keyed = _by_dual(alg, alg._class_of(b.terms))
+                assert _contract(alg._class_of(a.terms), keyed) == C * pairing(a, b), d
 
 
-def _model_leaves(alg):
-    """The model-backed factors of a tensor product, left to right."""
+def _generators_tried(v, ideal, u):
+    """The nonzero generators g whose multiples m*g of v's complementary
+    degree the search tests, up to the one that gives u (all, if u is None)."""
+    alg = v.algebra
+    du = alg.top_degree - v.homogeneous_degree()
+    tried = 0
+    for g in ideal:
+        if g.is_zero() or not alg.basis(du - g.homogeneous_degree()):
+            continue
+        tried += 1
+        if u is not None and any(u == alg.basis_element(m) * g
+                                 for m in alg.basis(du - g.homogeneous_degree())):
+            break
+    return tried
+
+
+def _leaves(alg):
+    """The factors of a tensor product that are not tensor products, left
+    to right."""
     if alg._factors is None:
         return [alg]
-    return [leaf for f in alg._factors for leaf in _model_leaves(f)]
+    return [leaf for f in alg._factors for leaf in _leaves(f)]
 
 
 def _model_phi_specs():
@@ -517,21 +566,19 @@ class TestGysinByHalves:
     oracle in ``reference.py``."""
 
     def test_phi_and_class_equal_the_full_images(self):
-        by_halves = fallback = 0
+        compared = exterior = 0
         for fid, params in catalog_sweep_specs() + _model_phi_specs():
             m = build_family(fid, params).restriction
             oracle = phi_by_full_images(_fresh(m))
             xi = gysin_fundamental_class(m)
-            if m.target._model_backed():
-                phi = _phi_by_halves(m)
-                assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
-                assert all(_exact(v) for v in phi.values())
-                by_halves += 1
-            else:
-                fallback += 1
+            phi = _phi_by_halves(m)
+            assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
+            assert all(_exact(v) for v in phi.values())
             assert xi.terms == gysin_by_full_images(_fresh(m)).terms, (fid, params)
             assert all(_exact(c) for c in xi.terms.values())
-        assert by_halves >= 100 and fallback == 8, (by_halves, fallback)
+            compared += 1
+            exterior += m.target.kind == "exterior"
+        assert compared >= 108 and exterior == 8, (compared, exterior)
 
     @pytest.mark.parametrize("fid, params", [
         ("siegel-product", {"g": 8, "parts": [4, 4]}),
@@ -558,15 +605,56 @@ class TestGysinByHalves:
         assert max(ours) <= ceiling and max(ours) < max(formed) == tgt.top_degree
         assert len(ours) < len(formed)
 
-    def test_exterior_targets_form_full_images(self, monkeypatch):
-        def refuse(morphism):
-            raise AssertionError("an exterior target's phi was read by contraction")
-
-        monkeypatch.setattr(dualcoh.morphisms, "_phi_by_halves", refuse)
+    def test_exterior_targets_match_the_full_images(self):
         for n in range(1, 7):
             for inst in (family_sl_imag_sp(n), family_sl_odd_real(n)):
                 m = inst.restriction
+                assert m.target.kind == "exterior"
+                oracle = phi_by_full_images(_fresh(m))
+                assert _phi_by_halves(m) == {w: v for w, v in oracle.items() if v}, n
+                assert gysin_fundamental_class(m) == gysin_by_full_images(_fresh(m)), n
+
+    def test_cross_koszul_sign_random_tensor_targets(self):
+        """Seeded random morphisms from small exterior sources into
+        exterior x exterior, exterior x LG(g) and LG(g) x exterior targets,
+        where a key's dual carries the sign between odd factor keys."""
+        rng = random.Random(20260419)
+        targets = [
+            tensor_product(exterior_algebra([1, 3]), exterior_algebra([3, 5])),
+            tensor_product(exterior_algebra([1, 5]), exterior_algebra([3])),
+            tensor_product(exterior_algebra([1, 3]), lagrangian_algebra(2)),
+            tensor_product(lagrangian_algebra(2), exterior_algebra([1, 3])),
+            tensor_product(lagrangian_algebra(1), exterior_algebra([1, 3, 5])),
+        ]
+        drawn = nonzero = 0
+        for _ in range(48):
+            for H in targets:
+                m = _random_exterior_morphism(H, rng)
+                oracle = {w: v for w, v in phi_by_full_images(_fresh(m)).items() if v}
+                assert _phi_by_halves(m) == oracle
                 assert gysin_fundamental_class(m) == gysin_by_full_images(_fresh(m))
+                drawn += 1
+                nonzero += bool(oracle)
+        assert drawn == 240 and nonzero >= 150, nonzero
+
+
+def _random_exterior_morphism(H, rng):
+    """A morphism from an exterior algebra into H: a random set of odd
+    degrees that sums to top(H), padded with up to two more, each generator
+    sent to a random element of its degree (odd elements square to 0, so
+    every choice is a morphism)."""
+    odd = [d for d in range(1, H.top_degree + 1, 2) if H.dims(d)]
+    while True:
+        core = rng.sample(odd, rng.randint(1, min(4, len(odd))))
+        if sum(core) == H.top_degree:
+            break
+    extra = [d for d in range(1, H.top_degree + 4, 2) if d not in core]
+    degrees = sorted(core + rng.sample(extra, rng.randint(0, 2)))
+    src = exterior_algebra(degrees)
+    images = {g.name: Element(H, {m: c for m in H.basis(g.degree)
+                                  if (c := rng.randint(-2, 2))})
+              for g in src.generators}
+    return build_morphism(src, H, images)
 
 
 class TestExteriorPairingMatrix:

@@ -12,12 +12,11 @@ import random
 import pytest
 
 import dualcoh.algebra
-from dualcoh import exterior_algebra, pairing, tensor_product
+from dualcoh import exterior_algebra, pairing, poincare_dual, tensor_product
 from dualcoh.algebra import (
     Element,
     Generator,
     GradedAlgebra,
-    _exterior_dual,
     pairing_matrix,
 )
 from dualcoh.rings import (
@@ -165,7 +164,7 @@ def test_exterior_dual_matches_naive_complements(degrees):
     for e in range(alg.top_degree + 1):
         basis = alg.basis(e)
         phi = {w: rng.randint(-3, 3) for w in basis}
-        xi = _exterior_dual(alg, phi, e)
+        xi = poincare_dual(alg, phi, e)
         want = {}
         for w in basis:
             if phi[w]:

@@ -6,6 +6,7 @@ import pytest
 
 import dualcoh.algebra
 import dualcoh.linalg
+import dualcoh.morphisms
 from dualcoh import (
     InconsistentPresentationError,
     InvalidPresentationError,
@@ -183,6 +184,21 @@ class TestGysin:
         e3, e7, e11 = (odd.dual_G.gen(f"e{d}") for d in (3, 7, 11))
         assert gysin_fundamental_class(odd.restriction) == -(e3 * e7 * e11)
 
+    def test_catalog_classes_form_no_full_image(self, monkeypatch):
+        # every certified instance reads phi by contraction: with apply
+        # refused, no f(w) can be formed in full
+        def refuse(*args):
+            raise AssertionError("an image was formed in full")
+
+        instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
+        expected = [gysin_fundamental_class(inst.restriction) for inst in instances]
+        kinds = {inst.restriction.target.kind for inst in instances}
+        monkeypatch.setattr(dualcoh.morphisms, "apply", refuse)
+        for inst, xi in zip(instances, expected):
+            m = inst.restriction
+            assert gysin_fundamental_class(Morphism(m.source, m.target, m.generator_images)) == xi
+        assert kinds == {"exterior", "quotient", "tensor"}
+
     def test_scalar_covariance(self):
         # scaling the right-hand side of the defining system scales the class
         from fractions import Fraction
@@ -215,6 +231,13 @@ class TestGysin:
         m = build_morphism(A, B, {"y": B.gen("z")})
         with pytest.raises(InvalidPresentationError, match="no dual basis"):
             gysin_fundamental_class(m)
+        # a target without a dual basis is refused too, whatever the source
+        L = lagrangian_algebra(1)
+        m = build_morphism(L, B, {"sigma1": B.gen("z")})
+        with pytest.raises(InvalidPresentationError, match="no dual basis"):
+            gysin_fundamental_class(m)
+        with pytest.raises(InvalidPresentationError, match="no dual basis"):
+            _phi_by_halves(m)
         pair = tensor_product(lagrangian_algebra(1), su_algebra(2))
         m = build_morphism(pair, su_algebra(2), {"e3": su_algebra(2).gen("e3")})
         with pytest.raises(InvalidPresentationError, match="no dual basis"):
