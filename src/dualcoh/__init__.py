@@ -16,6 +16,7 @@ from .algebra import (
     exterior_algebra,
     ideal_basis_in_degree,
     is_divisible,
+    monomial_cap,
     pairing,
     pairing_matrix,
     pairs_nontrivially_with_ideal,
@@ -89,6 +90,7 @@ __all__ = [
     "ideal_basis_in_degree",
     "is_divisible",
     "lagrangian_algebra",
+    "monomial_cap",
     "pairing",
     "pairing_matrix",
     "pairs_nontrivially_with_ideal",

@@ -26,7 +26,9 @@ reads it; renamed copies share it.
 
 Quotients are built by ``model_quotient_algebra``, which computes in an
 isomorphic model ring and selects these standard monomials lazily, one
-degree at a time.
+degree at a time.  Each command sets one monomial cap for a block
+(``monomial_cap``); only the three constructors and the ring cache read it,
+through ``refuse_over_cap`` and a ring's ``worst_count``.
 Every ring kind has one product: ambient monomials multiply freely (with
 the Koszul sign) and each result is replaced by its cached normal form.
 ``_free_mul`` is the one free product, for ``_mul_elements``,
@@ -65,6 +67,8 @@ converted to standard monomials once.  A tensor product is refused.
 """
 
 from collections import namedtuple
+from contextlib import contextmanager
+from contextvars import ContextVar
 from copy import copy
 from fractions import Fraction
 from operator import add, mul
@@ -77,6 +81,24 @@ from .errors import (
 from .linalg import SparseRREF, add_scaled, solve
 
 DEFAULT_MONOMIAL_CAP = 200_000
+_CAP = ContextVar("monomial_cap", default=DEFAULT_MONOMIAL_CAP)
+
+
+@contextmanager
+def monomial_cap(cap):
+    """Build and fetch rings under the monomial cap ``cap`` inside the block."""
+    token = _CAP.set(cap)
+    try:
+        yield
+    finally:
+        _CAP.reset(token)
+
+
+def refuse_over_cap(worst):
+    """Refuse a ring with ``worst`` monomials in one degree over the current cap."""
+    cap = _CAP.get()
+    if worst > cap:
+        raise CapExceededError(f"per-degree monomial count {worst} exceeds cap {cap}")
 
 
 class Generator(namedtuple("Generator", "name degree")):
@@ -253,12 +275,12 @@ class GradedAlgebra:
     Algebras are logically immutable; internal caches are memoization only.
     """
 
-    def __init__(self, kind, generators, relations, top_degree, monomial_cap):
+    def __init__(self, kind, generators, relations, top_degree):
         self.kind = kind
         self.generators = tuple(generators)
         self.relations = tuple(relations)
         self.top_degree = top_degree
-        self.monomial_cap = monomial_cap
+        self.worst_count = 0      # the per-degree count held against the cap
         self._degrees = tuple(g.degree for g in self.generators)
         self._parities = tuple(g.parity for g in self.generators)
         self._odd_indices = tuple(i for i, p in enumerate(self._parities) if p)
@@ -651,7 +673,7 @@ def monomial_value(cache, mont, times):
 # ------------------------------------------------------------- constructors
 
 
-def exterior_algebra(generator_degrees, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def exterior_algebra(generator_degrees):
     """Exterior algebra on odd-degree generators, named e<degree>.
 
     >>> A = exterior_algebra([3, 5, 7])
@@ -670,10 +692,9 @@ def exterior_algebra(generator_degrees, monomial_cap=DEFAULT_MONOMIAL_CAP):
     gens = [Generator(f"e{d}", d) for d in degs]
     top = sum(degs)
     counts = _count_monomials(degs, [1] * len(degs), top)
-    if max(counts) > monomial_cap:
-        raise CapExceededError(
-            f"per-degree monomial count {max(counts)} exceeds cap {monomial_cap}")
-    alg = GradedAlgebra("exterior", gens, (), top, monomial_cap)
+    refuse_over_cap(max(counts))
+    alg = GradedAlgebra("exterior", gens, (), top)
+    alg.worst_count = max(counts)
     for d, c in enumerate(counts):
         alg._dims[d] = c
     return alg
@@ -706,7 +727,7 @@ def _normalize_relations(gens, relations):
     return tuple(out)
 
 
-def _quotient(generators, relations, top_degree, monomial_cap):
+def _quotient(generators, relations, top_degree):
     """The validated presentation, with no basis or product built yet."""
     gens = [Generator(*g) for g in generators]
     if not gens:
@@ -716,11 +737,10 @@ def _quotient(generators, relations, top_degree, monomial_cap):
     rels = _normalize_relations(gens, relations)
     if top_degree < 0:
         raise InvalidPresentationError("expected top degree must be nonnegative")
-    return GradedAlgebra("quotient", gens, rels, top_degree, monomial_cap)
+    return GradedAlgebra("quotient", gens, rels, top_degree)
 
 
-def model_quotient_algebra(generators, relations, model,
-                           monomial_cap=DEFAULT_MONOMIAL_CAP):
+def model_quotient_algebra(generators, relations, model):
     """Quotient of a polynomial ring on even generators by homogeneous
     relations, computed in a model.
 
@@ -736,10 +756,9 @@ def model_quotient_algebra(generators, relations, model,
     normal forms follow the module's standard-monomial contract, and every
     presentation relation must vanish in the model.
     """
-    alg = _quotient(generators, relations, model.top_degree, monomial_cap)
-    worst = max(_count_monomials(alg._degrees, alg._parities, alg.top_degree))
-    if worst > monomial_cap:
-        raise CapExceededError(f"per-degree monomial count {worst} exceeds cap {monomial_cap}")
+    alg = _quotient(generators, relations, model.top_degree)
+    alg.worst_count = max(_count_monomials(alg._degrees, alg._parities, alg.top_degree))
+    refuse_over_cap(alg.worst_count)
     alg._model = model
     alg._mont_class_cache[(0,) * len(alg.generators)] = model.one
     for d in range(model.top_degree + 1):
@@ -753,13 +772,12 @@ def model_quotient_algebra(generators, relations, model,
     return alg
 
 
-def tensor_product(a, b, monomial_cap=None):
+def tensor_product(a, b):
     """Graded tensor product; multiplication uses the Koszul sign rule.
 
-    Bases are pairwise products of the factor bases.  Colliding generator
-    names are disambiguated with @1 / @2 suffixes.
+    Bases are pairwise products of the factor bases, at most the cap in one
+    degree.  Colliding generator names are disambiguated with @1 / @2 suffixes.
     """
-    cap = min(a.monomial_cap, b.monomial_cap) if monomial_cap is None else monomial_cap
     names_a = [g.name for g in a.generators]
     names_b = [g.name for g in b.generators]
     if set(names_a) & set(names_b):
@@ -771,16 +789,18 @@ def tensor_product(a, b, monomial_cap=None):
     rels = [(d, {m + (0,) * kb: c for m, c in poly.items()}) for d, poly in a.relations]
     rels += [(d, {(0,) * ka + m: c for m, c in poly.items()}) for d, poly in b.relations]
     top = a.top_degree + b.top_degree
-    alg = GradedAlgebra("tensor", gens, tuple(rels), top, cap)
+    alg = GradedAlgebra("tensor", gens, tuple(rels), top)
     alg._factors = (a, b)
     alg._split = ka
     dims = alg._dims
     for da in a.nonzero_degrees():
         for db in b.nonzero_degrees():
             dims[da + db] = dims.get(da + db, 0) + a.dims(da) * b.dims(db)
+    cap = _CAP.get()
     for d in sorted(dims):
         if dims[d] > cap:
             raise CapExceededError(f"tensor basis count {dims[d]} in degree {d} exceeds cap {cap}")
+    alg.worst_count = max(dims.values())
     return alg
 
 

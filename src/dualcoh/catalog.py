@@ -21,7 +21,6 @@ from functools import reduce
 from itertools import product
 
 from .algebra import (
-    DEFAULT_MONOMIAL_CAP,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
     tensor_product,
@@ -89,7 +88,7 @@ Verdict = namedtuple("Verdict", "fundamental_class nonvanishing nonvanishing_wit
 # ------------------------------------------------------------ SL families
 
 
-def _sl_family(family_id, n, rank, h_algebra, dual_class_text, monomial_cap):
+def _sl_family(family_id, n, rank, h_algebra, dual_class_text):
     """SU(rank) restricting onto h_algebra(n) by keeping H's generators;
     G's top generator is the kernel ideal and the compact-support generator.
     The principal Levi SU(rank - 1), which exists from rank 3 on, carries
@@ -97,15 +96,15 @@ def _sl_family(family_id, n, rank, h_algebra, dual_class_text, monomial_cap):
     that its discrepancy note names."""
     if n < 1:
         raise InvalidPresentationError(f"family {family_id} needs n >= 1, got {n}")
-    G = su_algebra(rank, monomial_cap)
-    H = h_algebra(n, monomial_cap)
+    G = su_algebra(rank)
+    H = h_algebra(n)
     top = G.generators[-1].name
     inst = FamilyInstance(
         family_id=family_id, parameters={"n": n}, dual_G=G, dual_H=H,
         restriction=build_morphism(G, H, {g.name: H.gen(g.name) for g in H.generators}),
         franke_ideal=[G.gen(top)], compact_support_generator=top)
     if rank >= 3:
-        levi = su_algebra(rank - 1, monomial_cap)
+        levi = su_algebra(rank - 1)
         inst.levi_restriction = build_morphism(
             G, levi, {g.name: levi.gen(g.name) for g in levi.generators})
         levi_top = levi.generators[-1].name
@@ -117,7 +116,7 @@ def _sl_family(family_id, n, rank, h_algebra, dual_class_text, monomial_cap):
     return inst
 
 
-def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_sl_imag_sp(n):
     """Symplectic subgroup of a special linear group over an imaginary
     quadratic field: duals SU(2n) and compact Sp(2n).
 
@@ -128,10 +127,10 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     Levi inside SU(1)), so it carries no ghost data.  Both special-linear
     families are one call of ``_sl_family``.
     """
-    return _sl_family("sl-imag-sp", n, 2 * n, sp_group_algebra, "e5^...^", monomial_cap)
+    return _sl_family("sl-imag-sp", n, 2 * n, sp_group_algebra, "e5^...^")
 
 
-def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_sl_odd_real(n):
     """Odd special linear group over a totally real field inside its
     restriction of scalars: duals SU(2n+1) and SU(2n+1)/SO(2n+1).
 
@@ -140,7 +139,7 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     closed form of the dual class, e3^e7^...^e_{4n-1}).  The ideals and the
     principal Levi (an SU(2n) dual) are as in ``family_sl_imag_sp``.
     """
-    return _sl_family("sl-odd-real", n, 2 * n + 1, su_so_algebra, "e3^e7^...^", monomial_cap)
+    return _sl_family("sl-odd-real", n, 2 * n + 1, su_so_algebra, "e3^e7^...^")
 
 
 # -------------------------------------------------------- Siegel products
@@ -159,7 +158,7 @@ def _validate_parts(parts, total, what):
     return parts
 
 
-def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_siegel(g, parts):
     """Product of symplectic groups inside Sp(2g): Lagrangian-Grassmannian duals.
 
     ``parts`` is a nonincreasing list of positive integers summing to g.
@@ -171,11 +170,11 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
     if g < 1:
         raise InvalidPresentationError(f"family siegel needs g >= 1, got {g}")
     parts = _validate_parts(parts, g, "siegel partition")
-    G = lagrangian_algebra(g, monomial_cap)
+    G = lagrangian_algebra(g)
     # factors after the sixth get f7_, f8_, ..., which start no other name
     prefixes = _FACTOR_PREFIXES + tuple(f"f{i}_" for i in range(7, len(parts) + 1))
-    H = _product_ring([lagrangian_algebra(gi, monomial_cap, prefix=prefixes[i])
-                       for i, gi in enumerate(parts)], monomial_cap)
+    H = reduce(tensor_product, [lagrangian_algebra(gi, prefix=prefixes[i])
+                                for i, gi in enumerate(parts)])
     classes = [[f"{prefixes[i]}{j}" for j in range(1, gi + 1)]
                for i, gi in enumerate(parts)]
     images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
@@ -193,11 +192,6 @@ def family_siegel(g, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
             "partitions with more than two parts are decided by the general "
             "pairing criterion; no closed-form pairing partner is attached.")
     return inst
-
-
-def _product_ring(factors, monomial_cap):
-    """The tensor product of the factor rings, left to right."""
-    return reduce(lambda a, b: tensor_product(a, b, monomial_cap), factors)
 
 
 def _composition_image(H, classes, k):
@@ -269,7 +263,7 @@ def _validate_unitary_parts(p, q, parts):
     return parts
 
 
-def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_unitary(p, q, parts):
     """Product of lower unitary groups inside U(p,q): Grassmannian duals.
 
     ``parts`` is a list of (p_i, q_i) with sum p_i = p and sum q_i <= q.
@@ -286,10 +280,10 @@ def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
     if not (1 <= p <= q):
         raise InvalidPresentationError(f"family unitary needs q >= p >= 1, got ({p}, {q})")
     parts = _validate_unitary_parts(p, q, parts)
-    G = grassmannian_algebra(p, q, monomial_cap)
+    G = grassmannian_algebra(p, q)
     suffixes = [""] if len(parts) == 1 else [f"@{i + 1}" for i in range(len(parts))]
-    H = _product_ring([grassmannian_algebra(pi, qi, monomial_cap, suffix=s)
-                       for (pi, qi), s in zip(parts, suffixes)], monomial_cap)
+    H = reduce(tensor_product, [grassmannian_algebra(pi, qi, suffix=s)
+                                for (pi, qi), s in zip(parts, suffixes)])
     sigmas = [[f"sigma{j}{s}" for j in range(1, pi + 1)] for (pi, _), s in zip(parts, suffixes)]
     taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
     images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
@@ -317,15 +311,15 @@ def family_unitary(p, q, parts, monomial_cap=DEFAULT_MONOMIAL_CAP):
     return inst
 
 
-def family_sp_in_ugg(g, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_sp_in_ugg(g):
     """Symplectic group inside U(g,g): Gr(g,2g) restricting onto the
     Lagrangian-Grassmannian ring via sigma_k -> sigma_k, tau_k -> (-1)^k sigma_k
     (the two Chern root families collapse to one, with a sign).
     """
     if g < 1:
         raise InvalidPresentationError(f"family sp-in-ugg needs g >= 1, got {g}")
-    G = grassmannian_algebra(g, g, monomial_cap)
-    H = lagrangian_algebra(g, monomial_cap)
+    G = grassmannian_algebra(g, g)
+    H = lagrangian_algebra(g)
     images = {}
     for k in range(1, g + 1):
         sk = H.gen(f"sigma{k}")
@@ -368,7 +362,7 @@ def canonical_family_id(name):
     return fid
 
 
-def build_family(family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def build_family(family_id, parameters):
     """One instance of a family (an id or an alias); ``parameters`` must
     name exactly the family's parameters, and every rank must be an ``int``
     (a ``bool`` is refused)."""
@@ -377,7 +371,7 @@ def build_family(family_id, parameters, monomial_cap=DEFAULT_MONOMIAL_CAP):
     names = family.ranks if family.decompositions is None else (*family.ranks, "parts")
     values = bind_parameters(f"family {fid}", names, parameters)
     require_int_ranks(f"family {fid}", **dict(zip(family.ranks, values)))
-    return family.build(*values, monomial_cap)
+    return family.build(*values)
 
 
 # ------------------------------------------------------------- decisions

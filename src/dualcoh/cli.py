@@ -10,7 +10,8 @@ Exit codes: 0 success (a false verdict is still success), 2 usage error,
 3 resource cap exceeded, 4 internal inconsistency.  JSON goes to stdout,
 diagnostics to stderr.  The per-degree monomial cap can be set with
 --cap, a --config file or the DUALCOH_MONOMIAL_CAP environment variable
-(in that order of precedence); it must be an integer >= 1.
+(in that order of precedence); it must be an integer >= 1.  A command builds
+its rings inside ``algebra.monomial_cap``.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import os
 import sys
 from functools import cache
 
-from .algebra import DEFAULT_MONOMIAL_CAP, poincare_polynomial
+from .algebra import DEFAULT_MONOMIAL_CAP, monomial_cap, poincare_polynomial
 from .catalog import FAMILIES, FAMILY_ALIASES
 from .errors import (
     CapExceededError,
@@ -106,11 +107,13 @@ def _resolve(args, cfg, key, fallback):
     return cfg.get(key, fallback)
 
 
+_CAP_HELP = ("per-degree monomial cap (default from DUALCOH_MONOMIAL_CAP or %d)"
+             % DEFAULT_MONOMIAL_CAP)
+
+
 def _add_common(parser):
     parser.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    parser.add_argument("--cap", type=int, default=None,
-                        help="per-degree monomial cap (default from "
-                             "DUALCOH_MONOMIAL_CAP or %d)" % DEFAULT_MONOMIAL_CAP)
+    parser.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for property-check sampling (default 42)")
     parser.add_argument("--checks", default="",
@@ -163,7 +166,7 @@ def build_parser():
     rg.add_argument("--poincare", action="store_true",
                     help="print only the Poincare coefficient list")
     rg.add_argument("--json", action="store_true")
-    rg.add_argument("--cap", type=int, default=None)
+    rg.add_argument("--cap", type=int, default=None, help=_CAP_HELP)
     return ap
 
 
@@ -291,7 +294,8 @@ def cmd_ring(args):
     if rid not in RINGS:
         raise InvalidPresentationError(f"unknown ring {rid!r}; known: {', '.join(RINGS)}")
     build, names = RINGS[rid]
-    alg = build(*bind_parameters(f"ring {rid}", names, params), cap)
+    with monomial_cap(cap):
+        alg = build(*bind_parameters(f"ring {rid}", names, params))
     label = " ".join([rid, *(f"{k}={v}" for k, v in params.items())])
     pp = poincare_polynomial(alg)
     if args.json:

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import __version__ as TOOL_VERSION
-from .algebra import DEFAULT_MONOMIAL_CAP, order_key
+from .algebra import DEFAULT_MONOMIAL_CAP, monomial_cap, order_key
 from .catalog import (
     build_family,
     canonical_family_id,
@@ -114,7 +114,8 @@ class ReportDocument:
 def run_family(config):
     """Build one instance, decide its verdicts, and package the certificate."""
     t0 = time.monotonic()
-    inst = build_family(config.family_id, config.parameters, config.monomial_cap)
+    with monomial_cap(config.monomial_cap):
+        inst = build_family(config.family_id, config.parameters)
     verdict = decide_nonvanishing(inst)
     G = inst.dual_G
     fc = verdict.fundamental_class

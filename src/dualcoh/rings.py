@@ -12,26 +12,28 @@ The exposed basis and normal forms follow the row-reduction contract; the
 direct row reduction of the relation span is the reference the tests
 compare against.
 
-Every builder caches its rings by argument.  Rings that differ only in
-generator names (the ``prefix`` and ``suffix`` of the product-family
-factors) share one build: a renamed ring is ``GradedAlgebra.renamed`` of the
-default-named ring, with its own generators over the same tables.
+Every builder caches its rings by ring parameters, never by the monomial cap
+(the caller's ``algebra.monomial_cap``).  Rings that differ only in generator
+names (the ``prefix`` and ``suffix`` of the product-family factors) share one
+build: a renamed ring is ``GradedAlgebra.renamed`` of the default-named ring,
+with its own generators over the same tables.
 """
 
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 
 from .algebra import (
-    DEFAULT_MONOMIAL_CAP,
     GradedAlgebra,
     exterior_algebra,
     model_quotient_algebra,
+    refuse_over_cap,
 )
 from .errors import InvalidPresentationError
 from .linalg import add_scaled
 
 # Every ring built so far, by builder and arguments: equal arguments give one
-# object.  A renamed ring is cached as (GradedAlgebra.renamed, base, names).
+# object whatever the cap, and a hit is refused as a fresh build under the
+# current cap would be.  A renaming is keyed (GradedAlgebra.renamed, base, names).
 _RING_CACHE = {}
 
 
@@ -47,6 +49,8 @@ def _cached(build, *args):
     ring = _RING_CACHE.get(key)
     if ring is None:
         ring = _RING_CACHE[key] = build(*args)
+    else:
+        refuse_over_cap(ring.worst_count)
     return ring
 
 
@@ -58,40 +62,40 @@ def clear_ring_cache():
 # --------------------------------------------------------- exterior duals
 
 
-def _su_algebra(n, monomial_cap):
+def _su_algebra(n):
     if n < 2:
         raise InvalidPresentationError(f"SU(n) dual needs n >= 2, got {n}")
-    return exterior_algebra(list(range(3, 2 * n, 2)), monomial_cap)
+    return exterior_algebra(list(range(3, 2 * n, 2)))
 
 
-def su_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def su_algebra(n):
     """H*(SU(n)): exterior on e3, e5, ..., e_{2n-1}.  Needs n >= 2."""
     require_int_ranks("SU(n) dual", n=n)
-    return _cached(_su_algebra, n, monomial_cap)
+    return _cached(_su_algebra, n)
 
 
-def _sp_group_algebra(n, monomial_cap):
+def _sp_group_algebra(n):
     if n < 1:
         raise InvalidPresentationError(f"Sp(2n) dual needs n >= 1, got {n}")
-    return exterior_algebra([4 * j - 1 for j in range(1, n + 1)], monomial_cap)
+    return exterior_algebra([4 * j - 1 for j in range(1, n + 1)])
 
 
-def sp_group_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def sp_group_algebra(n):
     """H*(compact Sp(2n) group): exterior on e3, e7, ..., e_{4n-1}."""
     require_int_ranks("Sp(2n) dual", n=n)
-    return _cached(_sp_group_algebra, n, monomial_cap)
+    return _cached(_sp_group_algebra, n)
 
 
-def _su_so_algebra(n, monomial_cap):
+def _su_so_algebra(n):
     if n < 1:
         raise InvalidPresentationError(f"SU/SO dual needs n >= 1, got {n}")
-    return exterior_algebra([4 * j + 1 for j in range(1, n + 1)], monomial_cap)
+    return exterior_algebra([4 * j + 1 for j in range(1, n + 1)])
 
 
-def su_so_algebra(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def su_so_algebra(n):
     """H*(SU(2n+1)/SO(2n+1)): exterior on e5, e9, ..., e_{4n+1}."""
     require_int_ranks("SU/SO dual", n=n)
-    return _cached(_su_so_algebra, n, monomial_cap)
+    return _cached(_su_so_algebra, n)
 
 
 # ------------------------------------------------------- Lagrangian rings
@@ -209,15 +213,14 @@ class QTildeRing(_PieriModel):
         return out
 
 
-def _lagrangian_algebra(g, monomial_cap):
+def _lagrangian_algebra(g):
     if g < 1:
         raise InvalidPresentationError(f"Lagrangian ring needs g >= 1, got {g}")
     gens = [(f"sigma{i}", 2 * i) for i in range(1, g + 1)]
-    return model_quotient_algebra(gens, lagrangian_relations(g),
-                                  QTildeRing(g), monomial_cap)
+    return model_quotient_algebra(gens, lagrangian_relations(g), QTildeRing(g))
 
 
-def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
+def lagrangian_algebra(g, *, prefix="sigma"):
     """H*(Sp(2g)/U(g)): Q[sigma_1..sigma_g] modulo prod (1 - x_i^2) = 1.
 
     >>> L = lagrangian_algebra(2)
@@ -228,7 +231,7 @@ def lagrangian_algebra(g, monomial_cap=DEFAULT_MONOMIAL_CAP, prefix="sigma"):
     0
     """
     require_int_ranks("Lagrangian ring", g=g)
-    base = _cached(_lagrangian_algebra, g, monomial_cap)
+    base = _cached(_lagrangian_algebra, g)
     if prefix == "sigma":
         return base
     names = tuple(f"{prefix}{i}" for i in range(1, g + 1))
@@ -356,14 +359,14 @@ def grassmannian_relations(p, q):
     return gens, rels
 
 
-def _grassmannian_algebra(p, q, monomial_cap):
+def _grassmannian_algebra(p, q):
     if p < 1 or q < 1:
         raise InvalidPresentationError(f"Grassmannian ring needs p, q >= 1, got ({p}, {q})")
     gens, rels = grassmannian_relations(p, q)
-    return model_quotient_algebra(gens, rels, SchurRing(p, q), monomial_cap)
+    return model_quotient_algebra(gens, rels, SchurRing(p, q))
 
 
-def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
+def grassmannian_algebra(p, q, *, suffix=""):
     """H*(Gr(p, p+q)) = H*(U(p,q) compact dual), presented on sigma's and tau's.
 
     sigma_i and tau_j are the elementary symmetric classes of the two Chern
@@ -372,7 +375,7 @@ def grassmannian_algebra(p, q, monomial_cap=DEFAULT_MONOMIAL_CAP, suffix=""):
     exposed basis follows the standard-monomial contract.
     """
     require_int_ranks("Grassmannian ring", p=p, q=q)
-    base = _cached(_grassmannian_algebra, p, q, monomial_cap)
+    base = _cached(_grassmannian_algebra, p, q)
     if not suffix:
         return base
     names = tuple(g.name + suffix for g in base.generators)

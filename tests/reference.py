@@ -39,7 +39,6 @@ from fractions import Fraction
 from itertools import product
 
 from dualcoh.algebra import (
-    DEFAULT_MONOMIAL_CAP,
     Element,
     GradedAlgebra,
     _count_monomials,
@@ -47,11 +46,11 @@ from dualcoh.algebra import (
     pairing,
     pairing_matrix,
     poincare_dual,
+    refuse_over_cap,
 )
 from dualcoh.catalog import FamilyInstance
 from dualcoh.checks import CheckResult
 from dualcoh.errors import (
-    CapExceededError,
     InconsistentPresentationError,
     InvalidPresentationError,
 )
@@ -314,9 +313,7 @@ class DirectQuotient(GradedAlgebra):
         degrees, parities = self._degrees, self._parities
         dmax = self.top_degree + max(degrees)
         counts = _count_monomials(degrees, parities, dmax)
-        if max(counts) > self.monomial_cap:
-            raise CapExceededError(
-                f"per-degree monomial count {max(counts)} exceeds cap {self.monomial_cap}")
+        refuse_over_cap(max(counts))
         for d in range(dmax + 1):
             if counts[d] == 0:
                 if d <= self.top_degree:
@@ -354,12 +351,12 @@ class DirectQuotient(GradedAlgebra):
                 f"{self._dims.get(0)} and {self._dims.get(self.top_degree)}")
 
 
-def direct_quotient(generators, relations, top_degree, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def direct_quotient(generators, relations, top_degree):
     """The quotient of ``model_quotient_algebra``'s presentation, with the
     caller's expected top degree in place of a model's and degrees above it
     checked to vanish."""
-    q = _quotient(generators, relations, top_degree, monomial_cap)
-    alg = DirectQuotient(q.kind, q.generators, q.relations, q.top_degree, q.monomial_cap)
+    q = _quotient(generators, relations, top_degree)
+    alg = DirectQuotient(q.kind, q.generators, q.relations, q.top_degree)
     alg._build_tables()
     return alg
 
@@ -435,7 +432,7 @@ def poincare_dual_by_solve(algebra, phi, e):
     return algebra.element_from_coords(sol, d)
 
 
-def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_sl_imag_sp(n):
     """Symplectic subgroup of a special linear group over an imaginary
     quadratic field: duals SU(2n) and compact Sp(2n).
 
@@ -447,8 +444,8 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """
     if n < 1:
         raise InvalidPresentationError(f"family sl-imag-sp needs n >= 1, got {n}")
-    G = su_algebra(2 * n, monomial_cap)
-    H = sp_group_algebra(n, monomial_cap)
+    G = su_algebra(2 * n)
+    H = sp_group_algebra(n)
     images = {f"e{d}": H.gen(f"e{d}") for d in range(3, 4 * n, 4)}
     restriction = build_morphism(G, H, images)
     top_name = f"e{4 * n - 1}"
@@ -462,7 +459,7 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
         compact_support_generator=top_name,
     )
     if n >= 2:
-        levi = su_algebra(2 * n - 1, monomial_cap)
+        levi = su_algebra(2 * n - 1)
         levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n - 2, 2)}
         inst.levi_restriction = build_morphism(G, levi, levi_images)
         inst.levi_franke_generator = f"e{4 * n - 3}"
@@ -473,7 +470,7 @@ def family_sl_imag_sp(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     return inst
 
 
-def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
+def family_sl_odd_real(n):
     """Odd special linear group over a totally real field inside its
     restriction of scalars: duals SU(2n+1) and SU(2n+1)/SO(2n+1).
 
@@ -483,12 +480,12 @@ def family_sl_odd_real(n, monomial_cap=DEFAULT_MONOMIAL_CAP):
     """
     if n < 1:
         raise InvalidPresentationError(f"family sl-odd-real needs n >= 1, got {n}")
-    G = su_algebra(2 * n + 1, monomial_cap)
-    H = su_so_algebra(n, monomial_cap)
+    G = su_algebra(2 * n + 1)
+    H = su_so_algebra(n)
     images = {f"e{d}": H.gen(f"e{d}") for d in range(5, 4 * n + 2, 4)}
     restriction = build_morphism(G, H, images)
     top_name = f"e{4 * n + 1}"
-    levi = su_algebra(2 * n, monomial_cap)
+    levi = su_algebra(2 * n)
     levi_images = {f"e{d}": levi.gen(f"e{d}") for d in range(3, 4 * n, 2)}
     inst = FamilyInstance(
         family_id="sl-odd-real",

@@ -19,13 +19,16 @@ from dualcoh import (
     exterior_algebra,
     ideal_basis_in_degree,
     is_divisible,
+    monomial_cap,
     pairing,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
     tensor_product,
 )
 from dualcoh.algebra import (
+    DEFAULT_MONOMIAL_CAP,
     Element,
+    _CAP,
     _enumerate_monomials,
     _reach_table,
     model_quotient_algebra,
@@ -184,11 +187,26 @@ class TestQuotient:
     def test_cap_enforced(self):
         # LG(3) has at most 7 ambient monomials in one degree up to its top
         gens = [(f"sigma{i}", 2 * i) for i in (1, 2, 3)]
-        assert model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3),
-                                      monomial_cap=7).total_dimension == 8
-        with pytest.raises(CapExceededError):
-            model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3),
-                                   monomial_cap=6)
+        with monomial_cap(7):
+            alg = model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3))
+        assert (alg.total_dimension, alg.worst_count) == (8, 7)
+        with monomial_cap(6), pytest.raises(CapExceededError) as err:
+            model_quotient_algebra(gens, lagrangian_relations(3), QTildeRing(3))
+        assert str(err.value) == "per-degree monomial count 7 exceeds cap 6"
+
+    def test_cap_is_restored_after_the_block(self):
+        assert _CAP.get() == DEFAULT_MONOMIAL_CAP
+        with monomial_cap(10):
+            assert _CAP.get() == 10
+            with monomial_cap(3):
+                assert _CAP.get() == 3
+            assert exterior_algebra([3, 5, 7]).worst_count == 1
+        assert _CAP.get() == DEFAULT_MONOMIAL_CAP
+        with pytest.raises(CapExceededError, match="count 2 exceeds cap 1$"):
+            with monomial_cap(1):
+                exterior_algebra([3, 5, 7, 9])
+        assert _CAP.get() == DEFAULT_MONOMIAL_CAP
+        assert exterior_algebra([3, 5, 7, 9]).worst_count == 2
 
 
 class TestTensor:
@@ -228,10 +246,12 @@ class TestTensor:
                   for d in range(a.top_degree + b.top_degree + 1)]
         for cap in sorted(set(counts))[:-1]:
             d = next(d for d, c in enumerate(counts) if c > cap)
-            with pytest.raises(CapExceededError) as err:
-                tensor_product(a, b, monomial_cap=cap)
+            with monomial_cap(cap), pytest.raises(CapExceededError) as err:
+                tensor_product(a, b)
             assert str(err.value) == (
                 f"tensor basis count {counts[d]} in degree {d} exceeds cap {cap}")
+        with monomial_cap(max(counts)):
+            assert tensor_product(a, b).worst_count == max(counts)
 
     def test_basis_is_pairwise_products(self):
         a = lagrangian2()

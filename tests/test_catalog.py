@@ -1,11 +1,14 @@
 """Family constructors, decision procedures, and certificates."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import dualcoh
 import dualcoh.algebra
+import dualcoh.rings
 from dualcoh import (
     CapExceededError,
     InvalidPresentationError,
@@ -21,6 +24,7 @@ from dualcoh import (
     family_unitary,
     ideal_basis_in_degree,
     is_divisible,
+    monomial_cap,
     pairing,
     pairs_nontrivially_with_ideal,
     siegel_theta,
@@ -45,7 +49,7 @@ from dualcoh.morphisms import (
     gysin_fundamental_class,
     random_homogeneous,
 )
-from dualcoh.rings import lagrangian_algebra, su_algebra
+from dualcoh.rings import RINGS, clear_ring_cache, lagrangian_algebra, su_algebra
 from reference import family_sl_imag_sp as sl_imag_sp_oracle
 from reference import family_sl_odd_real as sl_odd_real_oracle
 from reference import (
@@ -165,21 +169,67 @@ def test_shared_sl_constructor_matches_the_two_written_out(build, oracle):
 @pytest.mark.parametrize("build,oracle", [(family_sl_imag_sp, sl_imag_sp_oracle),
                                           (family_sl_odd_real, sl_odd_real_oracle)],
                          ids=["sl-imag-sp", "sl-odd-real"])
-def test_shared_sl_constructor_refuses_as_the_two_written_out(build, oracle):
-    # G, then H, then the Levi: a cap stops the same ring in both.
+def test_shared_sl_constructor_refuses_as_the_two_written_out(monkeypatch, build, oracle):
+    # G, then H, then the Levi: a cap stops the same ring in both.  The caps
+    # fall and share one ring cache, so the shared constructor mostly fetches
+    # rings that the oracle built under a larger cap, while the oracle
+    # always builds afresh.
+    refused_on_hit = []
+    refuse = dualcoh.rings.refuse_over_cap
+
+    def recording(worst):
+        try:
+            refuse(worst)
+        except CapExceededError:
+            refused_on_hit.append(worst)
+            raise
+
+    def outcome(f, n, cap):
+        try:
+            with monomial_cap(cap):
+                f(n)
+        except (CapExceededError, InvalidPresentationError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    monkeypatch.setattr(dualcoh.rings, "refuse_over_cap", recording)
+    clear_ring_cache()
     refused = 0
     for n in range(0, 9):
-        for cap in (1, 2, 3, 5, 10, 40):
-            errors = []
-            for f in (build, oracle):
-                try:
-                    f(n, cap)
-                    errors.append(None)
-                except (CapExceededError, InvalidPresentationError) as exc:
-                    errors.append((type(exc), str(exc)))
-            assert errors[0] == errors[1], (n, cap)
-            refused += errors[0] is not None
-    assert refused > 20
+        for cap in (40, 10, 5, 3, 2, 1):
+            shared = outcome(build, n, cap)
+            clear_ring_cache()
+            assert outcome(oracle, n, cap) == shared, (n, cap)
+            refused += shared is not None
+    assert refused > 20 and len(refused_on_hit) >= 3
+    clear_ring_cache()
+
+
+def test_family_rings_built_once_whatever_the_cap():
+    big = 10**9
+    with monomial_cap(big):
+        first = build_family("sp-in-ugg", {"g": 6})
+    with pytest.raises(CapExceededError, match="exceeds cap 200000$"):
+        build_family("sp-in-ugg", {"g": 6})
+    with monomial_cap(big):
+        again = build_family("sp-in-ugg", {"g": 6})
+    assert again.dual_G is first.dual_G and again.dual_H is first.dual_H
+
+
+def test_no_builder_takes_a_cap():
+    """The cap is a per-command setting (``monomial_cap``), never an argument."""
+    builders = [getattr(dualcoh, name) for name in dualcoh.__all__]
+    builders += [build for build, _ in RINGS.values()]
+    builders += [family.build for family in FAMILIES.values()]
+    checked = 0
+    for fn in filter(callable, builders):
+        try:
+            params = inspect.signature(fn).parameters
+        except ValueError:  # a builtin without a signature
+            continue
+        assert "monomial_cap" not in params, fn
+        checked += 1
+    assert checked >= 40
 
 
 class TestGhostDivisibility:
@@ -481,7 +531,8 @@ class TestWitnessSearchDifferential:
         assert hits >= 15 and misses >= 15, (hits, misses)
 
     def test_sp_in_ugg_g6(self, monkeypatch):
-        inst = family_sp_in_ugg(6, monomial_cap=2_000_000)
+        with monomial_cap(2_000_000):
+            inst = family_sp_in_ugg(6)
         fc = decide_nonvanishing(inst).fundamental_class
         assert self._agree(monkeypatch, fc, inst.franke_ideal)
 

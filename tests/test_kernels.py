@@ -51,7 +51,7 @@ def _random_presentation(kind, rng):
         degrees = [rng.randint(1, 7) for _ in range(k)]
     top = rng.randint(0, 30)
     gens = [Generator(f"x{i}", d) for i, d in enumerate(degrees)]
-    return GradedAlgebra("quotient", gens, (), top, 10**6)
+    return GradedAlgebra("quotient", gens, (), top)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])

@@ -342,6 +342,13 @@ class TestCli:
     def test_ring_cap_exit_code(self, capsys):
         assert cli.main(["ring", "lagrangian", "--g", "3", "--cap", "2"]) == 3
 
+    @pytest.mark.parametrize("command", ["family", "sweep", "ring"])
+    def test_cap_help_is_shared(self, capsys, command):
+        assert cli.main([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"--cap CAP {cli._CAP_HELP}" in help_text
+        assert "200000" in cli._CAP_HELP
+
     def test_config_file_values_validated(self, capsys, tmp_path):
         cfg = tmp_path / "dualcoh.json"
         for bad in ({"cap": "abc"}, {"seed": "abc"}, {"seed": 1.5},

@@ -9,9 +9,11 @@ import pytest
 
 import dualcoh.algebra
 from dualcoh import (
+    CapExceededError,
     InconsistentPresentationError,
     InvalidPresentationError,
     exterior_algebra,
+    monomial_cap,
     poincare_polynomial,
 )
 from dualcoh.algebra import _enumerate_monomials, model_quotient_algebra
@@ -285,9 +287,34 @@ def test_basis_build_draws_few_monomials(monkeypatch):
 
 
 def test_grassmannian_cap_refused_at_construction():
-    from dualcoh import CapExceededError
-    with pytest.raises(CapExceededError):
-        grassmannian_algebra(3, 3, 5)
+    clear_ring_cache()
+    with monomial_cap(5), pytest.raises(CapExceededError):
+        grassmannian_algebra(3, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: su_algebra(10),
+    lambda: sp_group_algebra(9),
+    lambda: su_so_algebra(9),
+    lambda: lagrangian_algebra(4),
+    lambda: lagrangian_algebra(4, prefix="alpha"),
+    lambda: grassmannian_algebra(3, 3),
+    lambda: grassmannian_algebra(3, 3, suffix="@2"),
+], ids=["su", "sp-group", "su-so", "lagrangian", "lagrangian-renamed",
+        "grassmannian", "grassmannian-renamed"])
+def test_cached_ring_refused_as_a_fresh_build(build):
+    """A ring built at the default cap and fetched under a smaller one is
+    refused with the text that building it afresh under that cap gives."""
+    ring = build()
+    assert build() is ring and ring.worst_count > 10
+    texts = []
+    for _ in range(2):
+        with monomial_cap(10), pytest.raises(CapExceededError) as err:
+            build()
+        texts.append(str(err.value))
+        clear_ring_cache()
+    assert texts[0] == texts[1] == f"per-degree monomial count {ring.worst_count} exceeds cap 10"
+    assert build() is not ring
 
 
 @pytest.mark.parametrize("build", [
@@ -299,7 +326,6 @@ def test_cap_refused_before_any_key_is_listed(monkeypatch, build):
     """Gr(14, 28) has C(28, 14) = 40,116,600 box partitions and LG(26) has
     2^26 strict ones; a ring over its monomial cap is refused without
     listing any of them."""
-    from dualcoh import CapExceededError
 
     def refuse(model):
         raise AssertionError("key table built before the cap check")
