@@ -50,13 +50,16 @@ factor keys in a tensor product.  A key k pairs with dual(k) to s_k times
 the top key (s_k = 1 in a model; in an exterior ring dual(k) is the
 complement and s_k a Koszul sign) and to 0 with every other key, so the
 top coefficient of A*B, for classes of complementary degree, is one
-contraction sum_k A[dual k] * s_k * B[k], with no product formed.  The
-Gysin functional of ``morphisms.gysin_fundamental_class`` contracts the
-classes of two half-degree images, and the witness search tests each
-spanning product m*g_i of the ideal, without row reduction, by
-contracting class(m) against the class of v*g_i, formed once per
-generator.  ``ideal_basis_in_degree`` (an echelon basis) is the reference
-that checks and tests compare it against.
+contraction sum_k A[dual k] * s_k * B[k], with no product formed.
+Classes are multiplied by ``_class_of_product`` without a normal form: in
+a model a chain of ``mult`` (Pieri) steps, in a tensor product factor by
+factor with the cross Koszul sign.  A morphism's relation check and its
+Gysin functional (``morphisms.gysin_fundamental_class``, a contraction of
+the classes of two half-degree images) run on these target classes, and
+the witness search tests each spanning product m*g_i of the ideal,
+without row reduction, by contracting class(m) against the class of
+v*g_i, formed once per generator.  ``ideal_basis_in_degree`` (an echelon
+basis) is the reference that checks and tests compare it against.
 
 ``poincare_dual(algebra, phi, e)`` is the class xi of degree top - e with
 <xi, w> = phi[w] on the degree-e basis, made without a solve: in an
@@ -86,7 +89,13 @@ _CAP = ContextVar("monomial_cap", default=DEFAULT_MONOMIAL_CAP)
 
 @contextmanager
 def monomial_cap(cap):
-    """Build and fetch rings under the monomial cap ``cap`` inside the block."""
+    """Build and fetch rings under the monomial cap ``cap`` inside the block.
+
+    ``cap`` must be an ``int`` >= 1 (not a ``bool``); anything else is
+    refused with ``InvalidPresentationError`` when the block starts.
+    """
+    if type(cap) is not int or cap < 1:
+        raise InvalidPresentationError(f"the monomial cap must be an int >= 1, got {cap!r}")
     token = _CAP.set(cap)
     try:
         yield
@@ -604,20 +613,62 @@ class GradedAlgebra:
         [c] = self._mont_class(self.canonical_top_monomial()).values()
         return c
 
-    def _class_of_product(self, v, g, cv):
-        """The class of v*g, cv the class of v: in a model one chain of
-        ``mult`` steps per term of g, no normal form; elsewhere v*g."""
-        if self._model is None:
-            return self._class_of(self._mul_elements(v, g).terms)
-        mult = self._model.mult
+    def _has_keys(self):
+        """Whether the ring has self-dual keys: a model, an exterior ring,
+        or a tensor product of such rings."""
+        if self._factors is not None:
+            return all(f._has_keys() for f in self._factors)
+        return self._model is not None or self.kind == "exterior"
+
+    def _class_of_product(self, cls, terms, memo):
+        """The class of x*t summed over the terms c*t of ``terms``, where
+        ``cls`` is the class of x, with no normal form.  In a model each
+        term is one chain of ``mult`` steps.  A tensor product with keys
+        works factor by factor,
+            (ka (x) kb) * (ta (x) tb) = (-1)^(|kb| |ta|) (ka*ta) (x) (kb*tb),
+        each factor's key*monomial memoised in ``memo`` per (factor,
+        monomial) and then per key; the caller owns ``memo``, so the ring
+        holds none.  In an exterior ring a class is its normal form and the
+        step is the product."""
+        if self._model is not None:
+            mult = self._model.mult
+            out = {}
+            for mont, c in terms.items():
+                part = cls
+                for i, e in enumerate(mont):
+                    for _ in range(e):
+                        part = mult(part, i)
+                add_scaled(out, c, part)
+            return out
+        if self._factors is None:
+            return self._mul_elements(Element(self, cls), Element(self, terms)).terms
+        (a, b), s = self._factors, self._split
+        odd = bool(self._odd_indices)
         out = {}
-        for mont, c in g.terms.items():
-            part = cv
-            for i, e in enumerate(mont):
-                for _ in range(e):
-                    part = mult(part, i)
-            add_scaled(out, c, part)
-        return out
+        get = out.get
+        for mont, c in terms.items():
+            ta, tb = mont[:s], mont[s:]
+            flip = odd and a.monomial_degree(ta) & 1
+            table_a = memo.setdefault((a, ta), {})
+            table_b = memo.setdefault((b, tb), {})
+            for (ka, kb), x in cls.items():
+                pa = table_a.get(ka)
+                if pa is None:
+                    pa = table_a[ka] = a._class_of_product({ka: 1}, {ta: 1}, memo)
+                if not pa:
+                    continue
+                pb = table_b.get(kb)
+                if pb is None:
+                    pb = table_b[kb] = b._class_of_product({kb: 1}, {tb: 1}, memo)
+                if not pb:
+                    continue
+                x *= -c if flip and b._key_parity(kb) else c
+                for ka2, y in pa.items():
+                    xy = x * y
+                    for kb2, z in pb.items():
+                        k = (ka2, kb2)
+                        out[k] = get(k, 0) + xy * z
+        return {k: v for k, v in out.items() if v}
 
     def _build_model_basis(self, d):
         """Standard monomials of degree d: a monomial is standard exactly when
@@ -1001,7 +1052,7 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
         v._check_owner(g)
         ms = alg.basis(du - g.homogeneous_degree())
         if ms:
-            vg = _by_dual(alg, alg._class_of_product(v, g, cv))
+            vg = _by_dual(alg, alg._class_of_product(cv, g.terms, {}))
             for m in ms:
                 if _contract(alg._mont_class(m), vg):
                     return alg.basis_element(m) * g

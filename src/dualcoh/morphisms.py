@@ -1,10 +1,14 @@
 """Degree-preserving ring homomorphisms and dual fundamental classes.
 
 A morphism is stored by its images on generators and extended
-multiplicatively through normal forms, memoised per monomial from the
-generator images on.  Construction eagerly verifies that every defining
-relation of the source maps to zero; a silent non-homomorphism would
-corrupt every verdict computed downstream.
+multiplicatively, memoised per monomial.  ``apply`` and the API extend it
+to target elements through normal forms, the reference.  The relation
+check and phi extend it to target classes (``Morphism.image_classes``),
+one Pieri chain per term of a generator image and no target normal form,
+in a memo that lives for that one computation.  Construction eagerly
+verifies that every defining relation of the source maps to the zero
+class; a silent non-homomorphism would corrupt every verdict computed
+downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
 algebras is the unique xi in A of degree top(A) - top(B) such that
@@ -35,6 +39,15 @@ from .linalg import add_scaled
 class Morphism:
     """A ring homomorphism given on generators.
 
+    ``image_of_monomial`` extends it multiplicatively to target elements,
+    each step a product with normal forms, memoised on the morphism: the
+    reference.  ``image_classes`` returns a map to the target classes of
+    the same images, each step one ``_class_of_product`` over the terms of
+    the generator's image, so no target normal form is formed; the relation
+    check and phi read it, and its memo dies with the map.  A target whose
+    class is its normal form (an exterior ring, or a ring without keys)
+    maps through ``image_of_monomial``.
+
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.
     """
@@ -56,6 +69,40 @@ class Morphism:
 
     def _times_generator(self, img, i):
         return img * self.generator_images[self.source.generators[i].name]
+
+    def image_classes(self):
+        """A memoised map mont -> the target class of f(mont), a {key:
+        coefficient} dict.  The memo belongs to the map, not the morphism,
+        so it lives for one computation.  Where the target's class is its
+        normal form (an exterior ring, or a ring without keys) the map
+        reads ``image_of_monomial``."""
+        tgt = self.target
+        if tgt.kind == "exterior" or not tgt._has_keys():
+            return lambda mont: self.image_of_monomial(mont).terms
+        return _ClassImages(self)
+
+
+class _ClassImages:
+    """mont -> the target class of f(mont), with no target normal form.
+
+    ``memo`` holds the class of 1, then one entry per step, a generator's
+    own class included; a step multiplies a class by a generator image
+    through ``_class_of_product``, whose per-factor key products are
+    memoised in ``_products``.  Both die with this object.
+    """
+
+    def __init__(self, morphism):
+        tgt = self._target = morphism.target
+        self._images = [morphism.generator_images[g.name].terms
+                        for g in morphism.source.generators]
+        self.memo = {(0,) * len(self._images): tgt._class_of(tgt.one().terms)}
+        self._products = {}
+
+    def __call__(self, mont):
+        return monomial_value(self.memo, mont, self._times_generator)
+
+    def _times_generator(self, cls, i):
+        return self._target._class_of_product(cls, self._images[i], self._products)
 
 
 def build_morphism(source, target, generator_images):
@@ -82,11 +129,15 @@ def build_morphism(source, target, generator_images):
     if extra:
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
     m = Morphism(source, target, images)
+    image = m.image_classes()
     for rdeg, rpoly in source.relations:
-        img = {}
+        cls = {}
         for mont, c in rpoly.items():
-            add_scaled(img, c, m.image_of_monomial(mont).terms)
-        if img:
+            add_scaled(cls, c, image(mont))
+        if cls:
+            img = {}
+            for mont, c in rpoly.items():
+                add_scaled(img, c, m.image_of_monomial(mont).terms)
             pretty = " + ".join(
                 f"{c}*{source.monomial_string(mm)}" for mm, c in sorted(rpoly.items()))
             raise InvalidPresentationError(
@@ -145,29 +196,27 @@ def _phi_by_halves(morphism):
     w = a*b, where a is the longest prefix of w (generators in order) of
     degree at most top(B)/2, so no odd generator of b precedes one of a
     and the product takes no sign.  A and B are the classes of f(a) and
-    f(b), and s_k is the sign of dual(k)*k (``_by_dual``).  Keys are
-    self-dual, so the sum is the top-key coefficient of the class of
-    f(w) = f(a)*f(b), and c, the coefficient of the target's canonical top
-    monomial (1 in an exterior ring), turns it into that monomial's
-    coefficient, exactly: an ``int`` where it divides.  Each distinct a and
-    b is converted once, and f(b) stays within top(B)/2 plus the largest
-    generator degree of A.  Zero entries are left out of phi.
+    f(b), read from one ``image_classes`` map with no target normal form,
+    and s_k is the sign of dual(k)*k (``_by_dual``, once per distinct b).
+    Keys are self-dual, so the sum is the top-key coefficient of the class
+    of f(w) = f(a)*f(b), and c, the coefficient of the target's canonical
+    top monomial (1 in an exterior ring), turns it into that monomial's
+    coefficient, exactly: an ``int`` where it divides.  f(b) stays within
+    top(B)/2 plus the largest generator degree of A.  Zero entries are left
+    out of phi.
     """
     src, tgt = morphism.source, morphism.target
-    image = morphism.image_of_monomial
+    image = morphism.image_classes()
     half = tgt.top_degree // 2
     c = tgt._top_coefficient()
-    firsts, seconds, phi = {}, {}, {}
+    seconds, phi = {}, {}
     for w in src.basis(tgt.top_degree):
         a = _prefix(w, src._degrees, half)
         b = tuple(map(sub, w, a))
-        A = firsts.get(a)
-        if A is None:
-            A = firsts[a] = tgt._class_of(image(a).terms)
         B = seconds.get(b)
         if B is None:
-            B = seconds[b] = _by_dual(tgt, tgt._class_of(image(b).terms))
-        s = _contract(A, B)
+            B = seconds[b] = _by_dual(tgt, image(b))
+        s = _contract(image(a), B)
         if s:
             q, r = divmod(s, c)
             phi[w] = Fraction(s, c) if r else q

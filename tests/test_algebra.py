@@ -208,6 +208,15 @@ class TestQuotient:
         assert _CAP.get() == DEFAULT_MONOMIAL_CAP
         assert exterior_algebra([3, 5, 7, 9]).worst_count == 2
 
+    @pytest.mark.parametrize("cap", [None, "10", 1.5, 0, True],
+                             ids=["none", "str", "float", "zero", "bool"])
+    def test_cap_must_be_a_positive_int(self, cap):
+        with pytest.raises(InvalidPresentationError) as err:
+            with monomial_cap(cap):
+                raise AssertionError("the block must not start")
+        assert str(err.value) == f"the monomial cap must be an int >= 1, got {cap!r}"
+        assert _CAP.get() == DEFAULT_MONOMIAL_CAP
+
 
 class TestTensor:
     def test_dimension_multiplicative(self):
@@ -244,7 +253,7 @@ class TestTensor:
         a, b = lagrangian_algebra(3), grassmannian_algebra(2, 2)
         counts = [sum(a.dims(da) * b.dims(d - da) for da in range(d + 1))
                   for d in range(a.top_degree + b.top_degree + 1)]
-        for cap in sorted(set(counts))[:-1]:
+        for cap in sorted(set(counts) - {0})[:-1]:  # a cap is at least 1
             d = next(d for d, c in enumerate(counts) if c > cap)
             with monomial_cap(cap), pytest.raises(CapExceededError) as err:
                 tensor_product(a, b)

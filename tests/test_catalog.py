@@ -590,6 +590,11 @@ def _leaves(alg):
     return [leaf for f in alg._factors for leaf in _leaves(f)]
 
 
+def _factor_tree(alg):
+    """A ring and, for a tensor product, every factor at any depth."""
+    return [alg] + [f for factor in alg._factors or () for f in _factor_tree(factor)]
+
+
 def _model_phi_specs():
     """Instances whose Gysin functional is read by contraction, besides
     the certified sweep."""
@@ -606,6 +611,19 @@ def _fresh(m):
     """The same morphism with an empty image memo, for an oracle that must
     form its own images."""
     return Morphism(m.source, m.target, m.generator_images)
+
+
+def _recorded_class_maps(monkeypatch):
+    """Patch ``Morphism.image_classes`` to keep every map it returns, so a
+    test can read the memo of a map that a computation used and dropped."""
+    maps = []
+    image_classes = Morphism.image_classes
+
+    def recorded(self):
+        maps.append(image_classes(self))
+        return maps[-1]
+    monkeypatch.setattr(Morphism, "image_classes", recorded)
+    return maps
 
 
 def _exact(c):
@@ -648,13 +666,16 @@ class TestGysinByHalves:
             return mul(self, a, b)
 
         monkeypatch.setattr(GradedAlgebra, "_mul_elements", recorded)
+        maps = _recorded_class_maps(monkeypatch)
         xi = gysin_fundamental_class(_fresh(m))
-        ours = list(formed)
-        formed.clear()
+        assert not formed  # phi reads image classes: no product of target elements
+        # The memo holds the class of 1, then one entry per step.
+        [image] = maps
+        reached = [src.monomial_degree(w) for w in image.memo if any(w)]
         assert gysin_by_full_images(_fresh(m)) == xi
         ceiling = tgt.top_degree // 2 + max(g.degree for g in src.generators)
-        assert max(ours) <= ceiling and max(ours) < max(formed) == tgt.top_degree
-        assert len(ours) < len(formed)
+        assert max(reached) <= ceiling and max(reached) < max(formed) == tgt.top_degree
+        assert len(reached) < len(formed)
 
     def test_exterior_targets_match_the_full_images(self):
         for n in range(1, 7):
@@ -687,6 +708,95 @@ class TestGysinByHalves:
                 drawn += 1
                 nonzero += bool(oracle)
         assert drawn == 240 and nonzero >= 150, nonzero
+
+
+def _key_coordinate_specs():
+    specs = [("siegel-product", params)
+             for params in sweep_parameter_list("siegel-product", {"g": (2, 6)})]
+    specs += [("unitary-product", params) for params in sweep_parameter_list(
+        "unitary-product", {"p": (1, 4), "q": (1, 4), "full_q": False})]
+    return specs + [("sp-in-ugg", {"g": g}) for g in range(1, 5)]
+
+
+class TestImageClasses:
+    """The relation check and phi read target classes (``image_classes``),
+    which ``image_of_monomial``, the reference, must agree with."""
+
+    def test_no_target_normal_form(self, monkeypatch):
+        """With the generator images formed, no normal form and no basis
+        build of the target or of any factor of it happens on the relation
+        check or on phi.  The target's orientation (its canonical top
+        monomial) is ring data, read before the patch."""
+        real = {name: getattr(GradedAlgebra, name)
+                for name in ("normal_form_monomial", "_mul_elements", "_build_basis")}
+        guarded = set()
+
+        def refusing(name):
+            def method(self, *args):
+                if id(self) in guarded:
+                    raise AssertionError(f"{name} on the target")
+                return real[name](self, *args)
+            return method
+
+        for name in real:
+            monkeypatch.setattr(GradedAlgebra, name, refusing(name))
+        specs = _key_coordinate_specs()
+        for fid, params in specs:
+            m = build_family(fid, params).restriction
+            tgt = m.target
+            assert tgt.kind != "exterior"
+            tgt._top_coefficient()
+            guarded.update(id(f) for f in _factor_tree(tgt))
+            try:
+                checked = build_morphism(m.source, tgt, m.generator_images)
+                phi = _phi_by_halves(checked)
+            finally:
+                guarded.clear()
+            assert phi == _phi_by_halves(_fresh(m)), (fid, params)
+        assert len(specs) == 76
+
+    def test_image_class_is_the_class_of_the_image(self, monkeypatch):
+        """Every monomial the relation check and phi reach: its class equals
+        the class of its image formed through normal forms.  The memos die
+        with the computation: the morphism keeps only its generator images."""
+        maps = _recorded_class_maps(monkeypatch)
+        touched = 0
+        for fid, params in _key_coordinate_specs():
+            m = build_family(fid, params).restriction
+            maps.clear()
+            checked = build_morphism(m.source, m.target, m.generator_images)
+            _phi_by_halves(checked)
+            assert len(maps) == 2
+            assert set(vars(checked)) == {"source", "target", "generator_images", "_image_cache"}
+            assert len(checked._image_cache) == len(m.source.generators) + 1
+            tgt = checked.target
+            for image in maps:
+                for w, cls in image.memo.items():
+                    assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (
+                        fid, params, w)
+                    touched += 1
+        assert touched > 1000, touched
+
+    def test_cross_sign_on_odd_tensor_targets(self):
+        """(ka (x) kb)(ta (x) tb) takes (-1)^(|kb||ta|): targets where an odd
+        second-factor key meets an odd first-factor monomial."""
+        H = tensor_product(exterior_algebra([1, 3]), exterior_algebra([1, 3]))
+        m = build_morphism(exterior_algebra([1, 3]), H,
+                           {"e1": H.gen("e1@2"), "e3": H.gen("e3@1")})
+        assert m.image_of_monomial((1, 1)).terms == {(0, 1, 1, 0): -1}
+        assert m.image_classes()((1, 1)) == {((0, 1), (1, 0)): -1}
+        rng = random.Random(20261020)
+        targets = [
+            tensor_product(exterior_algebra([1, 3]), exterior_algebra([1, 3, 5])),
+            tensor_product(tensor_product(exterior_algebra([1, 3]), lagrangian_algebra(1)),
+                           exterior_algebra([1, 3])),
+        ]
+        for _ in range(24):
+            for H in targets:
+                m = _random_exterior_morphism(H, rng)
+                src, image = m.source, m.image_classes()
+                for w in (w for d in range(src.top_degree + 1) for w in src.basis(d)):
+                    assert image(w) == H._class_of(m.image_of_monomial(w).terms)
 
 
 def _random_exterior_morphism(H, rng):

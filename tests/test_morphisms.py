@@ -96,6 +96,43 @@ class TestBuild:
             build_morphism(L, L, {"sigma1": L.gen("sigma1")})  # sigma2 -> 0
         assert "relation" in str(err.value)
 
+    def test_relation_violation_message(self):
+        """The check runs on target classes; the message still shows the
+        image in standard monomials, on a model and on a tensor target."""
+        L = lagrangian_algebra(2)
+        with pytest.raises(InvalidPresentationError) as err:
+            build_morphism(L, L, {"sigma1": L.gen("sigma1")})
+        assert str(err.value) == (
+            "images violate the degree-4 relation (2*sigma2^1 + -1*sigma1^2): "
+            "maps to -2*sigma2^1")
+        H = tensor_product(lagrangian_algebra(1), lagrangian_algebra(1))
+        with pytest.raises(InvalidPresentationError) as err:
+            build_morphism(L, H, {"sigma1": H.gen("sigma1@1") + H.gen("sigma1@2")})
+        assert str(err.value) == (
+            "images violate the degree-4 relation (2*sigma2^1 + -1*sigma1^2): "
+            "maps to -2*sigma1@1^1*sigma1@2^1")
+        G = grassmannian_algebra(2, 2)
+        H = tensor_product(grassmannian_algebra(1, 1), grassmannian_algebra(1, 1))
+        with pytest.raises(InvalidPresentationError) as err:
+            build_morphism(G, H, {"sigma1": H.gen("sigma1@1"),
+                                  "tau1": H.gen("tau1@1") + H.gen("tau1@2")})
+        assert str(err.value) == (
+            "images violate the degree-2 relation (1*tau1^1 + 1*sigma1^1): "
+            "maps to -sigma1@2^1")
+
+    def test_keyless_targets_check_normal_forms(self):
+        """A target without keys, alone or as a tensor factor: its class is
+        the normal form, and the relation check reads it."""
+        B = direct_quotient([("z", 2)], [{(3,): 1}], 4)
+        for H in (B, tensor_product(B, lagrangian_algebra(1))):
+            with pytest.raises(InvalidPresentationError, match="maps to -z\\^2$"):
+                build_morphism(lagrangian_algebra(1), H, {"sigma1": H.gen("z")})
+            z = H.gen("z")
+            m = build_morphism(lagrangian_algebra(2), H, {"sigma1": 2 * z, "sigma2": 2 * z * z})
+            image = m.image_classes()
+            assert image((2, 0)) == (4 * z * z).terms != {}
+            assert image((1, 1)) == {}
+
     def test_wrong_owner_rejected(self):
         G, H = su_algebra(4), su_algebra(2)
         with pytest.raises(InvalidPresentationError):
