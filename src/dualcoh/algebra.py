@@ -558,7 +558,8 @@ class GradedAlgebra:
         model class, or an exterior normal form.  In a tensor product a key
         is the pair (key of the first factor, key of the second), nested as
         the factors are; only the factors memoise their classes, so a tensor
-        product holds none.  Any other ring has no keys and is refused."""
+        product holds none.  Any other ring has no keys and is refused, so
+        it cannot be a morphism target."""
         if self._factors is not None:
             (a, b), s = self._factors, self._split
             cb = b._mont_class(mont[s:]).items()
@@ -613,18 +614,11 @@ class GradedAlgebra:
         [c] = self._mont_class(self.canonical_top_monomial()).values()
         return c
 
-    def _has_keys(self):
-        """Whether the ring has self-dual keys: a model, an exterior ring,
-        or a tensor product of such rings."""
-        if self._factors is not None:
-            return all(f._has_keys() for f in self._factors)
-        return self._model is not None or self.kind == "exterior"
-
     def _class_of_product(self, cls, terms, memo):
         """The class of x*t summed over the terms c*t of ``terms``, where
         ``cls`` is the class of x, with no normal form.  In a model each
-        term is one chain of ``mult`` steps.  A tensor product with keys
-        works factor by factor,
+        term is one chain of ``mult`` steps.  A tensor product works factor
+        by factor,
             (ka (x) kb) * (ta (x) tb) = (-1)^(|kb| |ta|) (ka*ta) (x) (kb*tb),
         each factor's key*monomial memoised in ``memo`` per (factor,
         monomial) and then per key; the caller owns ``memo``, so the ring

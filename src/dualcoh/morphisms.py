@@ -4,11 +4,11 @@ A morphism is stored by its images on generators and extended
 multiplicatively, memoised per monomial.  ``apply`` and the API extend it
 to target elements through normal forms, the reference.  The relation
 check and phi extend it to target classes (``Morphism.image_classes``),
-one Pieri chain per term of a generator image and no target normal form,
-in a memo that lives for that one computation.  Construction eagerly
-verifies that every defining relation of the source maps to the zero
-class; a silent non-homomorphism would corrupt every verdict computed
-downstream.
+one Pieri chain per term of a generator image (in an exterior ring, where
+a class is its normal form, the product) and no target normal form, in a
+memo that lives for that one computation.  Construction eagerly verifies
+that every defining relation of the source maps to the zero class; a
+silent non-homomorphism would corrupt every verdict computed downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
 algebras is the unique xi in A of degree top(A) - top(B) such that
@@ -44,9 +44,7 @@ class Morphism:
     reference.  ``image_classes`` returns a map to the target classes of
     the same images, each step one ``_class_of_product`` over the terms of
     the generator's image, so no target normal form is formed; the relation
-    check and phi read it, and its memo dies with the map.  A target whose
-    class is its normal form (an exterior ring, or a ring without keys)
-    maps through ``image_of_monomial``.
+    check and phi read it, and its memo dies with the map.
 
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.
@@ -73,12 +71,7 @@ class Morphism:
     def image_classes(self):
         """A memoised map mont -> the target class of f(mont), a {key:
         coefficient} dict.  The memo belongs to the map, not the morphism,
-        so it lives for one computation.  Where the target's class is its
-        normal form (an exterior ring, or a ring without keys) the map
-        reads ``image_of_monomial``."""
-        tgt = self.target
-        if tgt.kind == "exterior" or not tgt._has_keys():
-            return lambda mont: self.image_of_monomial(mont).terms
+        so it lives for one computation."""
         return _ClassImages(self)
 
 
@@ -109,7 +102,8 @@ def build_morphism(source, target, generator_images):
     """Validated morphism: degree-checked images, all relations -> 0.
 
     ``generator_images`` maps source generator names to target elements
-    (missing names are sent to zero).
+    (missing names are sent to zero).  A target without self-dual keys has
+    no classes to check in and is refused.
     """
     images = {}
     for g in source.generators:
@@ -170,8 +164,7 @@ def gysin_fundamental_class(morphism):
     phi[w] = top-coefficient_B(f(w)) for each basis monomial w of degree
     top(B), and :func:`~dualcoh.algebra.poincare_dual` contracts phi
     against a dual basis of the source; a source without one (a tensor
-    product), or a target without self-dual keys, raises
-    InvalidPresentationError, and inconsistent input
+    product) raises InvalidPresentationError, and inconsistent input
     InconsistentPresentationError.  The class is normalized by orienting
     both rings by their canonical top monomials; rescaling either rescales
     it, and no boolean verdict downstream depends on that.

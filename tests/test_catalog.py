@@ -758,11 +758,18 @@ class TestImageClasses:
     def test_image_class_is_the_class_of_the_image(self, monkeypatch):
         """Every monomial the relation check and phi reach: its class equals
         the class of its image formed through normal forms.  The memos die
-        with the computation: the morphism keeps only its generator images."""
+        with the computation: the morphism keeps only its generator images.
+        Exterior targets (the certified special-linear restrictions and
+        their Levi restrictions) take the same map."""
         maps = _recorded_class_maps(monkeypatch)
+        morphisms = [(spec, build_family(*spec).restriction) for spec in _key_coordinate_specs()]
+        for spec in catalog_sweep_specs():
+            if spec[0] in ("sl-imag-sp", "sl-odd-real"):
+                inst = build_family(*spec)
+                morphisms += [(spec, inst.restriction), (spec + ("levi",), inst.levi_restriction)]
+        assert sum(m.target.kind == "exterior" for _, m in morphisms) == 16
         touched = 0
-        for fid, params in _key_coordinate_specs():
-            m = build_family(fid, params).restriction
+        for spec, m in morphisms:
             maps.clear()
             checked = build_morphism(m.source, m.target, m.generator_images)
             _phi_by_halves(checked)
@@ -772,8 +779,7 @@ class TestImageClasses:
             tgt = checked.target
             for image in maps:
                 for w, cls in image.memo.items():
-                    assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (
-                        fid, params, w)
+                    assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
                     touched += 1
         assert touched > 1000, touched
 
