@@ -66,7 +66,9 @@ basis) is the reference that checks and tests compare it against.
 exterior ring (keys are the basis) phi re-keyed by ``_by_dual``; in a
 model one contraction against ``dual(key)`` (a Schur partition's complement
 in the box, the parts of {1..g} a Q-tilde strict partition misses),
-converted to standard monomials once.  A tensor product is refused.
+converted to standard monomials once.  A tensor product is refused.  Its
+tripwire reads the class of xi back from the standard terms, and xi
+carries that class to the first witness search on it.
 """
 
 from collections import namedtuple
@@ -609,10 +611,11 @@ class GradedAlgebra:
             return a._key_parity(key[0]) ^ b._key_parity(key[1])
         return self.monomial_degree(key) & 1 if self._odd_indices else 0
 
-    def _top_coefficient(self):
-        """c: the class of the canonical top monomial is c times the top key."""
-        [c] = self._mont_class(self.canonical_top_monomial()).values()
-        return c
+    def _top_class(self):
+        """(top key, c): the class of the canonical top monomial is c times
+        the top key."""
+        [(key, c)] = self._mont_class(self.canonical_top_monomial()).items()
+        return key, c
 
     def _class_of_product(self, cls, terms, memo):
         """The class of x*t summed over the terms c*t of ``terms``, where
@@ -942,12 +945,35 @@ def poincare_dual(algebra, phi, e):
         xi = _model_dual(algebra, phi, e)
     else:
         raise InvalidPresentationError(f"a {algebra.kind} ring has no dual basis")
-    # Tripwire on one column; check_gysin_soundness checks them all.
+    # Tripwire on one column (check_gysin_soundness checks them all):
+    # <xi, w0> is the top-key coefficient of class(xi)*w0 over c, a chain
+    # of products that reads no dual(key) and forms no normal form.  The
+    # class, read back from xi's terms, goes with xi to the witness search.
+    cls = algebra._class_of(xi.terms)
     basis = algebra.basis(e)
-    if basis and pairing(xi, algebra.basis_element(basis[0])) != phi.get(basis[0], 0):
-        raise InconsistentPresentationError(
-            f"dual basis of degree {e} does not pair to the identity")
-    return xi
+    if basis:
+        top, c = algebra._top_class()
+        if (algebra._class_of_product(cls, {basis[0]: 1}, {}).get(top, 0)
+                != c * phi.get(basis[0], 0)):
+            raise InconsistentPresentationError(
+                f"dual basis of degree {e} does not pair to the identity")
+    return _Classed(algebra, xi.terms, cls)
+
+
+class _Classed(Element):
+    """``poincare_dual``'s xi, carrying the class {key: coefficient} that its
+    tripwire read back from its terms until a witness search takes it, so
+    no verdict keeps a class."""
+
+    __slots__ = ("_cls",)
+
+    def __init__(self, algebra, terms, cls):
+        super().__init__(algebra, terms)
+        self._cls = cls
+
+    def _take_class(self):
+        cls, self._cls = self._cls, None
+        return self.algebra._class_of(self.terms) if cls is None else cls
 
 
 def _model_dual(algebra, phi, e):
@@ -960,7 +986,7 @@ def _model_dual(algebra, phi, e):
     if len(set(duals)) != len(duals) or set(duals) != set(model.keys(d)):
         raise InconsistentPresentationError(
             f"model dual does not map degree {e} one-to-one onto degree {d}")
-    c = algebra._top_coefficient()
+    _, c = algebra._top_class()
     # Key i's standard coordinates are the tag part (column n + j for basis
     # monomial j) of the degree-e conversion's monic pivot row i.
     basis = algebra.basis(e)
@@ -1039,7 +1065,7 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
     if v.is_zero():
         return None
     du = alg.top_degree - v.homogeneous_degree()
-    cv = alg._class_of(v.terms)
+    cv = v._take_class() if isinstance(v, _Classed) else alg._class_of(v.terms)
     for g in ideal_gens:
         if g.is_zero():
             continue
@@ -1066,8 +1092,8 @@ def _by_dual(alg, cls):
 def _contract(cls, keyed):
     """sum_k cls[k] * keyed[k].  With ``keyed = _by_dual(alg, A)`` and B of
     complementary degree, this is the top-key coefficient of A*B (each key
-    pairs to the top key with its dual and to 0 with the rest), so
-    ``alg._top_coefficient()`` times the pairing of the elements with
-    classes A and B."""
+    pairs to the top key with its dual and to 0 with the rest), so c
+    times the pairing of the elements with classes A and B, where
+    ``alg._top_class()`` is (top key, c)."""
     get = keyed.get
     return sum(c * get(k, 0) for k, c in cls.items())

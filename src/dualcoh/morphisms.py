@@ -6,9 +6,13 @@ to target elements through normal forms, the reference.  The relation
 check and phi extend it to target classes (``Morphism.image_classes``),
 one Pieri chain per term of a generator image (in an exterior ring, where
 a class is its normal form, the product) and no target normal form, in a
-memo that lives for that one computation.  Construction eagerly verifies
-that every defining relation of the source maps to the zero class; a
-silent non-homomorphism would corrupt every verdict computed downstream.
+memo that no morphism keeps.  A catalog restriction's relation check and
+its Gysin step share one memo: the family instance holds it from
+construction until ``catalog.decide_nonvanishing`` lends it to the Gysin
+step, which uses it up.  Construction eagerly verifies that every defining
+relation of the source of degree at most top(target) maps to the zero
+class (a relation above that degree maps to zero by degree); a silent
+non-homomorphism would corrupt every verdict computed downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
 algebras is the unique xi in A of degree top(A) - top(B) such that
@@ -28,6 +32,7 @@ ones.  Nothing solves the pairing system.
 """
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
 
@@ -44,7 +49,8 @@ class Morphism:
     reference.  ``image_classes`` returns a map to the target classes of
     the same images, each step one ``_class_of_product`` over the terms of
     the generator's image, so no target normal form is formed; the relation
-    check and phi read it, and its memo dies with the map.
+    check and phi read it, and its memo dies with the map.  A map lent by
+    ``_lending`` is held only inside that block and handed out once.
 
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.
@@ -61,6 +67,7 @@ class Morphism:
         for i, g in enumerate(source.generators):
             if g.name in generator_images:
                 cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = generator_images[g.name]
+        self._lent = None  # a class map on loan, see _lending
 
     def image_of_monomial(self, mont):
         return monomial_value(self._image_cache, mont, self._times_generator)
@@ -70,9 +77,21 @@ class Morphism:
 
     def image_classes(self):
         """A memoised map mont -> the target class of f(mont), a {key:
-        coefficient} dict.  The memo belongs to the map, not the morphism,
-        so it lives for one computation."""
-        return _ClassImages(self)
+        coefficient} dict.  The memo belongs to the map, not the morphism:
+        a fresh map, or the one lent by ``_lending``, handed out once."""
+        images, self._lent = self._lent, None
+        return _ClassImages(self) if images is None else images
+
+    @contextmanager
+    def _lending(self, images):
+        """Inside the block, ``image_classes`` hands out ``images`` (a map of
+        this morphism, or None for a fresh one) once; the morphism keeps no
+        map after it."""
+        self._lent = images
+        try:
+            yield
+        finally:
+            self._lent = None
 
 
 class _ClassImages:
@@ -105,6 +124,13 @@ def build_morphism(source, target, generator_images):
     (missing names are sent to zero).  A target without self-dual keys has
     no classes to check in and is refused.
     """
+    return _validated(source, target, generator_images)[0]
+
+
+def _validated(source, target, generator_images):
+    """``build_morphism``'s morphism and the class map its relation check
+    filled, or None when no relation of degree at most top(target) needed
+    one: images are degree-checked, so a relation above it maps to 0."""
     images = {}
     for g in source.generators:
         img = generator_images.get(g.name)
@@ -123,8 +149,11 @@ def build_morphism(source, target, generator_images):
     if extra:
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
     m = Morphism(source, target, images)
-    image = m.image_classes()
+    image = None
     for rdeg, rpoly in source.relations:
+        if rdeg > target.top_degree:
+            continue
+        image = image or m.image_classes()
         cls = {}
         for mont, c in rpoly.items():
             add_scaled(cls, c, image(mont))
@@ -137,7 +166,9 @@ def build_morphism(source, target, generator_images):
             raise InvalidPresentationError(
                 f"images violate the degree-{rdeg} relation ({pretty}): "
                 f"maps to {Element(target, img)!r}")
-    return m
+    if image is None:
+        target._class_of(target.one().terms)  # a target without keys is refused
+    return m, image
 
 
 def apply(morphism, v):
@@ -201,7 +232,7 @@ def _phi_by_halves(morphism):
     src, tgt = morphism.source, morphism.target
     image = morphism.image_classes()
     half = tgt.top_degree // 2
-    c = tgt._top_coefficient()
+    _, c = tgt._top_class()
     seconds, phi = {}, {}
     for w in src.basis(tgt.top_degree):
         a = _prefix(w, src._degrees, half)

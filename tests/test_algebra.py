@@ -16,6 +16,7 @@ from dualcoh import (
     CapExceededError,
     InconsistentPresentationError,
     InvalidPresentationError,
+    build_family,
     exterior_algebra,
     ideal_basis_in_degree,
     is_divisible,
@@ -37,7 +38,7 @@ from dualcoh.algebra import (
     poincare_dual,
 )
 from dualcoh.linalg import SparseRREF, solve
-from dualcoh.morphisms import random_homogeneous
+from dualcoh.morphisms import _phi_by_halves, random_homogeneous
 from dualcoh.rings import (
     QTildeRing,
     SchurRing,
@@ -762,6 +763,12 @@ def _refuse_solve(*args):
     raise AssertionError("the pairing system was solved")
 
 
+def _refusing(name):
+    def method(*args):
+        raise AssertionError(f"{name} was called")
+    return method
+
+
 class TestPoincareDual:
     def test_fast_paths_match_the_pairing_solve(self, monkeypatch):
         # Every nonzero degree of Gr(p, p+q), p <= q <= 4 (75 cases), of
@@ -809,6 +816,62 @@ class TestPoincareDual:
         for w in lag.basis(6):
             with pytest.raises(InconsistentPresentationError, match="identity"):
                 poincare_dual(lag, {w: 1}, 6)
+
+    @pytest.mark.parametrize("fid, params", [
+        ("sp-in-ugg", {"g": 3}),
+        ("siegel-product", {"g": 4, "parts": [2, 2]}),
+        ("sl-odd-real", {"n": 1}),
+        ("sl-odd-real", {"n": 2})],
+        ids=["Schur", "Q-tilde", "odd-exterior-1", "odd-exterior-2"])
+    def test_corrupted_converted_class_is_caught(self, monkeypatch, fid, params):
+        """One coefficient of xi, on a term u that pairs nonzero with
+        w0 = basis(e)[0], is changed after the contraction (in the
+        model-to-standard conversion, or in the exterior re-keying): the
+        tripwire reads the class back from xi's terms, so it raises.  At
+        sl-odd-real n=1, xi and w0 have odd degree, so the unpatched call
+        also pins the operand order of class(xi)*w0."""
+        m = build_family(fid, params).restriction
+        src, e = m.source, m.target.top_degree
+        phi = _phi_by_halves(m)
+        d = src.top_degree - e
+        w0 = src.basis(e)[0]
+        u = next(u for u in src.basis(d)
+                 if pairing(src.basis_element(u), src.basis_element(w0)))
+        assert not poincare_dual(src, phi, e).is_zero()
+        if src._model is not None:
+            convert = src._model_coords_to_std
+
+            def corrupted(cls, degree):
+                out = dict(convert(cls, degree))
+                if degree == d:
+                    out[u] = out.get(u, 0) + 1
+                return out
+            monkeypatch.setattr(src, "_model_coords_to_std", corrupted)
+        else:
+            by_dual = dualcoh.algebra._by_dual
+
+            def corrupted(alg, cls):
+                out = by_dual(alg, cls)
+                out[u] = out.get(u, 0) + 1
+                return out
+            monkeypatch.setattr(dualcoh.algebra, "_by_dual", corrupted)
+        with pytest.raises(InconsistentPresentationError, match="identity"):
+            poincare_dual(src, phi, e)
+
+    def test_model_dual_forms_no_normal_form(self, monkeypatch):
+        """On Schur and Q-tilde sources the dual class, its tripwire
+        included, forms no product of elements and no normal form."""
+        for fid, params in [("sp-in-ugg", {"g": 4}), ("siegel-product", {"g": 5, "parts": [3, 2]}),
+                            ("unitary-product", {"p": 3, "q": 4, "parts": [[2, 2], [1, 2]]})]:
+            m = build_family(fid, params).restriction
+            src, e = m.source, m.target.top_degree
+            phi = _phi_by_halves(m)
+            want = poincare_dual_by_solve(src, phi, e)
+            with monkeypatch.context() as mp:
+                for name in ("_mul_elements", "normal_form_monomial"):
+                    mp.setattr(src, name, _refusing(name))
+                xi = poincare_dual(src, phi, e)
+            assert src._model is not None and xi == want, (fid, params)
 
     def test_inexact_values_refused(self):
         alg = exterior_algebra([3, 5])

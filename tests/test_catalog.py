@@ -44,7 +44,9 @@ from dualcoh.checks import _sweep_algebras, catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import (
     Morphism,
+    _ClassImages,
     _phi_by_halves,
+    _validated,
     apply,
     gysin_fundamental_class,
     random_homogeneous,
@@ -558,7 +560,7 @@ class TestWitnessSearchDifferential:
                 if leaf._model is not None:
                     [top_key] = leaf._model.keys(leaf.top_degree)
                     C *= leaf._mont_class(leaf.canonical_top_monomial())[top_key]
-            assert alg._top_coefficient() == C
+            assert alg._top_class()[1] == C
             for d in alg.nonzero_degrees():
                 a = _random_of_degree(alg, d, rng)
                 b = _random_of_degree(alg, alg.top_degree - d, rng)
@@ -745,7 +747,7 @@ class TestImageClasses:
             m = build_family(fid, params).restriction
             tgt = m.target
             assert tgt.kind != "exterior"
-            tgt._top_coefficient()
+            tgt._top_class()
             guarded.update(id(f) for f in _factor_tree(tgt))
             try:
                 checked = build_morphism(m.source, tgt, m.generator_images)
@@ -757,10 +759,12 @@ class TestImageClasses:
 
     def test_image_class_is_the_class_of_the_image(self, monkeypatch):
         """Every monomial the relation check and phi reach: its class equals
-        the class of its image formed through normal forms.  The memos die
-        with the computation: the morphism keeps only its generator images.
-        Exterior targets (the certified special-linear restrictions and
-        their Levi restrictions) take the same map."""
+        the class of its image formed through normal forms.  The relation
+        check opens a map only for a relation of degree at most top(B), and
+        phi, lent that map, reads the same one; afterwards the morphism
+        keeps only its generator images.  Exterior targets (the certified
+        special-linear restrictions and their Levi restrictions) take the
+        same map."""
         maps = _recorded_class_maps(monkeypatch)
         morphisms = [(spec, build_family(*spec).restriction) for spec in _key_coordinate_specs()]
         for spec in catalog_sweep_specs():
@@ -768,20 +772,25 @@ class TestImageClasses:
                 inst = build_family(*spec)
                 morphisms += [(spec, inst.restriction), (spec + ("levi",), inst.levi_restriction)]
         assert sum(m.target.kind == "exterior" for _, m in morphisms) == 16
-        touched = 0
+        touched = shared = 0
         for spec, m in morphisms:
             maps.clear()
-            checked = build_morphism(m.source, m.target, m.generator_images)
-            _phi_by_halves(checked)
-            assert len(maps) == 2
-            assert set(vars(checked)) == {"source", "target", "generator_images", "_image_cache"}
-            assert len(checked._image_cache) == len(m.source.generators) + 1
+            checked, validation = _validated(m.source, m.target, m.generator_images)
+            with checked._lending(validation):
+                _phi_by_halves(checked)
             tgt = checked.target
-            for image in maps:
-                for w, cls in image.memo.items():
-                    assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
-                    touched += 1
-        assert touched > 1000, touched
+            relations = any(rdeg <= tgt.top_degree for rdeg, _ in m.source.relations)
+            assert (validation is not None) == relations
+            assert len(maps) == 1 + relations and all(x is maps[-1] for x in maps)
+            assert set(vars(checked)) == {"source", "target", "generator_images",
+                                          "_image_cache", "_lent"}
+            assert checked._lent is None
+            assert len(checked._image_cache) == len(m.source.generators) + 1
+            for w, cls in maps[-1].memo.items():
+                assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
+                touched += 1
+            shared += relations
+        assert touched > 1000 and shared >= 40, (touched, shared)
 
     def test_cross_sign_on_odd_tensor_targets(self):
         """(ka (x) kb)(ta (x) tb) takes (-1)^(|kb||ta|): targets where an odd
@@ -803,6 +812,51 @@ class TestImageClasses:
                 src, image = m.source, m.image_classes()
                 for w in (w for d in range(src.top_degree + 1) for w in src.basis(d)):
                     assert image(w) == H._class_of(m.image_of_monomial(w).terms)
+
+
+class TestOneMapPerDecision:
+    """A decision opens one class map: the restriction's relation check
+    fills it, the instance holds it until ``decide_nonvanishing`` lends it
+    to phi, and afterwards no instance, morphism or verdict keeps it, nor
+    the class of xi that the witness search took."""
+
+    def test_one_map_per_decided_instance(self, monkeypatch):
+        opened = []
+        init = _ClassImages.__init__
+
+        def counted(self, morphism):
+            opened.append(morphism)
+            init(self, morphism)
+        monkeypatch.setattr(_ClassImages, "__init__", counted)
+        specs = catalog_sweep_specs() + [
+            ("siegel-product", {"g": 6, "parts": [4, 2]}),
+            ("unitary-product", {"p": 4, "q": 5, "parts": [[2, 3], [2, 2]]})]
+        levi = 0
+        for spec in specs:
+            opened.clear()
+            inst = build_family(*spec)
+            assert inst._images is None or inst._images.memo
+            verdict = decide_nonvanishing(inst)
+            assert opened == [inst.restriction], spec
+            holders = [inst, inst.restriction, inst.levi_restriction]
+            for obj in filter(None, holders):
+                assert not any(isinstance(x, _ClassImages) for x in vars(obj).values()), spec
+            assert verdict.fundamental_class._cls is None, spec
+            levi += inst.levi_restriction is not None
+        assert len(specs) == 49 and levi == 8
+
+    def test_relation_check_forms_no_class_above_the_target_top(self):
+        """A relation of degree above top(B) maps to 0 by degree, so the
+        check forms no class there."""
+        skipped = 0
+        for spec in _key_coordinate_specs():
+            m = build_family(*spec).restriction
+            top = m.target.top_degree
+            _, image = _validated(m.source, m.target, m.generator_images)
+            skipped += any(rdeg > top for rdeg, _ in m.source.relations)
+            if image is not None:
+                assert max(map(m.source.monomial_degree, image.memo)) <= top, spec
+        assert skipped == 54, skipped
 
 
 def _random_exterior_morphism(H, rng):

@@ -1,5 +1,6 @@
 """Report documents, serialization contracts, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from dualcoh import cli
 from dualcoh.catalog import FAMILIES, FAMILY_ALIASES, FAMILY_IDS, sweep_parameter_list
 from dualcoh.errors import InconsistentPresentationError, InvalidPresentationError
 from dualcoh.report import (
+    SCHEMA_VERSION,
     ReportDocument,
     RunConfig,
     element_from_pairs,
@@ -491,3 +493,33 @@ class TestParserReuse:
         assert cli.main(["check", "--suite"]) == 2
         assert cli.main(["check", "--suite", "paper-identities", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["suites"] == ["paper-identities"]
+
+
+# SHA-256 of what each command prints, run in-process.  A change that moves
+# any byte of these outputs must update the digests on purpose, and bump
+# SCHEMA_VERSION when it changes the layout.
+GOLDEN_DIGESTS = {
+    "sweep siegel --g 2..6 --json":
+        "a21cb52a0d5d3dfaf9a372c2aff625b38a45e5793bd0c33ecbaf4388312a2e4a",
+    "sweep sp-in-ugg --g 1..5 --json":
+        "8d92c505dd318dcf940b36a5d010b10341e5c39737bbe4fa590055a534f3379f",
+    "sweep unitary --p 1..5 --q 1..5 --json":
+        "ead3030913a3dc1732b4e61c4852d0ea4c54c63d7983acb58feecf10fb1ba045",
+    "sweep sl-imag-sp --n 2..6 --json":
+        "91462a643c7161d7c6135f13acbe8103785c2f4620191410201c745490305530",
+    "sweep sl-odd-real --n 1..5 --json":
+        "2198f97d983185934f5065d6a5971904af2e4d5e2891237cebd41430fc11855f",
+    "check --json --seed 21":
+        "72cae0bb83150f124642decaf6899e1c71b49aba73d86a5c7d56e79683de89d7",
+}
+
+
+def test_golden_digests(capsys, monkeypatch):
+    """The five certified sweeps and one ``check`` print exactly the pinned
+    bytes, under schema version 2."""
+    monkeypatch.delenv("DUALCOH_MONOMIAL_CAP", raising=False)
+    assert SCHEMA_VERSION == 2
+    for command, digest in GOLDEN_DIGESTS.items():
+        assert cli.main(command.split()) == 0, command
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, command
