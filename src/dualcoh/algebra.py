@@ -67,8 +67,7 @@ exterior ring (keys are the basis) phi re-keyed by ``_by_dual``; in a
 model one contraction against ``dual(key)`` (a Schur partition's complement
 in the box, the parts of {1..g} a Q-tilde strict partition misses),
 converted to standard monomials once.  A tensor product is refused.  Its
-tripwire reads the class of xi back from the standard terms, and xi
-carries that class to the first witness search on it.
+tripwire reads the class of xi back from the standard terms.
 """
 
 from collections import namedtuple
@@ -947,8 +946,7 @@ def poincare_dual(algebra, phi, e):
         raise InvalidPresentationError(f"a {algebra.kind} ring has no dual basis")
     # Tripwire on one column (check_gysin_soundness checks them all):
     # <xi, w0> is the top-key coefficient of class(xi)*w0 over c, a chain
-    # of products that reads no dual(key) and forms no normal form.  The
-    # class, read back from xi's terms, goes with xi to the witness search.
+    # of products that reads no dual(key) and forms no normal form.
     cls = algebra._class_of(xi.terms)
     basis = algebra.basis(e)
     if basis:
@@ -957,23 +955,7 @@ def poincare_dual(algebra, phi, e):
                 != c * phi.get(basis[0], 0)):
             raise InconsistentPresentationError(
                 f"dual basis of degree {e} does not pair to the identity")
-    return _Classed(algebra, xi.terms, cls)
-
-
-class _Classed(Element):
-    """``poincare_dual``'s xi, carrying the class {key: coefficient} that its
-    tripwire read back from its terms until a witness search takes it, so
-    no verdict keeps a class."""
-
-    __slots__ = ("_cls",)
-
-    def __init__(self, algebra, terms, cls):
-        super().__init__(algebra, terms)
-        self._cls = cls
-
-    def _take_class(self):
-        cls, self._cls = self._cls, None
-        return self.algebra._class_of(self.terms) if cls is None else cls
+    return xi
 
 
 def _model_dual(algebra, phi, e):
@@ -1065,7 +1047,7 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
     if v.is_zero():
         return None
     du = alg.top_degree - v.homogeneous_degree()
-    cv = v._take_class() if isinstance(v, _Classed) else alg._class_of(v.terms)
+    cv = alg._class_of(v.terms)
     for g in ideal_gens:
         if g.is_zero():
             continue

@@ -27,7 +27,6 @@ from .algebra import (
 )
 from .errors import InvalidPresentationError
 from .morphisms import (
-    _validated,
     apply,
     build_morphism,
     gysin_fundamental_class,
@@ -62,19 +61,6 @@ class FamilyInstance:
         self.levi_restriction = levi_restriction
         self.levi_franke_generator = levi_franke_generator  # a generator name in the Levi dual
         self.notes = {} if notes is None else notes
-        # The restriction's relation-check class map, which phi reuses: kept
-        # from the constructor until decide_nonvanishing lends it to the
-        # Gysin step, so it lives for one decision.
-        self._images = None
-
-
-def _instance(images, **fields):
-    """A FamilyInstance whose restriction dual_G -> dual_H is validated from
-    the generator ``images``, holding the class map of that validation."""
-    restriction, class_map = _validated(fields["dual_G"], fields["dual_H"], images)
-    inst = FamilyInstance(restriction=restriction, **fields)
-    inst._images = class_map
-    return inst
 
 
 class GhostCertificate(namedtuple(
@@ -113,9 +99,9 @@ def _sl_family(family_id, n, rank, h_algebra, dual_class_text):
     G = su_algebra(rank)
     H = h_algebra(n)
     top = G.generators[-1].name
-    inst = _instance(
-        {g.name: H.gen(g.name) for g in H.generators},
+    inst = FamilyInstance(
         family_id=family_id, parameters={"n": n}, dual_G=G, dual_H=H,
+        restriction=build_morphism(G, H, {g.name: H.gen(g.name) for g in H.generators}),
         franke_ideal=[G.gen(top)], compact_support_generator=top)
     if rank >= 3:
         levi = su_algebra(rank - 1)
@@ -192,12 +178,13 @@ def family_siegel(g, parts):
     classes = [[f"{prefixes[i]}{j}" for j in range(1, gi + 1)]
                for i, gi in enumerate(parts)]
     images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
-    inst = _instance(
-        images,
+    restriction = build_morphism(G, H, images)
+    inst = FamilyInstance(
         family_id="siegel-product",
         parameters={"g": g, "parts": list(parts)},
         dual_G=G,
         dual_H=H,
+        restriction=restriction,
         franke_ideal=[G.gen(f"sigma{g}")],
     )
     if len(parts) > 2:
@@ -301,12 +288,13 @@ def family_unitary(p, q, parts):
     taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
     images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
     images.update({f"tau{m}": _composition_image(H, taus, m) for m in range(1, q + 1)})
-    inst = _instance(
-        images,
+    restriction = build_morphism(G, H, images)
+    inst = FamilyInstance(
         family_id="unitary-product",
         parameters={"p": p, "q": q, "parts": [list(t) for t in parts]},
         dual_G=G,
         dual_H=H,
+        restriction=restriction,
         franke_ideal=[G.gen(f"sigma{p}"), G.gen(f"tau{q}")],
     )
     sum_qi = sum(qi for _, qi in parts)
@@ -314,7 +302,7 @@ def family_unitary(p, q, parts):
     for i, (pi, qi) in enumerate(parts):
         xi_product = xi_product * H.gen(f"tau{qi}{suffixes[i]}")
     inst.notes["tau_shortcut_holds"] = bool(
-        sum_qi == q and apply(inst.restriction, G.gen(f"tau{q}")) == xi_product)
+        sum_qi == q and apply(restriction, G.gen(f"tau{q}")) == xi_product)
     if sum_qi < q:
         inst.notes["q_deficit"] = (
             f"sum q_i = {sum_qi} < q = {q}: tau_{q} restricts to zero and the "
@@ -337,12 +325,13 @@ def family_sp_in_ugg(g):
         sk = H.gen(f"sigma{k}")
         images[f"sigma{k}"] = sk
         images[f"tau{k}"] = (-1) ** k * sk
-    return _instance(
-        images,
+    restriction = build_morphism(G, H, images)
+    return FamilyInstance(
         family_id="sp-in-ugg",
         parameters={"g": g},
         dual_G=G,
         dual_H=H,
+        restriction=restriction,
         franke_ideal=[G.gen(f"sigma{g}"), G.gen(f"tau{g}")],
     )
 
@@ -393,14 +382,11 @@ def decide_nonvanishing(inst):
 
     The class survives the invariant-forms map exactly when it pairs
     nontrivially with the ideal; the returned witness re-verifies through
-    the core primitives alone.  The Gysin step borrows the class map of the
-    restriction's relation check, which the instance then no longer holds,
-    and the witness search reads the class of xi that ``poincare_dual``
-    checked.
+    the core primitives alone.  phi reads the class map that the
+    restriction's relation check filled, which the restriction drops then,
+    so a decision opens one map.
     """
-    images, inst._images = inst._images, None
-    with inst.restriction._lending(images):
-        fc = gysin_fundamental_class(inst.restriction)
+    fc = gysin_fundamental_class(inst.restriction)
     witness = pairs_nontrivially_with_ideal(fc, inst.franke_ideal)
     return Verdict(
         fundamental_class=fc,

@@ -594,8 +594,9 @@ def check_functoriality(seed=42, samples=20):
 
 
 def property_checks(seed=42, samples=100):
-    # Each instance is decided as soon as it is built, so it holds its
-    # restriction's class map for one decision, not for the whole sweep.
+    # Each instance is decided as soon as it is built, so its restriction
+    # holds its relation check's class map for one decision, not for the
+    # whole sweep.
     cases = [(inst, decide_nonvanishing(inst)) for inst in
              (build_family(fid, params) for fid, params in catalog_sweep_specs())]
     instances = [inst for inst, _ in cases]

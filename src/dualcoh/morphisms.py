@@ -6,12 +6,12 @@ to target elements through normal forms, the reference.  The relation
 check and phi extend it to target classes (``Morphism.image_classes``),
 one Pieri chain per term of a generator image (in an exterior ring, where
 a class is its normal form, the product) and no target normal form, in a
-memo that no morphism keeps.  A catalog restriction's relation check and
-its Gysin step share one memo: the family instance holds it from
-construction until ``catalog.decide_nonvanishing`` lends it to the Gysin
-step, which uses it up.  Construction eagerly verifies that every defining
-relation of the source of degree at most top(target) maps to the zero
-class (a relation above that degree maps to zero by degree); a silent
+memo of its own map.  The map that the relation check filled stays with
+the morphism until its first Gysin step reads it, so a catalog
+restriction's relation check and its Gysin step share one map, and a
+decided restriction keeps none.  Construction eagerly verifies that every
+defining relation of the source of degree at most top(target) maps to the
+zero class (a relation above that degree maps to zero by degree); a silent
 non-homomorphism would corrupt every verdict computed downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
@@ -32,7 +32,6 @@ ones.  Nothing solves the pairing system.
 """
 
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from operator import sub
 
@@ -49,8 +48,9 @@ class Morphism:
     reference.  ``image_classes`` returns a map to the target classes of
     the same images, each step one ``_class_of_product`` over the terms of
     the generator's image, so no target normal form is formed; the relation
-    check and phi read it, and its memo dies with the map.  A map lent by
-    ``_lending`` is held only inside that block and handed out once.
+    check and phi read it, and its memo dies with the map.  ``_checked`` is
+    the map that :func:`build_morphism`'s relation check filled, until the
+    first Gysin step reads it.
 
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.
@@ -67,7 +67,7 @@ class Morphism:
         for i, g in enumerate(source.generators):
             if g.name in generator_images:
                 cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = generator_images[g.name]
-        self._lent = None  # a class map on loan, see _lending
+        self._checked = None
 
     def image_of_monomial(self, mont):
         return monomial_value(self._image_cache, mont, self._times_generator)
@@ -76,22 +76,9 @@ class Morphism:
         return img * self.generator_images[self.source.generators[i].name]
 
     def image_classes(self):
-        """A memoised map mont -> the target class of f(mont), a {key:
-        coefficient} dict.  The memo belongs to the map, not the morphism:
-        a fresh map, or the one lent by ``_lending``, handed out once."""
-        images, self._lent = self._lent, None
-        return _ClassImages(self) if images is None else images
-
-    @contextmanager
-    def _lending(self, images):
-        """Inside the block, ``image_classes`` hands out ``images`` (a map of
-        this morphism, or None for a fresh one) once; the morphism keeps no
-        map after it."""
-        self._lent = images
-        try:
-            yield
-        finally:
-            self._lent = None
+        """A fresh memoised map mont -> the target class of f(mont), a {key:
+        coefficient} dict.  The memo belongs to the map, not the morphism."""
+        return _ClassImages(self)
 
 
 class _ClassImages:
@@ -121,16 +108,11 @@ def build_morphism(source, target, generator_images):
     """Validated morphism: degree-checked images, all relations -> 0.
 
     ``generator_images`` maps source generator names to target elements
-    (missing names are sent to zero).  A target without self-dual keys has
-    no classes to check in and is refused.
+    (missing names are sent to zero).  Images are degree-checked, so a
+    relation of degree above top(target) maps to 0 and is skipped.  The
+    relation check opens the morphism's class map, which refuses a target
+    without self-dual keys, and leaves it on the morphism for phi.
     """
-    return _validated(source, target, generator_images)[0]
-
-
-def _validated(source, target, generator_images):
-    """``build_morphism``'s morphism and the class map its relation check
-    filled, or None when no relation of degree at most top(target) needed
-    one: images are degree-checked, so a relation above it maps to 0."""
     images = {}
     for g in source.generators:
         img = generator_images.get(g.name)
@@ -149,11 +131,10 @@ def _validated(source, target, generator_images):
     if extra:
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
     m = Morphism(source, target, images)
-    image = None
+    image = m.image_classes()
     for rdeg, rpoly in source.relations:
         if rdeg > target.top_degree:
             continue
-        image = image or m.image_classes()
         cls = {}
         for mont, c in rpoly.items():
             add_scaled(cls, c, image(mont))
@@ -166,9 +147,8 @@ def _validated(source, target, generator_images):
             raise InvalidPresentationError(
                 f"images violate the degree-{rdeg} relation ({pretty}): "
                 f"maps to {Element(target, img)!r}")
-    if image is None:
-        target._class_of(target.one().terms)  # a target without keys is refused
-    return m, image
+    m._checked = image
+    return m
 
 
 def apply(morphism, v):
@@ -201,6 +181,8 @@ def gysin_fundamental_class(morphism):
     it, and no boolean verdict downstream depends on that.
 
     phi is :func:`_phi_by_halves`: no image above half of top(B) is formed.
+    It reads the class map that the relation check left on the morphism,
+    and the morphism drops it; a later call opens a fresh map.
 
     >>> from dualcoh.rings import sp_group_algebra, su_algebra
     >>> G, H = su_algebra(4), sp_group_algebra(2)
@@ -211,16 +193,18 @@ def gysin_fundamental_class(morphism):
     if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    return poincare_dual(src, _phi_by_halves(morphism), tgt.top_degree)
+    image, morphism._checked = morphism._checked, None
+    phi = _phi_by_halves(morphism, image or morphism.image_classes())
+    return poincare_dual(src, phi, tgt.top_degree)
 
 
-def _phi_by_halves(morphism):
+def _phi_by_halves(morphism, image):
     """phi[w] = c^-1 * sum_k A[dual k] * s_k * B[k]: no image above half degree.
 
     w = a*b, where a is the longest prefix of w (generators in order) of
     degree at most top(B)/2, so no odd generator of b precedes one of a
     and the product takes no sign.  A and B are the classes of f(a) and
-    f(b), read from one ``image_classes`` map with no target normal form,
+    f(b), read from the class map ``image`` with no target normal form,
     and s_k is the sign of dual(k)*k (``_by_dual``, once per distinct b).
     Keys are self-dual, so the sum is the top-key coefficient of the class
     of f(w) = f(a)*f(b), and c, the coefficient of the target's canonical
@@ -230,7 +214,6 @@ def _phi_by_halves(morphism):
     out of phi.
     """
     src, tgt = morphism.source, morphism.target
-    image = morphism.image_classes()
     half = tgt.top_degree // 2
     _, c = tgt._top_class()
     seconds, phi = {}, {}

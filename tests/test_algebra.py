@@ -832,7 +832,7 @@ class TestPoincareDual:
         also pins the operand order of class(xi)*w0."""
         m = build_family(fid, params).restriction
         src, e = m.source, m.target.top_degree
-        phi = _phi_by_halves(m)
+        phi = _phi_by_halves(m, m.image_classes())
         d = src.top_degree - e
         w0 = src.basis(e)[0]
         u = next(u for u in src.basis(d)
@@ -860,18 +860,20 @@ class TestPoincareDual:
 
     def test_model_dual_forms_no_normal_form(self, monkeypatch):
         """On Schur and Q-tilde sources the dual class, its tripwire
-        included, forms no product of elements and no normal form."""
+        included, forms no product of elements and no normal form, and it
+        is a plain ``Element``."""
         for fid, params in [("sp-in-ugg", {"g": 4}), ("siegel-product", {"g": 5, "parts": [3, 2]}),
                             ("unitary-product", {"p": 3, "q": 4, "parts": [[2, 2], [1, 2]]})]:
             m = build_family(fid, params).restriction
             src, e = m.source, m.target.top_degree
-            phi = _phi_by_halves(m)
+            phi = _phi_by_halves(m, m.image_classes())
             want = poincare_dual_by_solve(src, phi, e)
             with monkeypatch.context() as mp:
                 for name in ("_mul_elements", "normal_form_monomial"):
                     mp.setattr(src, name, _refusing(name))
                 xi = poincare_dual(src, phi, e)
             assert src._model is not None and xi == want, (fid, params)
+            assert type(xi) is Element, (fid, params)
 
     def test_inexact_values_refused(self):
         alg = exterior_algebra([3, 5])

@@ -2,12 +2,14 @@
 
 import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import dualcoh
 import dualcoh.algebra
+import dualcoh.morphisms
 import dualcoh.rings
 from dualcoh import (
     CapExceededError,
@@ -27,6 +29,7 @@ from dualcoh import (
     monomial_cap,
     pairing,
     pairs_nontrivially_with_ideal,
+    poincare_dual,
     siegel_theta,
     tensor_product,
 )
@@ -46,7 +49,6 @@ from dualcoh.morphisms import (
     Morphism,
     _ClassImages,
     _phi_by_halves,
-    _validated,
     apply,
     gysin_fundamental_class,
     random_homogeneous,
@@ -615,6 +617,11 @@ def _fresh(m):
     return Morphism(m.source, m.target, m.generator_images)
 
 
+def _phi(m):
+    """phi by halves, read from a fresh class map of ``m``."""
+    return _phi_by_halves(m, m.image_classes())
+
+
 def _recorded_class_maps(monkeypatch):
     """Patch ``Morphism.image_classes`` to keep every map it returns, so a
     test can read the memo of a map that a computation used and dropped."""
@@ -642,10 +649,14 @@ class TestGysinByHalves:
             m = build_family(fid, params).restriction
             oracle = phi_by_full_images(_fresh(m))
             xi = gysin_fundamental_class(m)
-            phi = _phi_by_halves(m)
+            phi = _phi(m)
             assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
             assert all(_exact(v) for v in phi.values())
             assert xi.terms == gysin_by_full_images(_fresh(m)).terms, (fid, params)
+            # xi read the relation check's map, which the morphism dropped;
+            # a second call opens a fresh one
+            assert m._checked is None, (fid, params)
+            assert gysin_fundamental_class(m) == xi, (fid, params)
             assert all(_exact(c) for c in xi.terms.values())
             compared += 1
             exterior += m.target.kind == "exterior"
@@ -685,7 +696,7 @@ class TestGysinByHalves:
                 m = inst.restriction
                 assert m.target.kind == "exterior"
                 oracle = phi_by_full_images(_fresh(m))
-                assert _phi_by_halves(m) == {w: v for w, v in oracle.items() if v}, n
+                assert _phi(m) == {w: v for w, v in oracle.items() if v}, n
                 assert gysin_fundamental_class(m) == gysin_by_full_images(_fresh(m)), n
 
     def test_cross_koszul_sign_random_tensor_targets(self):
@@ -705,7 +716,7 @@ class TestGysinByHalves:
             for H in targets:
                 m = _random_exterior_morphism(H, rng)
                 oracle = {w: v for w, v in phi_by_full_images(_fresh(m)).items() if v}
-                assert _phi_by_halves(m) == oracle
+                assert _phi(m) == oracle
                 assert gysin_fundamental_class(m) == gysin_by_full_images(_fresh(m))
                 drawn += 1
                 nonzero += bool(oracle)
@@ -751,20 +762,21 @@ class TestImageClasses:
             guarded.update(id(f) for f in _factor_tree(tgt))
             try:
                 checked = build_morphism(m.source, tgt, m.generator_images)
-                phi = _phi_by_halves(checked)
+                phi = _phi_by_halves(checked, checked._checked)
             finally:
                 guarded.clear()
-            assert phi == _phi_by_halves(_fresh(m)), (fid, params)
+            assert phi == _phi(_fresh(m)), (fid, params)
         assert len(specs) == 76
 
     def test_image_class_is_the_class_of_the_image(self, monkeypatch):
         """Every monomial the relation check and phi reach: its class equals
         the class of its image formed through normal forms.  The relation
-        check opens a map only for a relation of degree at most top(B), and
-        phi, lent that map, reads the same one; afterwards the morphism
-        keeps only its generator images.  Exterior targets (the certified
-        special-linear restrictions and their Levi restrictions) take the
-        same map."""
+        check opens one map for every morphism, a source whose relations all
+        lie above top(B) (an exterior source has none) included, and leaves
+        it on the morphism; the Gysin step opens none, reads that one and
+        drops it, so the morphism keeps only its generator images and their
+        memo.  Exterior targets (the certified special-linear restrictions
+        and their Levi restrictions) take the same map."""
         maps = _recorded_class_maps(monkeypatch)
         morphisms = [(spec, build_family(*spec).restriction) for spec in _key_coordinate_specs()]
         for spec in catalog_sweep_specs():
@@ -775,18 +787,20 @@ class TestImageClasses:
         touched = shared = 0
         for spec, m in morphisms:
             maps.clear()
-            checked, validation = _validated(m.source, m.target, m.generator_images)
-            with checked._lending(validation):
-                _phi_by_halves(checked)
+            checked = build_morphism(m.source, m.target, m.generator_images)
+            validation = checked._checked
+            assert maps == [validation]
+            filled = len(validation.memo)
+            gysin_fundamental_class(checked)
+            assert maps == [validation], spec
             tgt = checked.target
             relations = any(rdeg <= tgt.top_degree for rdeg, _ in m.source.relations)
-            assert (validation is not None) == relations
-            assert len(maps) == 1 + relations and all(x is maps[-1] for x in maps)
+            assert (filled > 1) == relations, spec
             assert set(vars(checked)) == {"source", "target", "generator_images",
-                                          "_image_cache", "_lent"}
-            assert checked._lent is None
+                                          "_image_cache", "_checked"}
+            assert checked._checked is None
             assert len(checked._image_cache) == len(m.source.generators) + 1
-            for w, cls in maps[-1].memo.items():
+            for w, cls in validation.memo.items():
                 assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
                 touched += 1
             shared += relations
@@ -816,34 +830,87 @@ class TestImageClasses:
 
 class TestOneMapPerDecision:
     """A decision opens one class map: the restriction's relation check
-    fills it, the instance holds it until ``decide_nonvanishing`` lends it
-    to phi, and afterwards no instance, morphism or verdict keeps it, nor
-    the class of xi that the witness search took."""
+    fills it and leaves it on the restriction, phi reads it on the
+    decision's Gysin step, and afterwards no instance, restriction or
+    verdict keeps it, nor a class of xi."""
 
     def test_one_map_per_decided_instance(self, monkeypatch):
-        opened = []
+        opened, read = [], []
         init = _ClassImages.__init__
 
         def counted(self, morphism):
-            opened.append(morphism)
+            opened.append((self, morphism))
             init(self, morphism)
         monkeypatch.setattr(_ClassImages, "__init__", counted)
+        phi_by_halves = dualcoh.morphisms._phi_by_halves
+
+        def recorded(morphism, image):
+            read.append(image)
+            return phi_by_halves(morphism, image)
+        monkeypatch.setattr(dualcoh.morphisms, "_phi_by_halves", recorded)
         specs = catalog_sweep_specs() + [
             ("siegel-product", {"g": 6, "parts": [4, 2]}),
             ("unitary-product", {"p": 4, "q": 5, "parts": [[2, 3], [2, 2]]})]
-        levi = 0
+        levi = exterior = 0
         for spec in specs:
             opened.clear()
+            read.clear()
             inst = build_family(*spec)
-            assert inst._images is None or inst._images.memo
+            # the relation check opened the held map, for every family
+            [held] = [x for x, morphism in opened if morphism is inst.restriction]
+            assert inst.restriction._checked is held, spec
+            opened.clear()
             verdict = decide_nonvanishing(inst)
-            assert opened == [inst.restriction], spec
-            holders = [inst, inst.restriction, inst.levi_restriction]
-            for obj in filter(None, holders):
-                assert not any(isinstance(x, _ClassImages) for x in vars(obj).values()), spec
-            assert verdict.fundamental_class._cls is None, spec
+            assert opened == [] and read == [held], spec
+            for obj in (inst, inst.restriction, verdict):
+                values = vars(obj).values() if hasattr(obj, "__dict__") else obj
+                assert not any(isinstance(x, _ClassImages) for x in values), spec
+            if inst.levi_restriction is not None:
+                # no decision reads it: it keeps its relation check's map,
+                # the class of 1 alone, since an exterior source has no relations
+                assert len(inst.levi_restriction._checked.memo) == 1, spec
+            assert type(verdict.fundamental_class) is Element, spec
+            assert (pairs_nontrivially_with_ideal(verdict.fundamental_class, inst.franke_ideal)
+                    == verdict.nonvanishing_witness), spec
             levi += inst.levi_restriction is not None
-        assert len(specs) == 49 and levi == 8
+            exterior += not inst.restriction.source.relations
+        assert len(specs) == 49 and levi == 8 and exterior == 8
+
+    def test_decision_calls_the_public_functions(self, monkeypatch):
+        """A decision goes through the public ``gysin_fundamental_class``
+        and ``pairs_nontrivially_with_ideal``, once each: a tool that times
+        those two by wrapping them in every dualcoh module that holds them
+        sees every decision."""
+        calls = []
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "dualcoh"]
+        for fn in (gysin_fundamental_class, pairs_nontrivially_with_ideal):
+            def recorded(*args, _fn=fn):
+                calls.append(_fn.__name__)
+                return _fn(*args)
+            for mod in modules:
+                for attr, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, attr, recorded)
+        for spec in [("sp-in-ugg", {"g": 3}), ("sl-odd-real", {"n": 3}),
+                     ("unitary-product", {"p": 2, "q": 3, "parts": [[1, 1], [1, 2]]})]:
+            calls.clear()
+            decide_nonvanishing(build_family(*spec))
+            assert calls == ["gysin_fundamental_class", "pairs_nontrivially_with_ideal"], spec
+
+    def test_results_are_plain_elements(self):
+        """The public dual class, of ``poincare_dual``, of
+        ``gysin_fundamental_class`` and on a verdict, is an ``Element``,
+        with no class attached."""
+        for spec in [("sp-in-ugg", {"g": 3}), ("siegel-product", {"g": 4, "parts": [2, 2]}),
+                     ("unitary-product", {"p": 2, "q": 3, "parts": [[1, 1], [1, 2]]}),
+                     ("sl-odd-real", {"n": 2})]:
+            inst = build_family(*spec)
+            m = inst.restriction
+            results = [poincare_dual(m.source, _phi(m), m.target.top_degree),
+                       gysin_fundamental_class(m),
+                       decide_nonvanishing(inst).fundamental_class]
+            assert [type(x) for x in results] == [Element] * 3, spec
+            assert results[0] == results[1] == results[2], spec
 
     def test_relation_check_forms_no_class_above_the_target_top(self):
         """A relation of degree above top(B) maps to 0 by degree, so the
@@ -852,10 +919,9 @@ class TestOneMapPerDecision:
         for spec in _key_coordinate_specs():
             m = build_family(*spec).restriction
             top = m.target.top_degree
-            _, image = _validated(m.source, m.target, m.generator_images)
+            image = build_morphism(m.source, m.target, m.generator_images)._checked
             skipped += any(rdeg > top for rdeg, _ in m.source.relations)
-            if image is not None:
-                assert max(map(m.source.monomial_degree, image.memo)) <= top, spec
+            assert max(map(m.source.monomial_degree, image.memo)) <= top, spec
         assert skipped == 54, skipped
 
 

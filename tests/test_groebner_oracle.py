@@ -10,52 +10,81 @@ each degree.  Against it:
 - a product of basis monomials and its dualcoh normal form have the same
   remainder;
 - in the top degree, which is one-dimensional, the remainder of u*w is the
-  pairing <u, w> times the remainder of the canonical top monomial.
+  pairing <u, w> times the remainder of the canonical top monomial;
+- for a catalog restriction f: G -> H with dual class xi, the Gysin
+  identity <xi, w>_G = integral_H f(w) holds for every w in basis(top H),
+  both sides read as top-degree remainder ratios and f(w) expanded from
+  the generator images.
+
+A tensor product's Groebner basis is the union of its factors' bases in
+disjoint variables: their leading monomials are coprime, so every
+S-polynomial between factors reduces to zero (Buchberger's criterion) and
+the union is already a Groebner basis.
 """
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from dualcoh import pairing, poincare_polynomial
+from dualcoh import build_family, gysin_fundamental_class, pairing, poincare_polynomial
+from dualcoh.catalog import sweep_parameter_list
 from dualcoh.rings import grassmannian_algebra, lagrangian_algebra
 
 sympy = pytest.importorskip("sympy")
 
-RINGS = {
-    "LG(4)": lambda: lagrangian_algebra(4),
-    "LG(5)": lambda: lagrangian_algebra(5),
-    "Gr(3,3)": lambda: grassmannian_algebra(3, 3),
-    "Gr(3,4)": lambda: grassmannian_algebra(3, 4),
-}
+RINGS = {f"LG({g})": (lambda g=g: lagrangian_algebra(g)) for g in range(1, 6)}
+RINGS.update({f"Gr({p},{q})": (lambda p=p, q=q: grassmannian_algebra(p, q))
+              for p in range(1, 4) for q in range(p, 8 - p)})
 PAIRS = 30  # seeded pairs of basis monomials per ring and check
 
 
 class Groebner:
-    """The reduced Groebner basis of a ring's presentation."""
+    """The Groebner basis of a ring's presentation: the reduced basis of
+    its relations, or the union of its tensor factors' bases.  Polynomials
+    are elements of a sympy ring with the grevlex order."""
 
     def __init__(self, alg):
         self.alg = alg
-        self.gens = sympy.symbols(f"x0:{len(alg.generators)}")
-        self.basis = sympy.groebner([self.poly(rel) for _, rel in alg.relations], *self.gens,
-                                    order="grevlex", domain="QQ", polys=True)
+        self.ring = sympy.ring(f"x0:{len(alg.generators)}", sympy.QQ, sympy.grevlex)[0]
+        self.polys = []
+        for offset, factor in _factors(alg, 0):
+            k = len(factor.generators)
+            pad = (0,) * (len(alg.generators) - offset - k)
+            basis = sympy.groebner([_terms_poly(rel, k) for _, rel in factor.relations],
+                                   order="grevlex", polys=True)
+            self.polys += [self.ring.from_dict({(0,) * offset + m + pad: c
+                                                for m, c in g.as_dict().items()})
+                           for g in basis.polys]
 
     def poly(self, terms):
-        return sympy.Poly.from_dict(
-            {m: sympy.Rational(c.numerator, c.denominator) for m, c in terms.items()},
-            *self.gens, domain="QQ")
+        """A {monomial: coefficient} dict as a polynomial."""
+        return self.ring.from_dict({m: self.ring.domain(c.numerator, c.denominator)
+                                    for m, c in terms.items()})
+
+    def reduce(self, poly):
+        return poly.rem(self.polys)
 
     def remainder(self, terms):
         """The normal form of a {monomial: coefficient} dict, as a dict."""
-        return self.basis.reduce(self.poly(terms))[1].as_dict()
+        return dict(self.reduce(self.poly(terms)))
+
+    def top_ratio(self, remainder):
+        """The remainder of a top-degree polynomial (a dict or a reduced
+        polynomial) over that of the canonical top monomial, which spans
+        the top degree."""
+        [(top, c)] = self.remainder({self.alg.canonical_top_monomial(): 1}).items()
+        assert set(remainder) <= {top}, remainder
+        ratio = remainder.get(top, 0) / c
+        return Fraction(int(ratio.numerator), int(ratio.denominator))
 
     def staircase(self):
         """The monomials that no leading monomial divides, grown from 1 by
         one generator at a time (the staircase is closed under division);
         none may lie above the top degree."""
-        leading = [g.monoms(order="grevlex")[0] for g in self.basis.polys]
-        k = len(self.gens)
+        leading = [g.LM for g in self.polys]
+        k = len(self.alg.generators)
         found, frontier = set(), [(0,) * k]
         while frontier:
             m = frontier.pop()
@@ -67,10 +96,32 @@ class Groebner:
         return found
 
 
+def _terms_poly(terms, k):
+    """A {monomial: coefficient} dict as a sympy polynomial in k variables."""
+    return sympy.Poly.from_dict(
+        {m: sympy.Rational(c.numerator, c.denominator) for m, c in terms.items()},
+        *sympy.symbols(f"x0:{k}"), domain="QQ")
+
+
+def _factors(alg, offset):
+    """(first generator index, ring) for each tensor factor of alg that is
+    not itself a tensor product, in generator order."""
+    if alg._factors is None:
+        return [(offset, alg)]
+    a, b = alg._factors
+    return _factors(a, offset) + _factors(b, offset + alg._split)
+
+
+@functools.cache
+def _groebner(alg):
+    """``Groebner(alg)``, built once per ring."""
+    return Groebner(alg)
+
+
 @pytest.fixture(scope="module", params=list(RINGS))
 def ring(request):
     alg = RINGS[request.param]()
-    return request.param, alg, Groebner(alg)
+    return request.param, alg, _groebner(alg)
 
 
 def _seeded_pairs(alg, rng, complementary):
@@ -109,14 +160,42 @@ def test_normal_forms_have_the_remainder_of_the_product(ring):
 
 def test_top_remainders_are_the_pairing(ring):
     name, alg, gb = ring
-    [(top_mont, c)] = gb.remainder({alg.canonical_top_monomial(): 1}).items()
     rng = random.Random(20261021)
     nonzero = 0
     for u, w in _seeded_pairs(alg, rng, complementary=True):
-        rem = gb.remainder({_product(u, w): 1})
-        assert set(rem) <= {top_mont}, (name, u, w)
-        ratio = rem.get(top_mont, 0) / c
         expected = pairing(alg.basis_element(u), alg.basis_element(w))
-        assert Fraction(int(ratio.p), int(ratio.q)) == expected, (name, u, w)
+        assert gb.top_ratio(gb.remainder({_product(u, w): 1})) == expected, (name, u, w)
         nonzero += expected != 0
     assert nonzero >= PAIRS // 2, (name, nonzero)
+
+
+# Every full-q certified instance whose G is LG(g) or Gr(p, q) with
+# p <= q and p + q <= 7.
+GYSIN_SPECS = (
+    [("siegel-product", params) for params in sweep_parameter_list("siegel-product", {"g": (2, 5)})]
+    + [("unitary-product", params)
+       for params in sweep_parameter_list("unitary-product", {"p": (1, 6), "q": (1, 6)})
+       if params["p"] <= params["q"] and params["p"] + params["q"] <= 7]
+    + [("sp-in-ugg", {"g": g}) for g in range(1, 4)])
+
+
+def test_gysin_identity_on_the_top_basis():
+    """<xi, w>_G = integral_H f(w) for every w in basis(top H): the left
+    side the remainder of xi*w, the right side that of f(w), a product of
+    generator images reduced after each factor."""
+    identities = 0
+    for fid, params in GYSIN_SPECS:
+        m = build_family(fid, params).restriction
+        G, H = m.source, m.target
+        gG, gH = _groebner(G), _groebner(H)
+        xi = gG.poly(gysin_fundamental_class(m).terms)
+        images = [gH.poly(m.generator_images[g.name].terms) for g in G.generators]
+        for w in G.basis(H.top_degree):
+            fw = gH.ring.one
+            for image, e in zip(images, w):
+                for _ in range(e):
+                    fw = gH.reduce(fw * image)
+            xi_w = gG.reduce(xi * gG.poly({w: 1}))
+            assert gG.top_ratio(xi_w) == gH.top_ratio(fw), (fid, params, w)
+            identities += 1
+    assert (len(GYSIN_SPECS), identities) == (34, 70), identities
