@@ -41,10 +41,6 @@ from .rings import (
     su_so_algebra,
 )
 
-# Greek prefixes for the factors of product duals, in declaration order.
-_FACTOR_PREFIXES = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
-
-
 class FamilyInstance:
     """One embedding H -> G from the catalog, ready for the decision procedures."""
 
@@ -171,13 +167,8 @@ def family_siegel(g, parts):
         raise InvalidPresentationError(f"family siegel needs g >= 1, got {g}")
     parts = _validate_parts(parts, g, "siegel partition")
     G = lagrangian_algebra(g)
-    # factors after the sixth get f7_, f8_, ..., which start no other name
-    prefixes = _FACTOR_PREFIXES + tuple(f"f{i}_" for i in range(7, len(parts) + 1))
-    H = reduce(tensor_product, [lagrangian_algebra(gi, prefix=prefixes[i])
-                                for i, gi in enumerate(parts)])
-    classes = [[f"{prefixes[i]}{j}" for j in range(1, gi + 1)]
-               for i, gi in enumerate(parts)]
-    images = {f"sigma{k}": _composition_image(H, classes, k) for k in range(1, g + 1)}
+    H, blocks = _product_ring([lagrangian_algebra(gi) for gi in parts], suffixed=True)
+    images = {f"sigma{k}": _composition_image(H, blocks, k) for k in range(1, g + 1)}
     restriction = build_morphism(G, H, images)
     inst = FamilyInstance(
         family_id="siegel-product",
@@ -194,27 +185,42 @@ def family_siegel(g, parts):
     return inst
 
 
-def _composition_image(H, classes, k):
+def _product_ring(factors, suffixed):
+    """The tensor product H of ``factors`` and each factor's block of
+    generator positions in H.  When ``suffixed``, factor i's generator x is
+    named ``x@i`` (from 1), once, on H: the factors stay the builders'
+    cached rings."""
+    H = reduce(tensor_product, factors)
+    blocks, start = [], 0
+    for ring in factors:
+        blocks.append(range(start, start + len(ring.generators)))
+        start += len(ring.generators)
+    if suffixed:
+        H = H.renamed([f"{g.name}@{i}" for i, ring in enumerate(factors, 1)
+                       for g in ring.generators])
+    return H, blocks
+
+
+def _composition_image(H, blocks, k):
     """Degree-k part of the product of the factors' total classes, where
-    ``classes[i]`` names factor i's classes c_1, c_2, ... in order.
+    ``blocks[i]`` lists the positions in H of factor i's classes c_1, c_2,
+    ... in order.
 
     Each composition k = k_1 + k_2 + ... (k_i = 0 allowed, c_0 = 1) gives
     the monomial with exponent 1 on each c_{k_i}, and distinct compositions
     give distinct monomials, so the image is one ``H.element`` call.
     """
-    position = {g.name: j for j, g in enumerate(H.generators)}
-    index = [[position[name] for name in names] for names in classes]
     mont = [0] * len(H.generators)
     terms = {}
 
     def rec(i, rem):
-        if i == len(index):
+        if i == len(blocks):
             if rem == 0:
                 terms[tuple(mont)] = 1
             return
         rec(i + 1, rem)
-        for ki in range(1, min(len(index[i]), rem) + 1):
-            j = index[i][ki - 1]
+        for ki in range(1, min(len(blocks[i]), rem) + 1):
+            j = blocks[i][ki - 1]
             mont[j] = 1
             rec(i + 1, rem - ki)
             mont[j] = 0
@@ -281,11 +287,11 @@ def family_unitary(p, q, parts):
         raise InvalidPresentationError(f"family unitary needs q >= p >= 1, got ({p}, {q})")
     parts = _validate_unitary_parts(p, q, parts)
     G = grassmannian_algebra(p, q)
-    suffixes = [""] if len(parts) == 1 else [f"@{i + 1}" for i in range(len(parts))]
-    H = reduce(tensor_product, [grassmannian_algebra(pi, qi, suffix=s)
-                                for (pi, qi), s in zip(parts, suffixes)])
-    sigmas = [[f"sigma{j}{s}" for j in range(1, pi + 1)] for (pi, _), s in zip(parts, suffixes)]
-    taus = [[f"tau{j}{s}" for j in range(1, qi + 1)] for (_, qi), s in zip(parts, suffixes)]
+    H, blocks = _product_ring([grassmannian_algebra(pi, qi) for pi, qi in parts],
+                              suffixed=len(parts) > 1)
+    # a factor's sigma_1..sigma_pi come first in its block, then its tau_1..tau_qi
+    sigmas = [block[:pi] for block, (pi, _) in zip(blocks, parts)]
+    taus = [block[pi:] for block, (pi, _) in zip(blocks, parts)]
     images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
     images.update({f"tau{m}": _composition_image(H, taus, m) for m in range(1, q + 1)})
     restriction = build_morphism(G, H, images)
@@ -298,9 +304,8 @@ def family_unitary(p, q, parts):
         franke_ideal=[G.gen(f"sigma{p}"), G.gen(f"tau{q}")],
     )
     sum_qi = sum(qi for _, qi in parts)
-    xi_product = H.one()
-    for i, (pi, qi) in enumerate(parts):
-        xi_product = xi_product * H.gen(f"tau{qi}{suffixes[i]}")
+    tops = {block[-1] for block in taus}  # each factor's tau_qi
+    xi_product = H.element({tuple(int(j in tops) for j in range(len(H.generators))): 1})
     inst.notes["tau_shortcut_holds"] = bool(
         sum_qi == q and apply(restriction, G.gen(f"tau{q}")) == xi_product)
     if sum_qi < q:

@@ -23,7 +23,9 @@ on raw exponent dictionaries in the root variables.
 import random
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import mul
 
 from .algebra import (
     ideal_basis_in_degree,
@@ -202,42 +204,38 @@ def check_grassmannian_relation_expansion(pq_max=6):
 # ---------------------------------------------------------------- oracles
 
 
+def _betti_oracle(name, cases, detail):
+    """Each case's (label, ring, enumerated Betti numbers, total dimension,
+    its text), read lazily: the first mismatch ends the check.  The ring's
+    Betti numbers must also equal its presentation's Hilbert series."""
+    for label, ring, betti, total, total_text in cases:
+        pp = poincare_polynomial(ring)
+        if pp != betti:
+            return CheckResult(name, False, f"{label}: Betti mismatch")
+        if pp != complete_intersection_betti(ring):
+            return CheckResult(name, False, f"{label}: Betti numbers differ from the "
+                                            f"presentation's Hilbert series")
+        if ring.total_dimension != total:
+            return CheckResult(name, False,
+                               f"{label}: total {ring.total_dimension} != {total_text}")
+    return CheckResult(name, True, detail)
+
+
 def check_lagrangian_poincare(gmax=6):
     """Lagrangian Betti data, g <= gmax, against the subset enumerator and
     against the Hilbert series of the ring's own presentation."""
-    for g in range(1, gmax + 1):
-        ring = lagrangian_algebra(g)
-        pp = poincare_polynomial(ring)
-        if pp != strict_partition_betti(g):
-            return CheckResult("lagrangian-poincare", False, f"g={g}: Betti mismatch")
-        if pp != complete_intersection_betti(ring):
-            return CheckResult("lagrangian-poincare", False,
-                               f"g={g}: Betti numbers differ from the "
-                               f"presentation's Hilbert series")
-        if ring.total_dimension != 2 ** g:
-            return CheckResult("lagrangian-poincare", False,
-                               f"g={g}: total {ring.total_dimension} != {2 ** g}")
-    return CheckResult("lagrangian-poincare", True, f"g <= {gmax}")
+    return _betti_oracle("lagrangian-poincare", (
+        (f"g={g}", lagrangian_algebra(g), strict_partition_betti(g), 2 ** g, 2 ** g)
+        for g in range(1, gmax + 1)), f"g <= {gmax}")
 
 
 def check_grassmannian_poincare(pq_max=5):
     """Grassmannian Betti data, p <= q <= pq_max, against the box-partition
     enumerator and against the Hilbert series of the ring's own presentation."""
-    for p in range(1, pq_max + 1):
-        for q in range(p, pq_max + 1):
-            ring = grassmannian_algebra(p, q)
-            pp = poincare_polynomial(ring)
-            if pp != box_partition_betti(p, q):
-                return CheckResult("grassmannian-poincare", False,
-                                   f"({p},{q}): Betti mismatch")
-            if pp != complete_intersection_betti(ring):
-                return CheckResult("grassmannian-poincare", False,
-                                   f"({p},{q}): Betti numbers differ from the "
-                                   f"presentation's Hilbert series")
-            if ring.total_dimension != comb(p + q, p):
-                return CheckResult("grassmannian-poincare", False,
-                                   f"({p},{q}): total {ring.total_dimension} != C({p + q},{p})")
-    return CheckResult("grassmannian-poincare", True, f"p <= q <= {pq_max}")
+    return _betti_oracle("grassmannian-poincare", (
+        (f"({p},{q})", grassmannian_algebra(p, q), box_partition_betti(p, q),
+         comb(p + q, p), f"C({p + q},{p})")
+        for p in range(1, pq_max + 1) for q in range(p, pq_max + 1)), f"p <= q <= {pq_max}")
 
 
 def oracle_checks():
@@ -257,9 +255,8 @@ def check_square_truncation(gmax=6):
     for g in range(1, gmax + 1):
         ring = lagrangian_algebra(g)
         for k in range(1, g + 1):
-            prod = ring.gen(f"sigma{k}") * ring.gen(f"sigma{k}")
-            for j in range(k + 1, g + 1):
-                prod = prod * ring.gen(f"sigma{j}")
+            prod = reduce(mul, [ring.gen(f"sigma{j}") for j in range(k, g + 1)],
+                          ring.gen(f"sigma{k}"))
             if not prod.is_zero():
                 return CheckResult("lagrangian-square-truncation", False,
                                    f"g={g} k={k}: product is {prod!r}")
@@ -270,16 +267,11 @@ def check_top_product(gmax=6):
     """sigma_1...sigma_g spans the top degree and the Kahler power hits it."""
     for g in range(1, gmax + 1):
         ring = lagrangian_algebra(g)
-        prod = ring.one()
-        for j in range(1, g + 1):
-            prod = prod * ring.gen(f"sigma{j}")
+        prod = reduce(mul, [ring.gen(f"sigma{j}") for j in range(1, g + 1)])
         if prod.is_zero():
             return CheckResult("lagrangian-top-product", False,
                                f"g={g}: sigma_1..sigma_g = 0")
-        power = ring.one()
-        s1 = ring.gen("sigma1")
-        for _ in range(g * (g + 1) // 2):
-            power = power * s1
+        power = reduce(mul, [ring.gen("sigma1")] * (g * (g + 1) // 2))
         lam = _proportionality(power, prod)
         if lam is None or lam == 0:
             return CheckResult("lagrangian-top-product", False,
@@ -296,16 +288,21 @@ def _proportionality(a, b):
     return lam if a == lam * b else None
 
 
+def _echelon(rows, pos):
+    """The echelon form of ``rows``, each an iterable of (key, coefficient)
+    pairs whose keys ``pos`` maps to columns; zero entries are left out."""
+    rr = SparseRREF()
+    for row in rows:
+        rr.add({pos[k]: c for k, c in row if c})
+    return rr
+
+
 def check_top_tau_power(pq_max=5):
     """tau_q^p is nonzero in degree 2pq for p <= q <= pq_max."""
     for p in range(1, pq_max + 1):
         for q in range(p, pq_max + 1):
             ring = grassmannian_algebra(p, q)
-            x = ring.one()
-            tq = ring.gen(f"tau{q}")
-            for _ in range(p):
-                x = x * tq
-            if x.is_zero():
+            if reduce(mul, [ring.gen(f"tau{q}")] * p).is_zero():
                 return CheckResult("grassmannian-top-tau-power", False,
                                    f"({p},{q}): tau_q^p = 0")
     return CheckResult("grassmannian-top-tau-power", True, f"p <= q <= {pq_max}")
@@ -324,13 +321,8 @@ def check_kahler_tau_identity(pq_max=5):
         for q in range(p, pq_max + 1):
             ring = grassmannian_algebra(p, q)
             tq = ring.gen(f"tau{q}")
-            lhs = tq
-            s1 = ring.gen("sigma1")
-            for _ in range((p - 1) * q):
-                lhs = lhs * s1
-            rhs = ring.one()
-            for _ in range(p):
-                rhs = rhs * tq
+            lhs = reduce(mul, [ring.gen("sigma1")] * ((p - 1) * q), tq)
+            rhs = reduce(mul, [tq] * p)
             lam = _proportionality(lhs, rhs)
             if lam is None or lam == 0:
                 return CheckResult("grassmannian-kahler-tau-identity", False,
@@ -378,12 +370,9 @@ def check_substitution_kernel(gmax=5):
                 if not apply(m, u).is_zero():
                     return CheckResult("substitution-kernel", False,
                                        f"g={g} d={d}: ideal element maps nonzero")
-            rr = SparseRREF()
-            pos = tgt.basis_positions(d)
-            for mont in src.basis(d):  # a zero image adds nothing to the rank
-                img = apply(m, src.basis_element(mont))
-                rr.add({pos[mm]: c for mm, c in img.terms.items()})
-            kernel_dim = src.dims(d) - rr.rank
+            # a zero image adds nothing to the rank
+            images = (apply(m, src.basis_element(mont)).terms.items() for mont in src.basis(d))
+            kernel_dim = src.dims(d) - _echelon(images, tgt.basis_positions(d)).rank
             if kernel_dim != len(ideal_basis):
                 return CheckResult("substitution-kernel", False,
                                    f"g={g} d={d}: kernel dim {kernel_dim} != "
@@ -441,9 +430,7 @@ def check_duality_nondegeneracy(instances):
                                    f"dims {d}/{top - d} differ in {_alg_label(alg)}")
             if nd == 0:
                 continue
-            rr = SparseRREF()
-            for row in pairing_matrix(alg, d):
-                rr.add({j: v for j, v in enumerate(row) if v})
+            rr = _echelon(map(enumerate, pairing_matrix(alg, d)), range(nd))
             if rr.rank != nd:
                 return CheckResult("duality-nondegeneracy", False,
                                    f"degree {d} pairing rank {rr.rank} < {nd} in {_alg_label(alg)}")
@@ -547,12 +534,9 @@ def check_witness_roundtrip(cases):
             continue
         w = v.nonvanishing_witness
         du = inst.dual_G.top_degree - v.fundamental_class.homogeneous_degree()
-        basis = ideal_basis_in_degree(inst.franke_ideal, du)
-        rr = SparseRREF()
         pos = inst.dual_G.basis_positions(du)
-        for u in basis:
-            rr.add({pos[mm]: c for mm, c in u.terms.items()})
-        residue = rr.reduce({pos[mm]: c for mm, c in w.terms.items()})
+        basis = (u.terms.items() for u in ideal_basis_in_degree(inst.franke_ideal, du))
+        residue = _echelon(basis, pos).reduce({pos[mm]: c for mm, c in w.terms.items()})
         if residue:
             return CheckResult("witness-roundtrip", False,
                                f"{inst.family_id} {inst.parameters}: witness outside ideal")
@@ -702,9 +686,7 @@ def instance_identity_checks(inst, verdict):
         g = inst.parameters["g"]
         if len(inst.parameters["parts"]) == 2:
             theta = siegel_theta(inst)
-            full = G.one()
-            for k in range(1, g + 1):
-                full = full * G.gen(f"sigma{k}")
+            full = reduce(mul, [G.gen(f"sigma{k}") for k in range(1, g + 1)])
             lam = _proportionality(theta * fc, full)
             ok = lam is not None and lam != 0
             out.append(CheckResult("theta-pairing-identity", ok,
@@ -728,9 +710,7 @@ def instance_identity_checks(inst, verdict):
         out.append(CheckResult("tau-restriction-shortcut", *shortcut))
     elif inst.family_id == "sp-in-ugg":
         g = inst.parameters["g"]
-        wedge = fc
-        for k in range(1, g + 1):
-            wedge = wedge * G.gen(f"tau{k}")
+        wedge = reduce(mul, [G.gen(f"tau{k}") for k in range(1, g + 1)], fc)
         top = G.basis_element(G.canonical_top_monomial())
         lam = _proportionality(wedge, top)
         ok = lam is not None and lam != 0

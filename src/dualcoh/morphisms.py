@@ -53,20 +53,22 @@ class Morphism:
     first Gysin step reads it.
 
     Use :func:`build_morphism` to construct a validated instance; direct
-    instantiation skips the relation check.
+    instantiation skips the relation check.  Either way a generator with no
+    image is sent to zero.
     """
 
     def __init__(self, source, target, generator_images):
         self.source = source
         self.target = target
-        self.generator_images = generator_images  # generator name -> Element of target
+        # generator name -> Element of target, one per source generator
+        self.generator_images = images = {
+            g.name: generator_images.get(g.name, target.zero()) for g in source.generators}
         # Seeded with 1 and the generator images, which are normal forms
         # already, so no chain multiplies by one.
         k = len(source.generators)
         cache = self._image_cache = {(0,) * k: target.one()}
         for i, g in enumerate(source.generators):
-            if g.name in generator_images:
-                cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = generator_images[g.name]
+            cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = images[g.name]
         self._checked = None
 
     def image_of_monomial(self, mont):
@@ -113,11 +115,9 @@ def build_morphism(source, target, generator_images):
     relation check opens the morphism's class map, which refuses a target
     without self-dual keys, and leaves it on the morphism for phi.
     """
-    images = {}
     for g in source.generators:
         img = generator_images.get(g.name)
         if img is None:
-            images[g.name] = target.zero()
             continue
         if not isinstance(img, Element) or img.algebra is not target:
             raise InvalidPresentationError(
@@ -126,11 +126,10 @@ def build_morphism(source, target, generator_images):
             raise InvalidPresentationError(
                 f"image of {g.name} has degree {img.homogeneous_degree()}, "
                 f"expected {g.degree}")
-        images[g.name] = img
     extra = set(generator_images) - {g.name for g in source.generators}
     if extra:
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
-    m = Morphism(source, target, images)
+    m = Morphism(source, target, generator_images)
     image = m.image_classes()
     for rdeg, rpoly in source.relations:
         if rdeg > target.top_degree:

@@ -12,28 +12,22 @@ The exposed basis and normal forms follow the row-reduction contract; the
 direct row reduction of the relation span is the reference the tests
 compare against.
 
-Every builder caches its rings by ring parameters, never by the monomial cap
-(the caller's ``algebra.monomial_cap``).  Rings that differ only in generator
-names (the ``prefix`` and ``suffix`` of the product-family factors) share one
-build: a renamed ring is ``GradedAlgebra.renamed`` of the default-named ring,
-with its own generators over the same tables.
+Every builder takes only its ranks and caches its rings by them, never by
+the monomial cap (the caller's ``algebra.monomial_cap``).  The product
+families' factors are these cached rings themselves; the catalog names a
+product's generators once, on the tensor product.
 """
 
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 
-from .algebra import (
-    GradedAlgebra,
-    exterior_algebra,
-    model_quotient_algebra,
-    refuse_over_cap,
-)
+from .algebra import exterior_algebra, model_quotient_algebra, refuse_over_cap
 from .errors import InvalidPresentationError
 from .linalg import add_scaled
 
 # Every ring built so far, by builder and arguments: equal arguments give one
 # object whatever the cap, and a hit is refused as a fresh build under the
-# current cap would be.  A renaming is keyed (GradedAlgebra.renamed, base, names).
+# current cap would be.
 _RING_CACHE = {}
 
 
@@ -220,7 +214,7 @@ def _lagrangian_algebra(g):
     return model_quotient_algebra(gens, lagrangian_relations(g), QTildeRing(g))
 
 
-def lagrangian_algebra(g, *, prefix="sigma"):
+def lagrangian_algebra(g):
     """H*(Sp(2g)/U(g)): Q[sigma_1..sigma_g] modulo prod (1 - x_i^2) = 1.
 
     >>> L = lagrangian_algebra(2)
@@ -231,11 +225,7 @@ def lagrangian_algebra(g, *, prefix="sigma"):
     0
     """
     require_int_ranks("Lagrangian ring", g=g)
-    base = _cached(_lagrangian_algebra, g)
-    if prefix == "sigma":
-        return base
-    names = tuple(f"{prefix}{i}" for i in range(1, g + 1))
-    return _cached(GradedAlgebra.renamed, base, names)
+    return _cached(_lagrangian_algebra, g)
 
 
 # ----------------------------------------------------- Grassmannian rings
@@ -366,7 +356,7 @@ def _grassmannian_algebra(p, q):
     return model_quotient_algebra(gens, rels, SchurRing(p, q))
 
 
-def grassmannian_algebra(p, q, *, suffix=""):
+def grassmannian_algebra(p, q):
     """H*(Gr(p, p+q)) = H*(U(p,q) compact dual), presented on sigma's and tau's.
 
     sigma_i and tau_j are the elementary symmetric classes of the two Chern
@@ -375,11 +365,7 @@ def grassmannian_algebra(p, q, *, suffix=""):
     exposed basis follows the standard-monomial contract.
     """
     require_int_ranks("Grassmannian ring", p=p, q=q)
-    base = _cached(_grassmannian_algebra, p, q)
-    if not suffix:
-        return base
-    names = tuple(g.name + suffix for g in base.generators)
-    return _cached(GradedAlgebra.renamed, base, names)
+    return _cached(_grassmannian_algebra, p, q)
 
 
 # ------------------------------------------------------------- ring table

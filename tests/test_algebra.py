@@ -316,8 +316,7 @@ PAIRING_RINGS = {
     "exterior": lambda: exterior_algebra([3, 5, 7, 9]),
     "grassmannian": lambda: grassmannian_algebra(2, 3),
     "lagrangian": lambda: lagrangian_algebra(3),
-    "lagrangian-tensor": lambda: tensor_product(
-        lagrangian_algebra(2, prefix="alpha"), lagrangian_algebra(2, prefix="beta")),
+    "lagrangian-tensor": lambda: tensor_product(lagrangian_algebra(2), lagrangian_algebra(2)),
     "mixed": lambda: tensor_product(su_algebra(4), grassmannian_algebra(2, 2)),
 }
 
@@ -415,7 +414,7 @@ def _witness_case(kind):
     copy in an equal but distinct ring."""
     if kind == "model":
         L = lagrangian_algebra(2)
-        return L.gen("sigma1"), L.gen("sigma2"), lagrangian_algebra(2, prefix="tau").gen("tau2")
+        return L.gen("sigma1"), L.gen("sigma2"), L.renamed(["sigma1", "sigma2"]).gen("sigma2")
     A = exterior_algebra([3, 5, 7])
     return A.gen("e5"), A.gen("e7"), exterior_algebra([3, 5, 7]).gen("e7")
 

@@ -53,7 +53,13 @@ from dualcoh.morphisms import (
     gysin_fundamental_class,
     random_homogeneous,
 )
-from dualcoh.rings import RINGS, clear_ring_cache, lagrangian_algebra, su_algebra
+from dualcoh.rings import (
+    RINGS,
+    clear_ring_cache,
+    grassmannian_algebra,
+    lagrangian_algebra,
+    su_algebra,
+)
 from reference import family_sl_imag_sp as sl_imag_sp_oracle
 from reference import family_sl_odd_real as sl_odd_real_oracle
 from reference import (
@@ -290,11 +296,11 @@ class TestSiegel:
         assert lam != 0 and prod == lam * full
 
     def test_more_than_six_parts(self):
-        # factors after the sixth get generated prefixes f7_, f8_, ...
+        # factor i's sigma_k is named sigma_k@i, however many factors
         params = {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]}
         inst = family_siegel(**params)
         names = [g.name for g in inst.dual_H.generators]
-        assert names[:3] == ["alpha1", "alpha2", "beta1"] and names[-1] == "f7_1"
+        assert names[:3] == ["sigma1@1", "sigma2@1", "sigma1@2"] and names[-1] == "sigma1@7"
         assert len(set(names)) == len(names) == 8
         want = _reference_images("siegel-product", params, inst.dual_H)
         assert inst.restriction.generator_images == want
@@ -1046,7 +1052,8 @@ class TestRestrictionIdentities:
     @pytest.mark.parametrize("a,b", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_siegel_iterated_sigma_product_image(self, a, b):
         # image of sigma_g sigma_{g-2} ... sigma_{g-2b} is the product of
-        # the b+1 trailing alpha classes with all beta classes, exactly
+        # the b+1 trailing classes of the first factor with all classes of
+        # the second, exactly
         g = a + b
         inst = family_siegel(g, [a, b])
         G, H = inst.dual_G, inst.dual_H
@@ -1057,9 +1064,9 @@ class TestRestrictionIdentities:
         expected = H.one()
         for r in range(a, max(a - b, 0) - 1, -1):
             if r >= 1:
-                expected = expected * H.gen(f"alpha{r}")
+                expected = expected * H.gen(f"sigma{r}@1")
         for s in range(b, 0, -1):
-            expected = expected * H.gen(f"beta{s}")
+            expected = expected * H.gen(f"sigma{s}@2")
         assert apply(inst.restriction, prod) == expected
 
     @pytest.mark.parametrize("p,q,parts", [
@@ -1107,6 +1114,27 @@ _PRODUCT_SPECS = [spec for spec in catalog_sweep_specs()
 _PRODUCT_SPECS += [("unitary-product", params) for params in
                    sweep_parameter_list("unitary-product", {"p": (1, 5), "q": (1, 5)})
                    if ("unitary-product", params) not in _PRODUCT_SPECS]
+
+
+def _leaf_factors(ring):
+    """The rings whose iterated tensor product ``ring`` is, in order."""
+    if ring._factors is None:
+        return [ring]
+    return [leaf for factor in ring._factors for leaf in _leaf_factors(factor)]
+
+
+def test_product_factors_are_the_cached_rings():
+    # Every leaf factor of H is the builder's own ring, not a renamed copy.
+    specs = _PRODUCT_SPECS + [("siegel-product", {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]})]
+    for family_id, params in specs:
+        H = build_family(family_id, params).dual_H
+        if family_id == "siegel-product":
+            want = [lagrangian_algebra(gi) for gi in params["parts"]]
+        else:
+            want = [grassmannian_algebra(pi, qi) for pi, qi in params["parts"]]
+        leaves = _leaf_factors(H)
+        assert len(leaves) == len(want), (family_id, params)
+        assert all(leaf is ring for leaf, ring in zip(leaves, want)), (family_id, params)
 
 
 def test_composition_images_match_the_product_reference():

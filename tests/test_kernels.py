@@ -85,7 +85,7 @@ def test_one_reach_table_per_ring(monkeypatch):
     alg = grassmannian_algebra(5, 5)
     assert sum(len(alg.basis(d)) for d in range(alg.top_degree + 1)) == 252
     assert len(built) == 1
-    renamed = grassmannian_algebra(5, 5, suffix="'")
+    renamed = alg.renamed([g.name + "'" for g in alg.generators])
     assert renamed._reach is alg._reach and renamed.basis(50) == alg.basis(50)
     su = su_algebra(6)
     assert sum(len(su.basis(d)) for d in range(su.top_degree + 1)) == 2 ** 5

@@ -96,7 +96,9 @@ class TestStatefulRecords:
         images = {"e3": G.gen("e3")}
         for m in (Morphism(G, G, images),
                   Morphism(source=G, target=G, generator_images=images)):
-            assert (m.source, m.target, m.generator_images) == (G, G, images)
+            # a generator with no image is sent to zero
+            assert (m.source, m.target, m.generator_images) == (
+                G, G, {**images, "e5": G.zero()})
             assert m.image_of_monomial((0, 0)) == G.one()
             assert m.image_of_monomial((1, 0)) == G.gen("e3")
 

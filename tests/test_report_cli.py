@@ -511,12 +511,20 @@ GOLDEN_DIGESTS = {
         "2198f97d983185934f5065d6a5971904af2e4d5e2891237cebd41430fc11855f",
     "check --json --seed 21":
         "72cae0bb83150f124642decaf6899e1c71b49aba73d86a5c7d56e79683de89d7",
+    # product families at their edges: a one-part Siegel H (a copy of G),
+    # seven factors, and a three-factor unitary H
+    "family siegel --g 3 --parts 3 --json --checks oracle,paper-identities,properties":
+        "e1ba66c0822d0f30c694b347b64bfe7c4af4af7ef436b01036f3cfc7c4e19e88",
+    "family siegel --g 7 --parts 1,1,1,1,1,1,1 --json --checks oracle,paper-identities,properties":
+        "f6e5db7468a146df2e7f833632544882c4c6b0d08fe846edda67cdb88e09d398",
+    "family unitary --p 3 --q 3 --parts 1:1,1:1,1:1 --json --checks oracle,paper-identities,properties":
+        "afe00f5b5dfb054df73cded2f1d60396c8e20e18a4c70b20eb3ee0a45ea195c8",
 }
 
 
 def test_golden_digests(capsys, monkeypatch):
-    """The five certified sweeps and one ``check`` print exactly the pinned
-    bytes, under schema version 2."""
+    """The five certified sweeps, one ``check`` and three product-family
+    instances print exactly the pinned bytes, under schema version 2."""
     monkeypatch.delenv("DUALCOH_MONOMIAL_CAP", raising=False)
     assert SCHEMA_VERSION == 2
     for command, digest in GOLDEN_DIGESTS.items():
