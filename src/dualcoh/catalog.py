@@ -388,8 +388,8 @@ def decide_nonvanishing(inst):
     The class survives the invariant-forms map exactly when it pairs
     nontrivially with the ideal; the returned witness re-verifies through
     the core primitives alone.  phi reads the class map that the
-    restriction's relation check filled, which the restriction drops then,
-    so a decision opens one map.
+    restriction's relation check filled and the restriction keeps, so a
+    decision opens no map of its own.
     """
     fc = gysin_fundamental_class(inst.restriction)
     witness = pairs_nontrivially_with_ideal(fc, inst.franke_ideal)

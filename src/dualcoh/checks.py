@@ -12,8 +12,10 @@ tests:
                           Kahler-power identities, substitution kernels).
 * ``properties``       -- seeded structural properties over the catalog
                           sweep: duality, palindromicity, commutativity,
-                          associativity, morphism multiplicativity, witness
-                          round-trips, verdict scalar invariance.
+                          associativity, morphism multiplicativity, Gysin
+                          soundness, witness round-trips, verdict scalar
+                          invariance.  The sweep streams: each instance is
+                          built, decided, read by every check and dropped.
 
 Every enumerator here is deliberately independent of the ring machinery:
 subsets and partitions are counted directly, and relation expansion works
@@ -21,6 +23,7 @@ on raw exponent dictionaries in the root variables.
 """
 
 import random
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -409,33 +412,69 @@ def catalog_sweep_specs():
             for params in sweep_parameter_list(fid, ranges)]
 
 
-def _sweep_algebras(instances):
-    seen = {}
-    for inst in instances:
-        for alg in (inst.dual_G, inst.dual_H):
-            seen[id(alg)] = alg
-        if inst.levi_restriction is not None:
-            seen[id(inst.levi_restriction.target)] = inst.levi_restriction.target
-    return list(seen.values())
+class _Tally:
+    """One property check's state over a stream of instances.
+
+    ``reads`` names the items it is fed (``"algebras"``, ``"morphisms"`` or
+    ``"cases"``); ``step(item)`` returns a failure detail or None.  The
+    tally counts the items it has read and keeps its first failure, after
+    which it reads no more; ``passed`` formats a pass's detail, with the
+    count as ``n``.
+    """
+
+    def __init__(self, name, reads, step, passed):
+        self.name, self.reads, self.step, self.passed = name, reads, step, passed
+        self.count, self.failure = 0, None
+
+    def read(self, item):
+        if self.failure is None:
+            self.failure = self.step(item)
+            self.count += 1
+
+    def result(self):
+        if self.failure is not None:
+            return CheckResult(self.name, False, self.failure)
+        return CheckResult(self.name, True, self.passed.format(n=self.count))
 
 
-def check_duality_nondegeneracy(instances):
-    """Every pairing matrix between complementary degrees is invertible."""
-    for alg in _sweep_algebras(instances):
-        top = alg.top_degree
-        for d in range(0, top // 2 + 1):
-            nd = alg.dims(d)
-            if nd != alg.dims(top - d):
-                return CheckResult("duality-nondegeneracy", False,
-                                   f"dims {d}/{top - d} differ in {_alg_label(alg)}")
-            if nd == 0:
-                continue
-            rr = _echelon(map(enumerate, pairing_matrix(alg, d)), range(nd))
-            if rr.rank != nd:
-                return CheckResult("duality-nondegeneracy", False,
-                                   f"degree {d} pairing rank {rr.rank} < {nd} in {_alg_label(alg)}")
-    return CheckResult("duality-nondegeneracy", True,
-                       f"{len(_sweep_algebras(instances))} algebras")
+def _stream(cases, tallies):
+    """Feed each ``(instance, verdict)`` of ``cases`` to every tally as it
+    comes, and return their results.
+
+    Each tally reads the instance's items of its kind: its rings new to the
+    stream (G, H, then the Levi target), its morphisms (the restriction,
+    then the Levi restriction), or the case itself.  Seen rings are kept by
+    identity in a weak set, so the set holds no ring alive, and a ring that
+    dies cannot be mistaken for a later one that reuses its ``id``.
+    Nothing here keeps an instance once the next one comes.
+    """
+    rings = any(tally.reads == "algebras" for tally in tallies)
+    seen = weakref.WeakSet()
+    for inst, verdict in cases:
+        levi = inst.levi_restriction
+        items = {"algebras": [], "cases": [(inst, verdict)],
+                 "morphisms": [(inst, m) for m in (inst.restriction, levi) if m is not None]}
+        if rings:
+            for alg in (inst.dual_G, inst.dual_H, levi and levi.target):
+                if alg is not None and alg not in seen:
+                    seen.add(alg)
+                    items["algebras"].append(alg)
+        for tally in tallies:
+            for item in items[tally.reads]:
+                tally.read(item)
+    return [tally.result() for tally in tallies]
+
+
+def _decided(specs):
+    """Each spec's instance and verdict, built and decided only when the
+    stream reaches it."""
+    for fid, params in specs:
+        inst = build_family(fid, params)
+        yield inst, decide_nonvanishing(inst)
+
+
+def _undecided(instances):
+    return ((inst, None) for inst in instances)
 
 
 def _alg_label(alg):
@@ -443,21 +482,35 @@ def _alg_label(alg):
         "..." if len(alg.generators) > 3 else "")
 
 
-def check_palindromic_betti(instances):
-    for alg in _sweep_algebras(instances):
+def _duality():
+    def step(alg):
+        top = alg.top_degree
+        for d in range(0, top // 2 + 1):
+            nd = alg.dims(d)
+            if nd != alg.dims(top - d):
+                return f"dims {d}/{top - d} differ in {_alg_label(alg)}"
+            if nd == 0:
+                continue
+            rr = _echelon(map(enumerate, pairing_matrix(alg, d)), range(nd))
+            if rr.rank != nd:
+                return f"degree {d} pairing rank {rr.rank} < {nd} in {_alg_label(alg)}"
+    return _Tally("duality-nondegeneracy", "algebras", step, "{n} algebras")
+
+
+def _palindromic():
+    def step(alg):
         pp = poincare_polynomial(alg)
         if pp != pp[::-1]:
-            return CheckResult("palindromic-betti", False, _alg_label(alg))
+            return _alg_label(alg)
         if sum(pp) != alg.total_dimension:
-            return CheckResult("palindromic-betti", False,
-                               f"{_alg_label(alg)}: sum mismatch")
-    return CheckResult("palindromic-betti", True,
-                       f"{len(_sweep_algebras(instances))} algebras")
+            return f"{_alg_label(alg)}: sum mismatch"
+    return _Tally("palindromic-betti", "algebras", step, "{n} algebras")
 
 
-def check_graded_commutativity(instances, seed=42, samples=25):
+def _commutativity(seed, samples):
     rng = random.Random(seed)
-    for alg in _sweep_algebras(instances):
+
+    def step(alg):
         for _ in range(samples):
             a = random_homogeneous(alg, rng)
             b = random_homogeneous(alg, rng)
@@ -465,56 +518,43 @@ def check_graded_commutativity(instances, seed=42, samples=25):
                 continue
             sign = (-1) ** (a.homogeneous_degree() * b.homogeneous_degree())
             if a * b != sign * (b * a):
-                return CheckResult("graded-commutativity", False,
-                                   f"{_alg_label(alg)}: {a!r}, {b!r}")
-    return CheckResult("graded-commutativity", True, f"seed={seed}")
+                return f"{_alg_label(alg)}: {a!r}, {b!r}"
+    return _Tally("graded-commutativity", "algebras", step, f"seed={seed}")
 
 
-def check_associativity(instances, seed=42, samples=10):
+def _associativity(seed, samples):
     rng = random.Random(seed)
-    for alg in _sweep_algebras(instances):
+
+    def step(alg):
         for _ in range(samples):
             a = random_homogeneous(alg, rng)
             b = random_homogeneous(alg, rng)
             c = random_homogeneous(alg, rng)
             if (a * b) * c != a * (b * c):
-                return CheckResult("associativity", False, _alg_label(alg))
-    return CheckResult("associativity", True, f"seed={seed}")
+                return _alg_label(alg)
+    return _Tally("associativity", "algebras", step, f"seed={seed}")
 
 
-def check_morphism_multiplicativity(instances, seed=42, samples=100):
-    """Every restriction is multiplicative on the seeded pairs of its source.
+def _multiplicativity(seed, samples):
+    """The pairs depend only on the source ring, so they are drawn once for
+    each run of consecutive morphisms out of one source, and only that
+    run's are held: a source that comes back later is drawn again."""
+    source = triples = None
 
-    The pairs depend only on the source ring, so the morphisms are grouped
-    by source (first appearance first) and each source's products are drawn
-    once and dropped before the next source's.  A failure names the earliest
-    failing instance in instance order, as a sequential pass would.
-    """
-    morphisms = [(k, m) for k, inst in enumerate(instances)
-                 for m in (inst.restriction, inst.levi_restriction) if m is not None]
-    groups = {}
-    for k, m in morphisms:
-        groups.setdefault(id(m.source), []).append((k, m))
-    first = len(instances)  # earliest failing instance so far
-    for group in groups.values():
-        group = [(k, m) for k, m in group if k < first]
-        if not group:
-            continue
-        triples = sample_products(group[0][1].source, samples, seed)
-        first = next((k for k, m in group if not multiplicative_on(m, triples)), first)
-        del triples
-    if first < len(instances):
-        inst = instances[first]
-        return CheckResult("morphism-multiplicativity", False,
-                           f"{inst.family_id} {inst.parameters}")
-    return CheckResult("morphism-multiplicativity", True,
-                       f"{len(morphisms)} morphisms x {samples} samples, seed={seed}")
+    def step(item):
+        nonlocal source, triples
+        inst, m = item
+        if m.source is not source:
+            source, triples = m.source, sample_products(m.source, samples, seed)
+        if not multiplicative_on(m, triples):
+            return f"{inst.family_id} {inst.parameters}"
+    return _Tally("morphism-multiplicativity", "morphisms", step,
+                  f"{{n}} morphisms x {samples} samples, seed={seed}")
 
 
-def check_gysin_soundness(cases):
-    """Each emitted dual class, from (instance, verdict) ``cases``, satisfies
-    its defining identity on the full basis."""
-    for inst, v in cases:
+def _gysin_soundness():
+    def step(case):
+        inst, v = case
         m = inst.restriction
         src, tgt = m.source, m.target
         xi = v.fundamental_class
@@ -522,45 +562,77 @@ def check_gysin_soundness(cases):
         for w in src.basis(tgt.top_degree):
             we = src.basis_element(w)
             if pairing(xi, we) != apply(m, we).coefficient(top_t):
-                return CheckResult("gysin-soundness", False,
-                                   f"{inst.family_id} {inst.parameters}: fails at {src.monomial_string(w)}")
-    return CheckResult("gysin-soundness", True, f"{len(cases)} instances")
+                return f"{inst.family_id} {inst.parameters}: fails at {src.monomial_string(w)}"
+    return _Tally("gysin-soundness", "cases", step, "{n} instances")
 
 
-def check_witness_roundtrip(cases):
-    """Emitted witnesses re-verify through the core primitives alone."""
-    for inst, v in cases:
+def _witness_roundtrip():
+    def step(case):
+        inst, v = case
         if not v.nonvanishing:
-            continue
+            return None
         w = v.nonvanishing_witness
         du = inst.dual_G.top_degree - v.fundamental_class.homogeneous_degree()
         pos = inst.dual_G.basis_positions(du)
         basis = (u.terms.items() for u in ideal_basis_in_degree(inst.franke_ideal, du))
         residue = _echelon(basis, pos).reduce({pos[mm]: c for mm, c in w.terms.items()})
         if residue:
-            return CheckResult("witness-roundtrip", False,
-                               f"{inst.family_id} {inst.parameters}: witness outside ideal")
+            return f"{inst.family_id} {inst.parameters}: witness outside ideal"
         if pairing(v.fundamental_class, w) == 0:
-            return CheckResult("witness-roundtrip", False,
-                               f"{inst.family_id} {inst.parameters}: witness pairs to zero")
-    return CheckResult("witness-roundtrip", True, f"{len(cases)} instances")
+            return f"{inst.family_id} {inst.parameters}: witness pairs to zero"
+    return _Tally("witness-roundtrip", "cases", step, "{n} instances")
 
 
-def check_scalar_invariance(cases):
-    """Boolean verdicts are invariant under rescaling the dual class."""
-    for inst, v in cases:
+def _scalar_invariance():
+    def step(case):
+        inst, v = case
         for lam in (Fraction(2), Fraction(-3), Fraction(7, 5)):
             scaled = lam * v.fundamental_class
             again = pairs_nontrivially_with_ideal(scaled, inst.franke_ideal)
             if (again is not None) != v.nonvanishing:
-                return CheckResult("verdict-scalar-invariance", False,
-                                   f"{inst.family_id} {inst.parameters}: lambda={lam}")
-            if v.ghost is not None:
-                g2 = decide_ghost(inst, scaled, again is not None)
-                if g2 != v.ghost:
-                    return CheckResult("verdict-scalar-invariance", False,
-                                       f"{inst.family_id} {inst.parameters}: ghost flip")
-    return CheckResult("verdict-scalar-invariance", True, f"{len(cases)} instances")
+                return f"{inst.family_id} {inst.parameters}: lambda={lam}"
+            if v.ghost is not None and decide_ghost(inst, scaled, again is not None) != v.ghost:
+                return f"{inst.family_id} {inst.parameters}: ghost flip"
+    return _Tally("verdict-scalar-invariance", "cases", step, "{n} instances")
+
+
+def check_duality_nondegeneracy(instances):
+    """Every pairing matrix between complementary degrees is invertible."""
+    return _stream(_undecided(instances), [_duality()])[0]
+
+
+def check_palindromic_betti(instances):
+    return _stream(_undecided(instances), [_palindromic()])[0]
+
+
+def check_graded_commutativity(instances, seed=42, samples=25):
+    return _stream(_undecided(instances), [_commutativity(seed, samples)])[0]
+
+
+def check_associativity(instances, seed=42, samples=10):
+    return _stream(_undecided(instances), [_associativity(seed, samples)])[0]
+
+
+def check_morphism_multiplicativity(instances, seed=42, samples=100):
+    """Every restriction is multiplicative on the seeded pairs of its source;
+    a failure names the earliest failing instance."""
+    return _stream(_undecided(instances), [_multiplicativity(seed, samples)])[0]
+
+
+def check_gysin_soundness(cases):
+    """Each emitted dual class, from (instance, verdict) ``cases``, satisfies
+    its defining identity on the full basis."""
+    return _stream(cases, [_gysin_soundness()])[0]
+
+
+def check_witness_roundtrip(cases):
+    """Emitted witnesses re-verify through the core primitives alone."""
+    return _stream(cases, [_witness_roundtrip()])[0]
+
+
+def check_scalar_invariance(cases):
+    """Boolean verdicts are invariant under rescaling the dual class."""
+    return _stream(cases, [_scalar_invariance()])[0]
 
 
 def check_functoriality(seed=42, samples=20):
@@ -578,23 +650,14 @@ def check_functoriality(seed=42, samples=20):
 
 
 def property_checks(seed=42, samples=100):
-    # Each instance is decided as soon as it is built, so its restriction
-    # holds its relation check's class map for one decision, not for the
-    # whole sweep.
-    cases = [(inst, decide_nonvanishing(inst)) for inst in
-             (build_family(fid, params) for fid, params in catalog_sweep_specs())]
-    instances = [inst for inst, _ in cases]
-    return [
-        check_duality_nondegeneracy(instances),
-        check_palindromic_betti(instances),
-        check_graded_commutativity(instances, seed=seed),
-        check_associativity(instances, seed=seed),
-        check_morphism_multiplicativity(instances, seed=seed, samples=samples),
-        check_gysin_soundness(cases),
-        check_witness_roundtrip(cases),
-        check_scalar_invariance(cases),
-        check_functoriality(seed=seed),
-    ]
+    """The property suite as one pass over the certified instances: each is
+    built, decided, read by every check and dropped before the next."""
+    results = _stream(_decided(catalog_sweep_specs()), [
+        _duality(), _palindromic(), _commutativity(seed, 25), _associativity(seed, 10),
+        _multiplicativity(seed, samples),
+        _gysin_soundness(), _witness_roundtrip(), _scalar_invariance(),
+    ])
+    return results + [check_functoriality(seed=seed)]
 
 
 SUITES = {
@@ -721,16 +784,13 @@ def instance_identity_checks(inst, verdict):
 
 
 def instance_property_checks(inst, verdict, seed=42, samples=50):
-    instances, cases = [inst], [(inst, verdict)]
-    return [
-        check_duality_nondegeneracy(instances),
-        check_palindromic_betti(instances),
-        check_graded_commutativity(instances, seed=seed, samples=10),
-        check_morphism_multiplicativity(instances, seed=seed, samples=samples),
-        check_gysin_soundness(cases),
-        check_witness_roundtrip(cases),
-        check_scalar_invariance(cases),
-    ]
+    """The property suite's per-instance checks, less associativity and with
+    fewer samples, on a one-instance stream."""
+    return _stream([(inst, verdict)], [
+        _duality(), _palindromic(), _commutativity(seed, 10),
+        _multiplicativity(seed, samples),
+        _gysin_soundness(), _witness_roundtrip(), _scalar_invariance(),
+    ])
 
 
 def instance_checks(inst, verdict, suites, seed=42):

@@ -6,13 +6,12 @@ to target elements through normal forms, the reference.  The relation
 check and phi extend it to target classes (``Morphism.image_classes``),
 one Pieri chain per term of a generator image (in an exterior ring, where
 a class is its normal form, the product) and no target normal form, in a
-memo of its own map.  The map that the relation check filled stays with
-the morphism until its first Gysin step reads it, so a catalog
-restriction's relation check and its Gysin step share one map, and a
-decided restriction keeps none.  Construction eagerly verifies that every
-defining relation of the source of degree at most top(target) maps to the
-zero class (a relation above that degree maps to zero by degree); a silent
-non-homomorphism would corrupt every verdict computed downstream.
+memo of its own map, which the morphism keeps for its life: a catalog
+restriction's relation check and its Gysin steps share one map.
+Construction eagerly verifies that every defining relation of the source
+of degree at most top(target) maps to the zero class (a relation above
+that degree maps to zero by degree); a silent non-homomorphism would
+corrupt every verdict computed downstream.
 
 The dual (Gysin) class of a morphism f: A -> B between oriented duality
 algebras is the unique xi in A of degree top(A) - top(B) such that
@@ -48,9 +47,8 @@ class Morphism:
     reference.  ``image_classes`` returns a map to the target classes of
     the same images, each step one ``_class_of_product`` over the terms of
     the generator's image, so no target normal form is formed; the relation
-    check and phi read it, and its memo dies with the map.  ``_checked`` is
-    the map that :func:`build_morphism`'s relation check filled, until the
-    first Gysin step reads it.
+    check and phi read it, and the morphism keeps it, memo and all, for its
+    life.
 
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.  Either way a generator with no
@@ -69,7 +67,7 @@ class Morphism:
         cache = self._image_cache = {(0,) * k: target.one()}
         for i, g in enumerate(source.generators):
             cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = images[g.name]
-        self._checked = None
+        self._class_images = None
 
     def image_of_monomial(self, mont):
         return monomial_value(self._image_cache, mont, self._times_generator)
@@ -78,9 +76,12 @@ class Morphism:
         return img * self.generator_images[self.source.generators[i].name]
 
     def image_classes(self):
-        """A fresh memoised map mont -> the target class of f(mont), a {key:
-        coefficient} dict.  The memo belongs to the map, not the morphism."""
-        return _ClassImages(self)
+        """The memoised map mont -> the target class of f(mont), a {key:
+        coefficient} dict, opened on the first call and kept for the
+        morphism's life."""
+        if self._class_images is None:
+            self._class_images = _ClassImages(self)
+        return self._class_images
 
 
 class _ClassImages:
@@ -89,7 +90,7 @@ class _ClassImages:
     ``memo`` holds the class of 1, then one entry per step, a generator's
     own class included; a step multiplies a class by a generator image
     through ``_class_of_product``, whose per-factor key products are
-    memoised in ``_products``.  Both die with this object.
+    memoised in ``_products``.  Both live as long as the map.
     """
 
     def __init__(self, morphism):
@@ -113,7 +114,7 @@ def build_morphism(source, target, generator_images):
     (missing names are sent to zero).  Images are degree-checked, so a
     relation of degree above top(target) maps to 0 and is skipped.  The
     relation check opens the morphism's class map, which refuses a target
-    without self-dual keys, and leaves it on the morphism for phi.
+    without self-dual keys; phi reads the same map later.
     """
     for g in source.generators:
         img = generator_images.get(g.name)
@@ -146,7 +147,6 @@ def build_morphism(source, target, generator_images):
             raise InvalidPresentationError(
                 f"images violate the degree-{rdeg} relation ({pretty}): "
                 f"maps to {Element(target, img)!r}")
-    m._checked = image
     return m
 
 
@@ -180,8 +180,7 @@ def gysin_fundamental_class(morphism):
     it, and no boolean verdict downstream depends on that.
 
     phi is :func:`_phi_by_halves`: no image above half of top(B) is formed.
-    It reads the class map that the relation check left on the morphism,
-    and the morphism drops it; a later call opens a fresh map.
+    It reads the morphism's class map, the one its relation check filled.
 
     >>> from dualcoh.rings import sp_group_algebra, su_algebra
     >>> G, H = su_algebra(4), sp_group_algebra(2)
@@ -192,8 +191,7 @@ def gysin_fundamental_class(morphism):
     if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    image, morphism._checked = morphism._checked, None
-    phi = _phi_by_halves(morphism, image or morphism.image_classes())
+    phi = _phi_by_halves(morphism, morphism.image_classes())
     return poincare_dual(src, phi, tgt.top_degree)
 
 
@@ -268,9 +266,13 @@ def sample_products(algebra, count, seed):
 
 
 def multiplicative_on(morphism, triples):
-    """Whether f(ab) == f(a)f(b) on every ``(a, b, ab)`` of ``triples``."""
+    """Whether f(ab) == f(a)f(b) on every ``(a, b, ab)`` of ``triples``.
+
+    ``apply`` is linear, so a triple with a zero factor holds for every f
+    and is not evaluated.
+    """
     return all(apply(morphism, ab) == apply(morphism, a) * apply(morphism, b)
-               for a, b, ab in triples)
+               for a, b, ab in triples if a.terms and b.terms)
 
 
 def verify_multiplicativity(morphism, sample_count=100, seed=0):

@@ -31,6 +31,10 @@ it by contraction: f(w) formed in full for every basis monomial w of
 degree top(B), and its top coefficient read.
 ``dense_pairing_matrix`` is the pairing matrix before exterior rings read
 only each row's complement: every free product of the two bases formed.
+``batch_property_checks`` is the property suite before it streamed its
+instances: all of them built and decided first, each check then reading
+the whole list, and the multiplicativity check grouping morphisms by
+source.
 They are slow and obviously exact, which is what a reference is for.
 """
 
@@ -43,19 +47,28 @@ from dualcoh.algebra import (
     GradedAlgebra,
     _count_monomials,
     _quotient,
+    ideal_basis_in_degree,
     pairing,
     pairing_matrix,
+    pairs_nontrivially_with_ideal,
     poincare_dual,
+    poincare_polynomial,
     refuse_over_cap,
 )
-from dualcoh.catalog import FamilyInstance
-from dualcoh.checks import CheckResult
+from dualcoh.catalog import FamilyInstance, build_family, decide_ghost, decide_nonvanishing
+from dualcoh.checks import (
+    CheckResult,
+    _alg_label,
+    _echelon,
+    catalog_sweep_specs,
+    check_functoriality,
+)
 from dualcoh.errors import (
     InconsistentPresentationError,
     InvalidPresentationError,
 )
 from dualcoh.linalg import SparseRREF, add_scaled, solve
-from dualcoh.morphisms import apply, build_morphism, random_homogeneous
+from dualcoh.morphisms import apply, build_morphism, random_homogeneous, sample_products
 from dualcoh.rings import sp_group_algebra, su_algebra, su_so_algebra
 
 
@@ -549,3 +562,164 @@ def dense_pairing_matrix(alg, d):
             row.append(hit[0] * alg.normal_form_monomial(hit[1]).get(top, 0) if hit else 0)
         rows.append(row)
     return rows
+
+
+# The property suite before it streamed its instances: every certified
+# instance is built and decided first, then each check reads the whole list.
+
+
+def batch_sweep_algebras(instances):
+    seen = {}
+    for inst in instances:
+        for alg in (inst.dual_G, inst.dual_H):
+            seen[id(alg)] = alg
+        if inst.levi_restriction is not None:
+            seen[id(inst.levi_restriction.target)] = inst.levi_restriction.target
+    return list(seen.values())
+
+
+def batch_duality_nondegeneracy(instances):
+    for alg in batch_sweep_algebras(instances):
+        top = alg.top_degree
+        for d in range(0, top // 2 + 1):
+            nd = alg.dims(d)
+            if nd != alg.dims(top - d):
+                return CheckResult("duality-nondegeneracy", False,
+                                   f"dims {d}/{top - d} differ in {_alg_label(alg)}")
+            if nd == 0:
+                continue
+            rr = _echelon(map(enumerate, pairing_matrix(alg, d)), range(nd))
+            if rr.rank != nd:
+                return CheckResult("duality-nondegeneracy", False,
+                                   f"degree {d} pairing rank {rr.rank} < {nd} in {_alg_label(alg)}")
+    return CheckResult("duality-nondegeneracy", True,
+                       f"{len(batch_sweep_algebras(instances))} algebras")
+
+
+def batch_palindromic_betti(instances):
+    for alg in batch_sweep_algebras(instances):
+        pp = poincare_polynomial(alg)
+        if pp != pp[::-1]:
+            return CheckResult("palindromic-betti", False, _alg_label(alg))
+        if sum(pp) != alg.total_dimension:
+            return CheckResult("palindromic-betti", False,
+                               f"{_alg_label(alg)}: sum mismatch")
+    return CheckResult("palindromic-betti", True,
+                       f"{len(batch_sweep_algebras(instances))} algebras")
+
+
+def batch_graded_commutativity(instances, seed=42, samples=25):
+    rng = random.Random(seed)
+    for alg in batch_sweep_algebras(instances):
+        for _ in range(samples):
+            a = random_homogeneous(alg, rng)
+            b = random_homogeneous(alg, rng)
+            if a.is_zero() or b.is_zero():
+                continue
+            sign = (-1) ** (a.homogeneous_degree() * b.homogeneous_degree())
+            if a * b != sign * (b * a):
+                return CheckResult("graded-commutativity", False,
+                                   f"{_alg_label(alg)}: {a!r}, {b!r}")
+    return CheckResult("graded-commutativity", True, f"seed={seed}")
+
+
+def batch_associativity(instances, seed=42, samples=10):
+    rng = random.Random(seed)
+    for alg in batch_sweep_algebras(instances):
+        for _ in range(samples):
+            a = random_homogeneous(alg, rng)
+            b = random_homogeneous(alg, rng)
+            c = random_homogeneous(alg, rng)
+            if (a * b) * c != a * (b * c):
+                return CheckResult("associativity", False, _alg_label(alg))
+    return CheckResult("associativity", True, f"seed={seed}")
+
+
+def batch_morphism_multiplicativity(instances, seed=42, samples=100):
+    """Morphisms grouped by source (first appearance first), each source's
+    products drawn once; a failure names the earliest failing instance."""
+    morphisms = [(k, m) for k, inst in enumerate(instances)
+                 for m in (inst.restriction, inst.levi_restriction) if m is not None]
+    groups = {}
+    for k, m in morphisms:
+        groups.setdefault(id(m.source), []).append((k, m))
+    first = len(instances)  # earliest failing instance so far
+    for group in groups.values():
+        group = [(k, m) for k, m in group if k < first]
+        if not group:
+            continue
+        triples = sample_products(group[0][1].source, samples, seed)
+        first = next((k for k, m in group if not all(
+            apply(m, ab) == apply(m, a) * apply(m, b) for a, b, ab in triples)), first)
+    if first < len(instances):
+        inst = instances[first]
+        return CheckResult("morphism-multiplicativity", False,
+                           f"{inst.family_id} {inst.parameters}")
+    return CheckResult("morphism-multiplicativity", True,
+                       f"{len(morphisms)} morphisms x {samples} samples, seed={seed}")
+
+
+def batch_gysin_soundness(cases):
+    for inst, v in cases:
+        m = inst.restriction
+        src, tgt = m.source, m.target
+        xi = v.fundamental_class
+        top_t = tgt.canonical_top_monomial()
+        for w in src.basis(tgt.top_degree):
+            we = src.basis_element(w)
+            if pairing(xi, we) != apply(m, we).coefficient(top_t):
+                return CheckResult("gysin-soundness", False,
+                                   f"{inst.family_id} {inst.parameters}: fails at {src.monomial_string(w)}")
+    return CheckResult("gysin-soundness", True, f"{len(cases)} instances")
+
+
+def batch_witness_roundtrip(cases):
+    for inst, v in cases:
+        if not v.nonvanishing:
+            continue
+        w = v.nonvanishing_witness
+        du = inst.dual_G.top_degree - v.fundamental_class.homogeneous_degree()
+        pos = inst.dual_G.basis_positions(du)
+        basis = (u.terms.items() for u in ideal_basis_in_degree(inst.franke_ideal, du))
+        residue = _echelon(basis, pos).reduce({pos[mm]: c for mm, c in w.terms.items()})
+        if residue:
+            return CheckResult("witness-roundtrip", False,
+                               f"{inst.family_id} {inst.parameters}: witness outside ideal")
+        if pairing(v.fundamental_class, w) == 0:
+            return CheckResult("witness-roundtrip", False,
+                               f"{inst.family_id} {inst.parameters}: witness pairs to zero")
+    return CheckResult("witness-roundtrip", True, f"{len(cases)} instances")
+
+
+def batch_scalar_invariance(cases):
+    for inst, v in cases:
+        for lam in (Fraction(2), Fraction(-3), Fraction(7, 5)):
+            scaled = lam * v.fundamental_class
+            again = pairs_nontrivially_with_ideal(scaled, inst.franke_ideal)
+            if (again is not None) != v.nonvanishing:
+                return CheckResult("verdict-scalar-invariance", False,
+                                   f"{inst.family_id} {inst.parameters}: lambda={lam}")
+            if v.ghost is not None:
+                g2 = decide_ghost(inst, scaled, again is not None)
+                if g2 != v.ghost:
+                    return CheckResult("verdict-scalar-invariance", False,
+                                       f"{inst.family_id} {inst.parameters}: ghost flip")
+    return CheckResult("verdict-scalar-invariance", True, f"{len(cases)} instances")
+
+
+def batch_property_checks(seed=42, samples=100):
+    """``dualcoh.checks.property_checks`` with every instance held to the end."""
+    cases = [(inst, decide_nonvanishing(inst)) for inst in
+             (build_family(fid, params) for fid, params in catalog_sweep_specs())]
+    instances = [inst for inst, _ in cases]
+    return [
+        batch_duality_nondegeneracy(instances),
+        batch_palindromic_betti(instances),
+        batch_graded_commutativity(instances, seed=seed),
+        batch_associativity(instances, seed=seed),
+        batch_morphism_multiplicativity(instances, seed=seed, samples=samples),
+        batch_gysin_soundness(cases),
+        batch_witness_roundtrip(cases),
+        batch_scalar_invariance(cases),
+        check_functoriality(seed=seed),
+    ]

@@ -43,7 +43,7 @@ from dualcoh.catalog import (
     two_part_partitions,
     unitary_decompositions,
 )
-from dualcoh.checks import _sweep_algebras, catalog_sweep_specs
+from dualcoh.checks import catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import (
     Morphism,
@@ -63,6 +63,7 @@ from dualcoh.rings import (
 from reference import family_sl_imag_sp as sl_imag_sp_oracle
 from reference import family_sl_odd_real as sl_odd_real_oracle
 from reference import (
+    batch_sweep_algebras,
     dense_pairing_matrix,
     gysin_by_full_images,
     phi_by_full_images,
@@ -555,7 +556,7 @@ class TestWitnessSearchDifferential:
         canonical top monomial (1 for an exterior factor)."""
         rng = random.Random(17)
         instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
-        rings = _sweep_algebras(instances)
+        rings = batch_sweep_algebras(instances)
         exterior = sum(alg.kind == "exterior" for alg in rings)
         tensors = sum(alg._factors is not None for alg in rings)
         assert exterior >= 8 and len(rings) - exterior - tensors >= 10 and tensors >= 20
@@ -625,19 +626,18 @@ def _fresh(m):
 
 def _phi(m):
     """phi by halves, read from a fresh class map of ``m``."""
-    return _phi_by_halves(m, m.image_classes())
+    return _phi_by_halves(m, _ClassImages(m))
 
 
 def _recorded_class_maps(monkeypatch):
-    """Patch ``Morphism.image_classes`` to keep every map it returns, so a
-    test can read the memo of a map that a computation used and dropped."""
+    """Record every class map a morphism opens, in opening order."""
     maps = []
-    image_classes = Morphism.image_classes
 
-    def recorded(self):
-        maps.append(image_classes(self))
-        return maps[-1]
-    monkeypatch.setattr(Morphism, "image_classes", recorded)
+    class Recorded(_ClassImages):
+        def __init__(self, morphism):
+            super().__init__(morphism)
+            maps.append(self)
+    monkeypatch.setattr(dualcoh.morphisms, "_ClassImages", Recorded)
     return maps
 
 
@@ -654,14 +654,15 @@ class TestGysinByHalves:
         for fid, params in catalog_sweep_specs() + _model_phi_specs():
             m = build_family(fid, params).restriction
             oracle = phi_by_full_images(_fresh(m))
+            image = m.image_classes()  # the relation check's map
             xi = gysin_fundamental_class(m)
             phi = _phi(m)
             assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
             assert all(_exact(v) for v in phi.values())
             assert xi.terms == gysin_by_full_images(_fresh(m)).terms, (fid, params)
-            # xi read the relation check's map, which the morphism dropped;
-            # a second call opens a fresh one
-            assert m._checked is None, (fid, params)
+            # xi read the relation check's map, which the morphism keeps;
+            # a second call reads it again, filled
+            assert m.image_classes() is image, (fid, params)
             assert gysin_fundamental_class(m) == xi, (fid, params)
             assert all(_exact(c) for c in xi.terms.values())
             compared += 1
@@ -768,7 +769,7 @@ class TestImageClasses:
             guarded.update(id(f) for f in _factor_tree(tgt))
             try:
                 checked = build_morphism(m.source, tgt, m.generator_images)
-                phi = _phi_by_halves(checked, checked._checked)
+                phi = _phi_by_halves(checked, checked.image_classes())
             finally:
                 guarded.clear()
             assert phi == _phi(_fresh(m)), (fid, params)
@@ -778,11 +779,11 @@ class TestImageClasses:
         """Every monomial the relation check and phi reach: its class equals
         the class of its image formed through normal forms.  The relation
         check opens one map for every morphism, a source whose relations all
-        lie above top(B) (an exterior source has none) included, and leaves
-        it on the morphism; the Gysin step opens none, reads that one and
-        drops it, so the morphism keeps only its generator images and their
-        memo.  Exterior targets (the certified special-linear restrictions
-        and their Levi restrictions) take the same map."""
+        lie above top(B) (an exterior source has none) included, and the
+        morphism keeps it; the Gysin step opens none and reads that one, so
+        the morphism holds its generator images, their memo and that map.
+        Exterior targets (the certified special-linear restrictions and
+        their Levi restrictions) take the same map."""
         maps = _recorded_class_maps(monkeypatch)
         morphisms = [(spec, build_family(*spec).restriction) for spec in _key_coordinate_specs()]
         for spec in catalog_sweep_specs():
@@ -794,8 +795,8 @@ class TestImageClasses:
         for spec, m in morphisms:
             maps.clear()
             checked = build_morphism(m.source, m.target, m.generator_images)
-            validation = checked._checked
-            assert maps == [validation]
+            [validation] = maps
+            assert checked.image_classes() is validation
             filled = len(validation.memo)
             gysin_fundamental_class(checked)
             assert maps == [validation], spec
@@ -803,8 +804,8 @@ class TestImageClasses:
             relations = any(rdeg <= tgt.top_degree for rdeg, _ in m.source.relations)
             assert (filled > 1) == relations, spec
             assert set(vars(checked)) == {"source", "target", "generator_images",
-                                          "_image_cache", "_checked"}
-            assert checked._checked is None
+                                          "_image_cache", "_class_images"}
+            assert checked.image_classes() is validation and maps == [validation]
             assert len(checked._image_cache) == len(m.source.generators) + 1
             for w, cls in validation.memo.items():
                 assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
@@ -835,10 +836,10 @@ class TestImageClasses:
 
 
 class TestOneMapPerDecision:
-    """A decision opens one class map: the restriction's relation check
-    fills it and leaves it on the restriction, phi reads it on the
-    decision's Gysin step, and afterwards no instance, restriction or
-    verdict keeps it, nor a class of xi."""
+    """A restriction opens one class map: its relation check fills it, the
+    restriction keeps it for its life, and phi reads it on the decision's
+    Gysin step, which opens none.  No instance or verdict holds a map, nor
+    a class of xi."""
 
     def test_one_map_per_decided_instance(self, monkeypatch):
         opened, read = [], []
@@ -864,17 +865,20 @@ class TestOneMapPerDecision:
             inst = build_family(*spec)
             # the relation check opened the held map, for every family
             [held] = [x for x, morphism in opened if morphism is inst.restriction]
-            assert inst.restriction._checked is held, spec
+            assert inst.restriction.image_classes() is held, spec
             opened.clear()
             verdict = decide_nonvanishing(inst)
             assert opened == [] and read == [held], spec
-            for obj in (inst, inst.restriction, verdict):
+            for obj in (inst, verdict):
                 values = vars(obj).values() if hasattr(obj, "__dict__") else obj
                 assert not any(isinstance(x, _ClassImages) for x in values), spec
+            kept = [x for x in vars(inst.restriction).values() if isinstance(x, _ClassImages)]
+            assert kept == [held], spec
             if inst.levi_restriction is not None:
                 # no decision reads it: it keeps its relation check's map,
                 # the class of 1 alone, since an exterior source has no relations
-                assert len(inst.levi_restriction._checked.memo) == 1, spec
+                assert len(inst.levi_restriction.image_classes().memo) == 1, spec
+                assert opened == [], spec
             assert type(verdict.fundamental_class) is Element, spec
             assert (pairs_nontrivially_with_ideal(verdict.fundamental_class, inst.franke_ideal)
                     == verdict.nonvanishing_witness), spec
@@ -925,7 +929,7 @@ class TestOneMapPerDecision:
         for spec in _key_coordinate_specs():
             m = build_family(*spec).restriction
             top = m.target.top_degree
-            image = build_morphism(m.source, m.target, m.generator_images)._checked
+            image = build_morphism(m.source, m.target, m.generator_images).image_classes()
             skipped += any(rdeg > top for rdeg, _ in m.source.relations)
             assert max(map(m.source.monomial_degree, image.memo)) <= top, spec
         assert skipped == 54, skipped
@@ -953,7 +957,7 @@ def _random_exterior_morphism(H, rng):
 class TestExteriorPairingMatrix:
     def test_complements_equal_the_dense_walk(self):
         instances = [build_family(fid, params) for fid, params in catalog_sweep_specs()]
-        rings = [alg for alg in _sweep_algebras(instances) if alg.kind == "exterior"]
+        rings = [alg for alg in batch_sweep_algebras(instances) if alg.kind == "exterior"]
         assert len(rings) >= 8
         for alg in rings:
             for d in range(-1, alg.top_degree + 2):

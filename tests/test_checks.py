@@ -1,15 +1,18 @@
 """The check-suite plumbing and its independent enumerators."""
 
+import gc
 import itertools
 import random
 import re
 import time
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 import dualcoh.checks
-from dualcoh.algebra import model_quotient_algebra
+import reference
+from dualcoh.algebra import exterior_algebra, model_quotient_algebra
 from dualcoh.checks import (
     box_partition_betti,
     catalog_sweep_specs,
@@ -21,6 +24,7 @@ from dualcoh.checks import (
     check_morphism_multiplicativity,
     instance_checks,
     instance_identity_checks,
+    property_checks,
     run_suites,
     strict_partition_betti,
 )
@@ -40,7 +44,11 @@ from dualcoh.rings import (
     lagrangian_relations,
     su_algebra,
 )
-from reference import sequential_multiplicativity
+from reference import (
+    batch_morphism_multiplicativity,
+    batch_property_checks,
+    sequential_multiplicativity,
+)
 
 
 def test_strict_partition_enumerator():
@@ -161,9 +169,12 @@ def certified_instances():
 
 @pytest.mark.parametrize("seed", [21, 42])
 def test_grouped_multiplicativity_matches_the_sequential_pass(certified_instances, seed):
+    """The streamed check draws once per run of consecutive morphisms out of
+    one source; it reads as a draw per morphism and as a draw per source."""
     got = check_morphism_multiplicativity(certified_instances, seed=seed)
     assert got.passed
     assert got == sequential_multiplicativity(certified_instances, seed=seed)
+    assert got == batch_morphism_multiplicativity(certified_instances, seed=seed)
 
 
 def _instance(name, restriction, levi=None):
@@ -192,17 +203,21 @@ def test_planted_failure_between_good_maps_of_its_source():
         got = check_morphism_multiplicativity(instances, seed=seed)
         assert not got.passed and got.detail == "planted {}"
         assert got == sequential_multiplicativity(instances, seed=seed)
+        assert got == batch_morphism_multiplicativity(instances, seed=seed)
 
 
 def test_failure_named_in_instance_order_across_sources():
-    # The first source's group fails at a later instance than the second's.
+    # The first source comes back after the second, and its second run is
+    # drawn again: the failure is named in instance order either way.
     ident2, _, bad2 = _lagrangian_maps(2)
-    _, _, bad3 = _lagrangian_maps(3)
-    instances = [_instance("first", ident2), _instance("second", bad3),
-                 _instance("third", bad2)]
-    got = check_morphism_multiplicativity(instances, seed=21)
-    assert not got.passed and got.detail == "second {}"
-    assert got == sequential_multiplicativity(instances, seed=21)
+    ident3, _, bad3 = _lagrangian_maps(3)
+    for second, detail in ((bad3, "second {}"), (ident3, "third {}")):
+        instances = [_instance("first", ident2), _instance("second", second),
+                     _instance("third", bad2)]
+        got = check_morphism_multiplicativity(instances, seed=21)
+        assert not got.passed and got.detail == detail
+        assert got == sequential_multiplicativity(instances, seed=21)
+        assert got == batch_morphism_multiplicativity(instances, seed=21)
 
 
 def test_sample_products_are_the_seeded_draw():
@@ -214,3 +229,54 @@ def test_sample_products_are_the_seeded_draw():
         a, b = random_homogeneous(L, rng), random_homogeneous(L, rng)
         expected.append((a, b, a * b))
     assert sample_products(L, 30, 7) == expected
+
+
+@pytest.mark.parametrize("seed", [21, 42, 57])
+def test_streamed_suite_matches_the_batch_suite(seed):
+    got = property_checks(seed=seed)
+    assert all(r.passed for r in got)
+    assert got == batch_property_checks(seed=seed)
+
+
+def _planted_build(fid, params):
+    """The certified instance, but for two plants: siegel g=4 [2,2] gets a
+    non-multiplicative Levi map on its source LG(4), between its good
+    restriction and the good restriction of g=4 [3,1], and unitary (2,2)
+    [1:1,1:1] gets an H whose products forget the Koszul sign."""
+    inst = build_family(fid, params)
+    if (fid, params) == ("siegel-product", {"g": 4, "parts": [2, 2]}):
+        L = inst.dual_G
+        inst.levi_restriction = Morphism(
+            L, L, {x.name: L.gen(x.name) for x in L.generators[:-1]})
+    elif (fid, params) == ("unitary-product", {"p": 2, "q": 2, "parts": [[1, 1], [1, 1]]}):
+        inst.dual_H = exterior_algebra([3, 5])
+        inst.dual_H._odd_indices = ()
+    return inst
+
+
+@pytest.mark.parametrize("seed", [21, 42, 57])
+def test_planted_failures_match_the_batch_suite(monkeypatch, seed):
+    monkeypatch.setattr(dualcoh.checks, "build_family", _planted_build)
+    monkeypatch.setattr(reference, "build_family", _planted_build)
+    got = property_checks(seed=seed)
+    assert got == batch_property_checks(seed=seed)
+    failed = {r.name: r.detail for r in got if not r.passed}
+    assert set(failed) == {"morphism-multiplicativity", "graded-commutativity"}, failed
+    assert failed["morphism-multiplicativity"] == "siegel-product {'g': 4, 'parts': [2, 2]}"
+    assert failed["graded-commutativity"].startswith("e3/e5: "), failed
+
+
+def test_property_suite_holds_one_instance_at_a_time(monkeypatch):
+    """When each certified instance is built, at most one earlier instance
+    is still alive: the suite streams its instances."""
+    refs, alive = [], []
+
+    def recorded(fid, params):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        inst = build_family(fid, params)
+        refs.append(weakref.ref(inst))
+        return inst
+    monkeypatch.setattr(dualcoh.checks, "build_family", recorded)
+    assert all(r.passed for r in property_checks(seed=21))
+    assert len(refs) == 47 and max(alive) <= 1, alive

@@ -511,6 +511,11 @@ GOLDEN_DIGESTS = {
         "2198f97d983185934f5065d6a5971904af2e4d5e2891237cebd41430fc11855f",
     "check --json --seed 21":
         "72cae0bb83150f124642decaf6899e1c71b49aba73d86a5c7d56e79683de89d7",
+    "check --json --seed 57":
+        "6331caf0b0e921cc471188b8984cb90eb972f122e4de087a86c639dd9466a0ee",
+    # the per-instance property checks on an instance with a Levi restriction
+    "family sl-imag-sp --n 3 --json --checks oracle,paper-identities,properties":
+        "4dd88e2ee82258da21f7b677fa669da1707ed12bb4e7411d61ea632589210072",
     # product families at their edges: a one-part Siegel H (a copy of G),
     # seven factors, and a three-factor unitary H
     "family siegel --g 3 --parts 3 --json --checks oracle,paper-identities,properties":
@@ -523,8 +528,9 @@ GOLDEN_DIGESTS = {
 
 
 def test_golden_digests(capsys, monkeypatch):
-    """The five certified sweeps, one ``check`` and three product-family
-    instances print exactly the pinned bytes, under schema version 2."""
+    """The five certified sweeps, two ``check`` runs, three product-family
+    instances and one special-linear instance print exactly the pinned
+    bytes, under schema version 2."""
     monkeypatch.delenv("DUALCOH_MONOMIAL_CAP", raising=False)
     assert SCHEMA_VERSION == 2
     for command, digest in GOLDEN_DIGESTS.items():
