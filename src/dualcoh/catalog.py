@@ -21,6 +21,7 @@ from functools import reduce
 from itertools import product
 
 from .algebra import (
+    Element,
     pairs_nontrivially_with_ideal,
     poincare_polynomial,
     tensor_product,
@@ -159,16 +160,19 @@ def family_siegel(g, parts):
 
     ``parts`` is a nonincreasing list of positive integers summing to g.
     The restriction sends sigma_k to the degree-k part of the product of
-    the factors' total classes.  Two-part instances carry the explicit
-    pairing partner theta (see :func:`siegel_theta`); longer partitions are
-    decided by the general pairing criterion and flagged exploratory.
+    the factors' total classes, all g of them read off one truncated
+    product (:func:`_total_class_images`).  Two-part instances carry the
+    explicit pairing partner theta (see :func:`siegel_theta`); longer
+    partitions are decided by the general pairing criterion and flagged
+    exploratory.
     """
     if g < 1:
         raise InvalidPresentationError(f"family siegel needs g >= 1, got {g}")
     parts = _validate_parts(parts, g, "siegel partition")
     G = lagrangian_algebra(g)
-    H, blocks = _product_ring([lagrangian_algebra(gi) for gi in parts], suffixed=True)
-    images = {f"sigma{k}": _composition_image(H, blocks, k) for k in range(1, g + 1)}
+    factors = [lagrangian_algebra(gi) for gi in parts]
+    H = _product_ring(factors, suffixed=True)
+    images = _total_class_images(H, factors, [range(gi) for gi in parts], "sigma", g)
     restriction = build_morphism(G, H, images)
     inst = FamilyInstance(
         family_id="siegel-product",
@@ -186,47 +190,41 @@ def family_siegel(g, parts):
 
 
 def _product_ring(factors, suffixed):
-    """The tensor product H of ``factors`` and each factor's block of
-    generator positions in H.  When ``suffixed``, factor i's generator x is
-    named ``x@i`` (from 1), once, on H: the factors stay the builders'
-    cached rings."""
+    """The tensor product H of ``factors``.  When ``suffixed``, factor i's
+    generator x is named ``x@i`` (from 1), once, on H: the factors stay the
+    builders' cached rings."""
     H = reduce(tensor_product, factors)
-    blocks, start = [], 0
-    for ring in factors:
-        blocks.append(range(start, start + len(ring.generators)))
-        start += len(ring.generators)
     if suffixed:
         H = H.renamed([f"{g.name}@{i}" for i, ring in enumerate(factors, 1)
                        for g in ring.generators])
-    return H, blocks
+    return H
 
 
-def _composition_image(H, blocks, k):
-    """Degree-k part of the product of the factors' total classes, where
-    ``blocks[i]`` lists the positions in H of factor i's classes c_1, c_2,
-    ... in order.
+def _total_class_images(H, factors, classes, name, top):
+    """The images ``{name}k``, k = 1..top: the degree-k parts of the product
+    of the factors' total classes 1 + c_1 + c_2 + ..., as elements of H,
+    the tensor product of ``factors``; ``classes[i]`` lists the positions
+    of factor i's classes c_1, c_2, ... among its generators.
 
-    Each composition k = k_1 + k_2 + ... (k_i = 0 allowed, c_0 = 1) gives
-    the monomial with exponent 1 on each c_{k_i}, and distinct compositions
-    give distinct monomials, so the image is one ``H.element`` call.
+    The product is taken one factor at a time and truncated at degree index
+    ``top``: each partial product is kept per composition k_1 + ... + k_i
+    and extended by the factor's own cached normal forms of its classes.
+    H's normal form of a monomial is the product of its factors' normal
+    forms, so concatenated exponent tuples with multiplied coefficients are
+    H's normal forms, and H forms none.  Distinct compositions give
+    disjoint terms, so each image is the union of its compositions' terms.
     """
-    mont = [0] * len(H.generators)
-    terms = {}
-
-    def rec(i, rem):
-        if i == len(blocks):
-            if rem == 0:
-                terms[tuple(mont)] = 1
-            return
-        rec(i + 1, rem)
-        for ki in range(1, min(len(blocks[i]), rem) + 1):
-            j = blocks[i][ki - 1]
-            mont[j] = 1
-            rec(i + 1, rem - ki)
-            mont[j] = 0
-
-    rec(0, k)
-    return H.element(terms)
+    partial = [(0, {(): 1})]  # (degree index, terms) per composition, in order
+    for ring, positions in zip(factors, classes):
+        n = len(ring.generators)
+        forms = [{(0,) * n: 1}] + [
+            ring.normal_form_monomial(tuple(int(j == i) for j in range(n))) for i in positions]
+        partial = [(k + ki, {m + mf: c * cf for m, c in terms.items() for mf, cf in form.items()})
+                   for k, terms in partial for ki, form in enumerate(forms[:top - k + 1])]
+    images = [{} for _ in range(top + 1)]
+    for k, terms in partial:
+        images[k].update(terms)
+    return {f"{name}{k}": Element(H, images[k]) for k in range(1, top + 1)}
 
 
 def siegel_theta(inst):
@@ -276,7 +274,8 @@ def family_unitary(p, q, parts):
     Generator images are forced by the presentation: sigma_k restricts to
     the degree-k part of the product of the factors' sigma-series, and
     tau_m to the degree-m part of the product of their tau-series (the
-    power-series inverse of the sigma image).  When sum q_i = q this makes
+    power-series inverse of the sigma image); each series is one truncated
+    product (:func:`_total_class_images`).  When sum q_i = q this makes
     the restriction of tau_q the product of the factors' top tau classes;
     when sum q_i < q that shortcut identity fails (tau_q restricts to 0 --
     a rank q - sum q_i summand contributes trivially) and the general
@@ -287,13 +286,12 @@ def family_unitary(p, q, parts):
         raise InvalidPresentationError(f"family unitary needs q >= p >= 1, got ({p}, {q})")
     parts = _validate_unitary_parts(p, q, parts)
     G = grassmannian_algebra(p, q)
-    H, blocks = _product_ring([grassmannian_algebra(pi, qi) for pi, qi in parts],
-                              suffixed=len(parts) > 1)
-    # a factor's sigma_1..sigma_pi come first in its block, then its tau_1..tau_qi
-    sigmas = [block[:pi] for block, (pi, _) in zip(blocks, parts)]
-    taus = [block[pi:] for block, (pi, _) in zip(blocks, parts)]
-    images = {f"sigma{k}": _composition_image(H, sigmas, k) for k in range(1, p + 1)}
-    images.update({f"tau{m}": _composition_image(H, taus, m) for m in range(1, q + 1)})
+    factors = [grassmannian_algebra(pi, qi) for pi, qi in parts]
+    H = _product_ring(factors, suffixed=len(parts) > 1)
+    # a factor's sigma_1..sigma_pi come first among its generators, then its tau_1..tau_qi
+    images = _total_class_images(H, factors, [range(pi) for pi, _ in parts], "sigma", p)
+    images.update(_total_class_images(
+        H, factors, [range(pi, pi + qi) for pi, qi in parts], "tau", q))
     restriction = build_morphism(G, H, images)
     inst = FamilyInstance(
         family_id="unitary-product",
@@ -304,8 +302,9 @@ def family_unitary(p, q, parts):
         franke_ideal=[G.gen(f"sigma{p}"), G.gen(f"tau{q}")],
     )
     sum_qi = sum(qi for _, qi in parts)
-    tops = {block[-1] for block in taus}  # each factor's tau_qi
-    xi_product = H.element({tuple(int(j in tops) for j in range(len(H.generators))): 1})
+    # the monomial of each factor's top class tau_qi, its last generator
+    xi = sum(((0,) * (pi + qi - 1) + (1,) for pi, qi in parts), ())
+    xi_product = H.element({xi: 1})
     inst.notes["tau_shortcut_holds"] = bool(
         sum_qi == q and apply(restriction, G.gen(f"tau{q}")) == xi_product)
     if sum_qi < q:

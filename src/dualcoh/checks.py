@@ -596,23 +596,6 @@ def _scalar_invariance():
     return _Tally("verdict-scalar-invariance", "cases", step, "{n} instances")
 
 
-def check_duality_nondegeneracy(instances):
-    """Every pairing matrix between complementary degrees is invertible."""
-    return _stream(_undecided(instances), [_duality()])[0]
-
-
-def check_palindromic_betti(instances):
-    return _stream(_undecided(instances), [_palindromic()])[0]
-
-
-def check_graded_commutativity(instances, seed=42, samples=25):
-    return _stream(_undecided(instances), [_commutativity(seed, samples)])[0]
-
-
-def check_associativity(instances, seed=42, samples=10):
-    return _stream(_undecided(instances), [_associativity(seed, samples)])[0]
-
-
 def check_morphism_multiplicativity(instances, seed=42, samples=100):
     """Every restriction is multiplicative on the seeded pairs of its source;
     a failure names the earliest failing instance."""
@@ -623,16 +606,6 @@ def check_gysin_soundness(cases):
     """Each emitted dual class, from (instance, verdict) ``cases``, satisfies
     its defining identity on the full basis."""
     return _stream(cases, [_gysin_soundness()])[0]
-
-
-def check_witness_roundtrip(cases):
-    """Emitted witnesses re-verify through the core primitives alone."""
-    return _stream(cases, [_witness_roundtrip()])[0]
-
-
-def check_scalar_invariance(cases):
-    """Boolean verdicts are invariant under rescaling the dual class."""
-    return _stream(cases, [_scalar_invariance()])[0]
 
 
 def check_functoriality(seed=42, samples=20):

@@ -6,8 +6,8 @@ fraction-free: every pivot row is stored monic and every update is rational.
 ``naive_product`` is the ring product before it was summed in place: every
 term pair becomes a one-term dict that is added in, with the Koszul sign
 counted by hand.  ``product_composition_image`` is the restriction image
-of a product family before it was read off as monomials: the factors' total
-classes multiplied out one product at a time.
+of a product family multiplied out in H itself: the factors' total classes
+multiplied one product at a time through H's normal forms.
 ``sequential_multiplicativity`` is the multiplicativity check before it
 grouped morphisms by source: one fresh seeded draw and one product per pair
 for every morphism, in instance order.  ``direct_quotient`` is the quotient

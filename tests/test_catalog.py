@@ -1113,11 +1113,15 @@ def _reference_images(family_id, params, H):
     return images
 
 
-_PRODUCT_SPECS = [spec for spec in catalog_sweep_specs()
-                  if spec[0] in ("siegel-product", "unitary-product")]
-_PRODUCT_SPECS += [("unitary-product", params) for params in
-                   sweep_parameter_list("unitary-product", {"p": (1, 5), "q": (1, 5)})
-                   if ("unitary-product", params) not in _PRODUCT_SPECS]
+_CERTIFIED_PRODUCT_SPECS = [spec for spec in catalog_sweep_specs()
+                            if spec[0] in ("siegel-product", "unitary-product")]
+# then the unitary p <= q <= 5 sweep, q-deficit decompositions included, and
+# a seven-factor Siegel H
+_PRODUCT_SPECS = _CERTIFIED_PRODUCT_SPECS + [
+    ("unitary-product", params) for params in
+    sweep_parameter_list("unitary-product", {"p": (1, 5), "q": (1, 5), "full_q": False})
+    if ("unitary-product", params) not in _CERTIFIED_PRODUCT_SPECS]
+_PRODUCT_SPECS.append(("siegel-product", {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]}))
 
 
 def _leaf_factors(ring):
@@ -1129,8 +1133,7 @@ def _leaf_factors(ring):
 
 def test_product_factors_are_the_cached_rings():
     # Every leaf factor of H is the builder's own ring, not a renamed copy.
-    specs = _PRODUCT_SPECS + [("siegel-product", {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]})]
-    for family_id, params in specs:
+    for family_id, params in _PRODUCT_SPECS:
         H = build_family(family_id, params).dual_H
         if family_id == "siegel-product":
             want = [lagrangian_algebra(gi) for gi in params["parts"]]
@@ -1142,9 +1145,38 @@ def test_product_factors_are_the_cached_rings():
 
 
 def test_composition_images_match_the_product_reference():
-    # Certified product instances, then the unitary p <= q <= 5 sweep that
-    # the benchmark runs: the monomial images equal the multiplied-out ones.
+    # Certified product instances, the unitary p <= q <= 5 sweep that the
+    # benchmark runs with its q-deficit decompositions, and a seven-factor
+    # Siegel H: the truncated-product images equal the multiplied-out ones.
     for family_id, params in _PRODUCT_SPECS:
         inst = build_family(family_id, params)
-        want = _reference_images(family_id, params, inst.dual_H)
-        assert inst.restriction.generator_images == want, (family_id, params)
+        images = inst.restriction.generator_images
+        assert images == _reference_images(family_id, params, inst.dual_H), (family_id, params)
+        if family_id == "unitary-product":
+            # tau_m past the factors' sum q_i restricts to the zero element
+            sum_qi = sum(qi for _, qi in params["parts"])
+            for m in range(sum_qi + 1, params["q"] + 1):
+                assert images[f"tau{m}"] == inst.dual_H.zero(), (params, m)
+
+
+def test_product_images_form_no_normal_form_in_H(monkeypatch):
+    # The images are products of the factors' own normal forms, so building
+    # a certified Siegel instance forms no normal form on a tensor ring; a
+    # unitary one forms only the shortcut note's product of top tau
+    # classes, once per nested tensor level.
+    calls = []
+    normal_form = GradedAlgebra.normal_form_monomial
+
+    def counted(ring, mont):
+        if ring._factors is not None:
+            calls.append(mont)
+        return normal_form(ring, mont)
+
+    monkeypatch.setattr(GradedAlgebra, "normal_form_monomial", counted)
+    for family_id, params in _CERTIFIED_PRODUCT_SPECS:
+        calls.clear()
+        build_family(family_id, params)
+        if family_id == "siegel-product":
+            assert calls == [], params
+        else:
+            assert len(calls) <= len(params["parts"]) - 1, params

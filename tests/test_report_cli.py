@@ -505,6 +505,8 @@ GOLDEN_DIGESTS = {
         "8d92c505dd318dcf940b36a5d010b10341e5c39737bbe4fa590055a534f3379f",
     "sweep unitary --p 1..5 --q 1..5 --json":
         "ead3030913a3dc1732b4e61c4852d0ea4c54c63d7983acb58feecf10fb1ba045",
+    "sweep unitary --p 1..5 --q 1..5 --allow-q-deficit --json":
+        "ad6467333b7a2a6c3fdf2b30fa6b65f01018fbb8ba49edff2ac5de795f9d3286",
     "sweep sl-imag-sp --n 2..6 --json":
         "91462a643c7161d7c6135f13acbe8103785c2f4620191410201c745490305530",
     "sweep sl-odd-real --n 1..5 --json":
@@ -528,9 +530,10 @@ GOLDEN_DIGESTS = {
 
 
 def test_golden_digests(capsys, monkeypatch):
-    """The five certified sweeps, two ``check`` runs, three product-family
-    instances and one special-linear instance print exactly the pinned
-    bytes, under schema version 2."""
+    """The five certified sweeps, the unitary sweep with its q-deficit
+    decompositions, two ``check`` runs, three product-family instances and
+    one special-linear instance print exactly the pinned bytes, under
+    schema version 2."""
     monkeypatch.delenv("DUALCOH_MONOMIAL_CAP", raising=False)
     assert SCHEMA_VERSION == 2
     for command, digest in GOLDEN_DIGESTS.items():
