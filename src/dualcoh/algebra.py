@@ -53,7 +53,8 @@ top coefficient of A*B, for classes of complementary degree, is one
 contraction sum_k A[dual k] * s_k * B[k], with no product formed.
 Classes are multiplied by ``_class_of_product`` without a normal form: in
 a model a chain of ``mult`` (Pieri) steps, in a tensor product factor by
-factor with the cross Koszul sign.  A morphism's relation check and its
+factor with the cross Koszul sign, each factor's key products memoised on
+the tensor ring like its other tables.  A morphism's relation check and its
 Gysin functional (``morphisms.gysin_fundamental_class``, a contraction of
 the classes of two half-degree images) run on these target classes, and
 the witness search tests each spanning product m*g_i of the ideal,
@@ -306,6 +307,7 @@ class GradedAlgebra:
         self._nf_cache = {}
         self._factors = None      # tensor products
         self._split = None
+        self._products = None     # (factor, monomial) -> {key: class}, see _class_of_product
         self._model = None        # model-backed quotients
         self._key_index = {}      # model key -> position in model.keys(its degree)
         self._mont_class_cache = {}
@@ -616,16 +618,16 @@ class GradedAlgebra:
         [(key, c)] = self._mont_class(self.canonical_top_monomial()).items()
         return key, c
 
-    def _class_of_product(self, cls, terms, memo):
+    def _class_of_product(self, cls, terms):
         """The class of x*t summed over the terms c*t of ``terms``, where
         ``cls`` is the class of x, with no normal form.  In a model each
         term is one chain of ``mult`` steps.  A tensor product works factor
         by factor,
             (ka (x) kb) * (ta (x) tb) = (-1)^(|kb| |ta|) (ka*ta) (x) (kb*tb),
-        each factor's key*monomial memoised in ``memo`` per (factor,
-        monomial) and then per key; the caller owns ``memo``, so the ring
-        holds none.  In an exterior ring a class is its normal form and the
-        step is the product."""
+        each factor's key*monomial memoised in ``_products`` per (factor,
+        monomial) and then per key, so equal factors share entries.  In an
+        exterior ring a class is its normal form and the step is the
+        product."""
         if self._model is not None:
             mult = self._model.mult
             out = {}
@@ -640,22 +642,23 @@ class GradedAlgebra:
             return self._mul_elements(Element(self, cls), Element(self, terms)).terms
         (a, b), s = self._factors, self._split
         odd = bool(self._odd_indices)
+        products = self._products
         out = {}
         get = out.get
         for mont, c in terms.items():
             ta, tb = mont[:s], mont[s:]
             flip = odd and a.monomial_degree(ta) & 1
-            table_a = memo.setdefault((a, ta), {})
-            table_b = memo.setdefault((b, tb), {})
+            table_a = products.setdefault((a, ta), {})
+            table_b = products.setdefault((b, tb), {})
             for (ka, kb), x in cls.items():
                 pa = table_a.get(ka)
                 if pa is None:
-                    pa = table_a[ka] = a._class_of_product({ka: 1}, {ta: 1}, memo)
+                    pa = table_a[ka] = a._class_of_product({ka: 1}, {ta: 1})
                 if not pa:
                     continue
                 pb = table_b.get(kb)
                 if pb is None:
-                    pb = table_b[kb] = b._class_of_product({kb: 1}, {tb: 1}, memo)
+                    pb = table_b[kb] = b._class_of_product({kb: 1}, {tb: 1})
                 if not pb:
                     continue
                 x *= -c if flip and b._key_parity(kb) else c
@@ -839,6 +842,7 @@ def tensor_product(a, b):
     alg = GradedAlgebra("tensor", gens, tuple(rels), top)
     alg._factors = (a, b)
     alg._split = ka
+    alg._products = {}
     dims = alg._dims
     for da in a.nonzero_degrees():
         for db in b.nonzero_degrees():
@@ -951,7 +955,7 @@ def poincare_dual(algebra, phi, e):
     basis = algebra.basis(e)
     if basis:
         top, c = algebra._top_class()
-        if (algebra._class_of_product(cls, {basis[0]: 1}, {}).get(top, 0)
+        if (algebra._class_of_product(cls, {basis[0]: 1}).get(top, 0)
                 != c * phi.get(basis[0], 0)):
             raise InconsistentPresentationError(
                 f"dual basis of degree {e} does not pair to the identity")
@@ -1054,7 +1058,7 @@ def pairs_nontrivially_with_ideal(v, ideal_gens):
         v._check_owner(g)
         ms = alg.basis(du - g.homogeneous_degree())
         if ms:
-            vg = _by_dual(alg, alg._class_of_product(cv, g.terms, {}))
+            vg = _by_dual(alg, alg._class_of_product(cv, g.terms))
             for m in ms:
                 if _contract(alg._mont_class(m), vg):
                     return alg.basis_element(m) * g

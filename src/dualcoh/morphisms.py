@@ -1,13 +1,13 @@
 """Degree-preserving ring homomorphisms and dual fundamental classes.
 
 A morphism is stored by its images on generators and extended
-multiplicatively, memoised per monomial.  ``apply`` and the API extend it
-to target elements through normal forms, the reference.  The relation
-check and phi extend it to target classes (``Morphism.image_classes``),
-one Pieri chain per term of a generator image (in an exterior ring, where
-a class is its normal form, the product) and no target normal form, in a
-memo of its own map, which the morphism keeps for its life: a catalog
-restriction's relation check and its Gysin steps share one map.
+multiplicatively, in two memos the morphism keeps for its life.
+``apply`` and the API extend it to target elements through normal forms,
+the reference.  The relation check and phi extend it to target classes
+(``Morphism.image_class``), one Pieri chain per term of a generator image
+(in an exterior ring, where a class is its normal form, the product) and
+no target normal form: a catalog restriction's relation check and its
+Gysin steps read one memo.
 Construction eagerly verifies that every defining relation of the source
 of degree at most top(target) maps to the zero class (a relation above
 that degree maps to zero by degree); a silent non-homomorphism would
@@ -40,15 +40,14 @@ from .linalg import add_scaled
 
 
 class Morphism:
-    """A ring homomorphism given on generators.
+    """A ring homomorphism given on generators, with two memoised
+    extensions of the generator images.
 
-    ``image_of_monomial`` extends it multiplicatively to target elements,
-    each step a product with normal forms, memoised on the morphism: the
-    reference.  ``image_classes`` returns a map to the target classes of
-    the same images, each step one ``_class_of_product`` over the terms of
-    the generator's image, so no target normal form is formed; the relation
-    check and phi read it, and the morphism keeps it, memo and all, for its
-    life.
+    ``image_of_monomial`` extends them to target elements, each step a
+    product with normal forms: the reference.  ``image_class`` extends
+    them to the target classes of the same images, each step one
+    ``_class_of_product`` over the terms of the generator's image, so no
+    target normal form is formed; the relation check and phi read it.
 
     Use :func:`build_morphism` to construct a validated instance; direct
     instantiation skips the relation check.  Either way a generator with no
@@ -67,7 +66,7 @@ class Morphism:
         cache = self._image_cache = {(0,) * k: target.one()}
         for i, g in enumerate(source.generators):
             cache[(0,) * i + (1,) + (0,) * (k - i - 1)] = images[g.name]
-        self._class_images = None
+        self._class_cache = None
 
     def image_of_monomial(self, mont):
         return monomial_value(self._image_cache, mont, self._times_generator)
@@ -75,36 +74,19 @@ class Morphism:
     def _times_generator(self, img, i):
         return img * self.generator_images[self.source.generators[i].name]
 
-    def image_classes(self):
-        """The memoised map mont -> the target class of f(mont), a {key:
-        coefficient} dict, opened on the first call and kept for the
-        morphism's life."""
-        if self._class_images is None:
-            self._class_images = _ClassImages(self)
-        return self._class_images
+    def image_class(self, mont):
+        """The target class of f(mont), a {key: coefficient} dict, formed
+        with no target normal form.  The memo opens with the class of 1,
+        which refuses a target without self-dual keys."""
+        cache = self._class_cache
+        if cache is None:
+            one = self.target.one().terms
+            cache = self._class_cache = {(0,) * len(mont): self.target._class_of(one)}
+        return monomial_value(cache, mont, self._class_times_generator)
 
-
-class _ClassImages:
-    """mont -> the target class of f(mont), with no target normal form.
-
-    ``memo`` holds the class of 1, then one entry per step, a generator's
-    own class included; a step multiplies a class by a generator image
-    through ``_class_of_product``, whose per-factor key products are
-    memoised in ``_products``.  Both live as long as the map.
-    """
-
-    def __init__(self, morphism):
-        tgt = self._target = morphism.target
-        self._images = [morphism.generator_images[g.name].terms
-                        for g in morphism.source.generators]
-        self.memo = {(0,) * len(self._images): tgt._class_of(tgt.one().terms)}
-        self._products = {}
-
-    def __call__(self, mont):
-        return monomial_value(self.memo, mont, self._times_generator)
-
-    def _times_generator(self, cls, i):
-        return self._target._class_of_product(cls, self._images[i], self._products)
+    def _class_times_generator(self, cls, i):
+        image = self.generator_images[self.source.generators[i].name]
+        return self.target._class_of_product(cls, image.terms)
 
 
 def build_morphism(source, target, generator_images):
@@ -113,8 +95,9 @@ def build_morphism(source, target, generator_images):
     ``generator_images`` maps source generator names to target elements
     (missing names are sent to zero).  Images are degree-checked, so a
     relation of degree above top(target) maps to 0 and is skipped.  The
-    relation check opens the morphism's class map, which refuses a target
-    without self-dual keys; phi reads the same map later.
+    class of 1 is read first, so a target without self-dual keys is refused
+    even when no relation is checked; the relation check and phi read the
+    same ``image_class`` memo.
     """
     for g in source.generators:
         img = generator_images.get(g.name)
@@ -131,13 +114,13 @@ def build_morphism(source, target, generator_images):
     if extra:
         raise InvalidPresentationError(f"images given for unknown generators: {sorted(extra)}")
     m = Morphism(source, target, generator_images)
-    image = m.image_classes()
+    m.image_class((0,) * len(source.generators))
     for rdeg, rpoly in source.relations:
         if rdeg > target.top_degree:
             continue
         cls = {}
         for mont, c in rpoly.items():
-            add_scaled(cls, c, image(mont))
+            add_scaled(cls, c, m.image_class(mont))
         if cls:
             img = {}
             for mont, c in rpoly.items():
@@ -180,7 +163,8 @@ def gysin_fundamental_class(morphism):
     it, and no boolean verdict downstream depends on that.
 
     phi is :func:`_phi_by_halves`: no image above half of top(B) is formed.
-    It reads the morphism's class map, the one its relation check filled.
+    It reads the morphism's ``image_class`` memo, which its relation check
+    filled.
 
     >>> from dualcoh.rings import sp_group_algebra, su_algebra
     >>> G, H = su_algebra(4), sp_group_algebra(2)
@@ -191,17 +175,17 @@ def gysin_fundamental_class(morphism):
     if src.top_degree < tgt.top_degree:
         raise InvalidPresentationError(
             "source top degree must be at least the target top degree")
-    phi = _phi_by_halves(morphism, morphism.image_classes())
+    phi = _phi_by_halves(morphism)
     return poincare_dual(src, phi, tgt.top_degree)
 
 
-def _phi_by_halves(morphism, image):
+def _phi_by_halves(morphism):
     """phi[w] = c^-1 * sum_k A[dual k] * s_k * B[k]: no image above half degree.
 
     w = a*b, where a is the longest prefix of w (generators in order) of
     degree at most top(B)/2, so no odd generator of b precedes one of a
     and the product takes no sign.  A and B are the classes of f(a) and
-    f(b), read from the class map ``image`` with no target normal form,
+    f(b), read from ``morphism.image_class`` with no target normal form,
     and s_k is the sign of dual(k)*k (``_by_dual``, once per distinct b).
     Keys are self-dual, so the sum is the top-key coefficient of the class
     of f(w) = f(a)*f(b), and c, the coefficient of the target's canonical
@@ -213,6 +197,7 @@ def _phi_by_halves(morphism, image):
     src, tgt = morphism.source, morphism.target
     half = tgt.top_degree // 2
     _, c = tgt._top_class()
+    image = morphism.image_class
     seconds, phi = {}, {}
     for w in src.basis(tgt.top_degree):
         a = _prefix(w, src._degrees, half)

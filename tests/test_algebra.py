@@ -263,6 +263,22 @@ class TestTensor:
         with monomial_cap(max(counts)):
             assert tensor_product(a, b).worst_count == max(counts)
 
+    def test_key_products_are_memoised_on_the_ring(self):
+        """The tensor class step memoises each factor's key products on the
+        tensor ring, per (factor, factor monomial): equal factors share
+        entries, and a renamed copy shares the table."""
+        L = lagrangian_algebra(2)
+        H = tensor_product(L, L)
+        copy = H.renamed(["a1", "a2", "b1", "b2"])
+        assert copy._products is H._products == {}
+        one = H._class_of(H.one().terms)
+        sigma1s = {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}  # sigma1@1 + sigma1@2
+        assert H._class_of_product(one, sigma1s) == H._class_of(sigma1s)
+        assert set(H._products) == {(L, (1, 0)), (L, (0, 0))}
+        filled = {k: dict(v) for k, v in H._products.items()}
+        assert copy._class_of_product(one, sigma1s) == H._class_of(sigma1s)
+        assert H._products == filled
+
     def test_basis_is_pairwise_products(self):
         a = lagrangian2()
         b = direct_quotient([("beta1", 2)], [{(2,): 1}], 2)
@@ -831,7 +847,7 @@ class TestPoincareDual:
         also pins the operand order of class(xi)*w0."""
         m = build_family(fid, params).restriction
         src, e = m.source, m.target.top_degree
-        phi = _phi_by_halves(m, m.image_classes())
+        phi = _phi_by_halves(m)
         d = src.top_degree - e
         w0 = src.basis(e)[0]
         u = next(u for u in src.basis(d)
@@ -865,7 +881,7 @@ class TestPoincareDual:
                             ("unitary-product", {"p": 3, "q": 4, "parts": [[2, 2], [1, 2]]})]:
             m = build_family(fid, params).restriction
             src, e = m.source, m.target.top_degree
-            phi = _phi_by_halves(m, m.image_classes())
+            phi = _phi_by_halves(m)
             want = poincare_dual_by_solve(src, phi, e)
             with monkeypatch.context() as mp:
                 for name in ("_mul_elements", "normal_form_monomial"):

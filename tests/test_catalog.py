@@ -47,7 +47,6 @@ from dualcoh.checks import catalog_sweep_specs
 from dualcoh.linalg import SparseRREF
 from dualcoh.morphisms import (
     Morphism,
-    _ClassImages,
     _phi_by_halves,
     apply,
     gysin_fundamental_class,
@@ -619,26 +618,30 @@ def _model_phi_specs():
 
 
 def _fresh(m):
-    """The same morphism with an empty image memo, for an oracle that must
-    form its own images."""
+    """The same morphism with empty memos, for an oracle that must form
+    its own images."""
     return Morphism(m.source, m.target, m.generator_images)
 
 
 def _phi(m):
-    """phi by halves, read from a fresh class map of ``m``."""
-    return _phi_by_halves(m, _ClassImages(m))
+    """phi by halves, read from the class memo of a fresh copy of ``m``."""
+    return _phi_by_halves(_fresh(m))
 
 
-def _recorded_class_maps(monkeypatch):
-    """Record every class map a morphism opens, in opening order."""
-    maps = []
+def _class_memo_openings(monkeypatch):
+    """Record every morphism that opens its class memo (``_class_cache``),
+    in opening order."""
+    opened = []
+    image_class = Morphism.image_class
 
-    class Recorded(_ClassImages):
-        def __init__(self, morphism):
-            super().__init__(morphism)
-            maps.append(self)
-    monkeypatch.setattr(dualcoh.morphisms, "_ClassImages", Recorded)
-    return maps
+    def recorded(self, mont):
+        opening = self._class_cache is None
+        cls = image_class(self, mont)
+        if opening:
+            opened.append(self)
+        return cls
+    monkeypatch.setattr(Morphism, "image_class", recorded)
+    return opened
 
 
 def _exact(c):
@@ -654,15 +657,15 @@ class TestGysinByHalves:
         for fid, params in catalog_sweep_specs() + _model_phi_specs():
             m = build_family(fid, params).restriction
             oracle = phi_by_full_images(_fresh(m))
-            image = m.image_classes()  # the relation check's map
+            image = m._class_cache  # the relation check's memo
             xi = gysin_fundamental_class(m)
             phi = _phi(m)
             assert phi == {w: v for w, v in oracle.items() if v}, (fid, params)
             assert all(_exact(v) for v in phi.values())
             assert xi.terms == gysin_by_full_images(_fresh(m)).terms, (fid, params)
-            # xi read the relation check's map, which the morphism keeps;
+            # xi read the relation check's memo, which the morphism keeps;
             # a second call reads it again, filled
-            assert m.image_classes() is image, (fid, params)
+            assert m._class_cache is image, (fid, params)
             assert gysin_fundamental_class(m) == xi, (fid, params)
             assert all(_exact(c) for c in xi.terms.values())
             compared += 1
@@ -686,12 +689,13 @@ class TestGysinByHalves:
             return mul(self, a, b)
 
         monkeypatch.setattr(GradedAlgebra, "_mul_elements", recorded)
-        maps = _recorded_class_maps(monkeypatch)
-        xi = gysin_fundamental_class(_fresh(m))
+        opened = _class_memo_openings(monkeypatch)
+        f = _fresh(m)
+        xi = gysin_fundamental_class(f)
         assert not formed  # phi reads image classes: no product of target elements
         # The memo holds the class of 1, then one entry per step.
-        [image] = maps
-        reached = [src.monomial_degree(w) for w in image.memo if any(w)]
+        assert opened == [f]
+        reached = [src.monomial_degree(w) for w in f._class_cache if any(w)]
         assert gysin_by_full_images(_fresh(m)) == xi
         ceiling = tgt.top_degree // 2 + max(g.degree for g in src.generators)
         assert max(reached) <= ceiling and max(reached) < max(formed) == tgt.top_degree
@@ -739,7 +743,7 @@ def _key_coordinate_specs():
 
 
 class TestImageClasses:
-    """The relation check and phi read target classes (``image_classes``),
+    """The relation check and phi read target classes (``image_class``),
     which ``image_of_monomial``, the reference, must agree with."""
 
     def test_no_target_normal_form(self, monkeypatch):
@@ -769,7 +773,7 @@ class TestImageClasses:
             guarded.update(id(f) for f in _factor_tree(tgt))
             try:
                 checked = build_morphism(m.source, tgt, m.generator_images)
-                phi = _phi_by_halves(checked, checked.image_classes())
+                phi = _phi_by_halves(checked)
             finally:
                 guarded.clear()
             assert phi == _phi(_fresh(m)), (fid, params)
@@ -778,13 +782,13 @@ class TestImageClasses:
     def test_image_class_is_the_class_of_the_image(self, monkeypatch):
         """Every monomial the relation check and phi reach: its class equals
         the class of its image formed through normal forms.  The relation
-        check opens one map for every morphism, a source whose relations all
-        lie above top(B) (an exterior source has none) included, and the
-        morphism keeps it; the Gysin step opens none and reads that one, so
-        the morphism holds its generator images, their memo and that map.
-        Exterior targets (the certified special-linear restrictions and
-        their Levi restrictions) take the same map."""
-        maps = _recorded_class_maps(monkeypatch)
+        check opens the class memo of every morphism, a source whose
+        relations all lie above top(B) (an exterior source has none)
+        included, and the morphism keeps it; the Gysin step opens none and
+        reads that one, so the morphism holds its generator images and its
+        two memos.  Exterior targets (the certified special-linear
+        restrictions and their Levi restrictions) take the same memo."""
+        opened = _class_memo_openings(monkeypatch)
         morphisms = [(spec, build_family(*spec).restriction) for spec in _key_coordinate_specs()]
         for spec in catalog_sweep_specs():
             if spec[0] in ("sl-imag-sp", "sl-odd-real"):
@@ -793,21 +797,21 @@ class TestImageClasses:
         assert sum(m.target.kind == "exterior" for _, m in morphisms) == 16
         touched = shared = 0
         for spec, m in morphisms:
-            maps.clear()
+            opened.clear()
             checked = build_morphism(m.source, m.target, m.generator_images)
-            [validation] = maps
-            assert checked.image_classes() is validation
-            filled = len(validation.memo)
+            assert opened == [checked], spec
+            validation = checked._class_cache
+            filled = len(validation)
             gysin_fundamental_class(checked)
-            assert maps == [validation], spec
+            assert opened == [checked], spec
             tgt = checked.target
             relations = any(rdeg <= tgt.top_degree for rdeg, _ in m.source.relations)
             assert (filled > 1) == relations, spec
             assert set(vars(checked)) == {"source", "target", "generator_images",
-                                          "_image_cache", "_class_images"}
-            assert checked.image_classes() is validation and maps == [validation]
+                                          "_image_cache", "_class_cache"}
+            assert checked._class_cache is validation
             assert len(checked._image_cache) == len(m.source.generators) + 1
-            for w, cls in validation.memo.items():
+            for w, cls in validation.items():
                 assert cls == tgt._class_of(checked.image_of_monomial(w).terms), (spec, w)
                 touched += 1
             shared += relations
@@ -820,7 +824,7 @@ class TestImageClasses:
         m = build_morphism(exterior_algebra([1, 3]), H,
                            {"e1": H.gen("e1@2"), "e3": H.gen("e3@1")})
         assert m.image_of_monomial((1, 1)).terms == {(0, 1, 1, 0): -1}
-        assert m.image_classes()((1, 1)) == {((0, 1), (1, 0)): -1}
+        assert m.image_class((1, 1)) == {((0, 1), (1, 0)): -1}
         rng = random.Random(20261020)
         targets = [
             tensor_product(exterior_algebra([1, 3]), exterior_algebra([1, 3, 5])),
@@ -830,30 +834,24 @@ class TestImageClasses:
         for _ in range(24):
             for H in targets:
                 m = _random_exterior_morphism(H, rng)
-                src, image = m.source, m.image_classes()
+                src = m.source
                 for w in (w for d in range(src.top_degree + 1) for w in src.basis(d)):
-                    assert image(w) == H._class_of(m.image_of_monomial(w).terms)
+                    assert m.image_class(w) == H._class_of(m.image_of_monomial(w).terms)
 
 
 class TestOneMapPerDecision:
-    """A restriction opens one class map: its relation check fills it, the
+    """A restriction opens one class memo: its relation check fills it, the
     restriction keeps it for its life, and phi reads it on the decision's
-    Gysin step, which opens none.  No instance or verdict holds a map, nor
+    Gysin step, which opens none.  No instance or verdict holds a memo, nor
     a class of xi."""
 
     def test_one_map_per_decided_instance(self, monkeypatch):
-        opened, read = [], []
-        init = _ClassImages.__init__
-
-        def counted(self, morphism):
-            opened.append((self, morphism))
-            init(self, morphism)
-        monkeypatch.setattr(_ClassImages, "__init__", counted)
+        opened, read = _class_memo_openings(monkeypatch), []
         phi_by_halves = dualcoh.morphisms._phi_by_halves
 
-        def recorded(morphism, image):
-            read.append(image)
-            return phi_by_halves(morphism, image)
+        def recorded(morphism):
+            read.append(morphism._class_cache)
+            return phi_by_halves(morphism)
         monkeypatch.setattr(dualcoh.morphisms, "_phi_by_halves", recorded)
         specs = catalog_sweep_specs() + [
             ("siegel-product", {"g": 6, "parts": [4, 2]}),
@@ -863,21 +861,21 @@ class TestOneMapPerDecision:
             opened.clear()
             read.clear()
             inst = build_family(*spec)
-            # the relation check opened the held map, for every family
-            [held] = [x for x, morphism in opened if morphism is inst.restriction]
-            assert inst.restriction.image_classes() is held, spec
+            # the relation check opened the held memo, for every family
+            assert [f for f in opened if f is inst.restriction] == [inst.restriction], spec
+            memos = [f._class_cache for f in opened]
+            held = inst.restriction._class_cache
             opened.clear()
             verdict = decide_nonvanishing(inst)
-            assert opened == [] and read == [held], spec
+            assert opened == [] and len(read) == 1 and read[0] is held, spec
             for obj in (inst, verdict):
                 values = vars(obj).values() if hasattr(obj, "__dict__") else obj
-                assert not any(isinstance(x, _ClassImages) for x in values), spec
-            kept = [x for x in vars(inst.restriction).values() if isinstance(x, _ClassImages)]
-            assert kept == [held], spec
+                assert not any(x is memo for x in values for memo in memos), spec
+            assert inst.restriction._class_cache is held, spec
             if inst.levi_restriction is not None:
-                # no decision reads it: it keeps its relation check's map,
+                # no decision reads it: it keeps its relation check's memo,
                 # the class of 1 alone, since an exterior source has no relations
-                assert len(inst.levi_restriction.image_classes().memo) == 1, spec
+                assert len(inst.levi_restriction._class_cache) == 1, spec
                 assert opened == [], spec
             assert type(verdict.fundamental_class) is Element, spec
             assert (pairs_nontrivially_with_ideal(verdict.fundamental_class, inst.franke_ideal)
@@ -929,9 +927,9 @@ class TestOneMapPerDecision:
         for spec in _key_coordinate_specs():
             m = build_family(*spec).restriction
             top = m.target.top_degree
-            image = build_morphism(m.source, m.target, m.generator_images).image_classes()
+            checked = build_morphism(m.source, m.target, m.generator_images)
             skipped += any(rdeg > top for rdeg, _ in m.source.relations)
-            assert max(map(m.source.monomial_degree, image.memo)) <= top, spec
+            assert max(map(m.source.monomial_degree, checked._class_cache)) <= top, spec
         assert skipped == 54, skipped
 
 
@@ -1124,13 +1122,6 @@ _PRODUCT_SPECS = _CERTIFIED_PRODUCT_SPECS + [
 _PRODUCT_SPECS.append(("siegel-product", {"g": 8, "parts": [2, 1, 1, 1, 1, 1, 1]}))
 
 
-def _leaf_factors(ring):
-    """The rings whose iterated tensor product ``ring`` is, in order."""
-    if ring._factors is None:
-        return [ring]
-    return [leaf for factor in ring._factors for leaf in _leaf_factors(factor)]
-
-
 def test_product_factors_are_the_cached_rings():
     # Every leaf factor of H is the builder's own ring, not a renamed copy.
     for family_id, params in _PRODUCT_SPECS:
@@ -1139,7 +1130,7 @@ def test_product_factors_are_the_cached_rings():
             want = [lagrangian_algebra(gi) for gi in params["parts"]]
         else:
             want = [grassmannian_algebra(pi, qi) for pi, qi in params["parts"]]
-        leaves = _leaf_factors(H)
+        leaves = _leaves(H)
         assert len(leaves) == len(want), (family_id, params)
         assert all(leaf is ring for leaf, ring in zip(leaves, want)), (family_id, params)
 

@@ -122,13 +122,16 @@ class TestBuild:
     def test_keyless_targets_check_normal_forms(self):
         """A target without keys, alone or as a tensor factor, has no
         classes for the relation check to read: it is refused, whether or
-        not the images would violate a relation."""
+        not the images would violate a relation, and from a source with no
+        relations to check (an exterior one) too, since the class of 1 is
+        read first."""
         B = direct_quotient([("z", 2)], [{(3,): 1}], 4)
         for H in (B, tensor_product(B, lagrangian_algebra(1))):
             z = H.gen("z")
             valid = {"sigma1": 2 * z, "sigma2": 2 * z * z}
             for source, images in ((lagrangian_algebra(1), {"sigma1": z}),
-                                   (lagrangian_algebra(2), valid)):
+                                   (lagrangian_algebra(2), valid),
+                                   (su_algebra(2), {})):
                 with pytest.raises(InvalidPresentationError) as err:
                     build_morphism(source, H, images)
                 assert str(err.value) == "a quotient ring has no dual basis"
@@ -284,7 +287,7 @@ class TestGysin:
         L = lagrangian_algebra(1)
         m = build_morphism(A, L, {"y": L.gen("sigma1")})
         oracle = {w: v for w, v in phi_by_full_images(m).items() if v}
-        assert _phi_by_halves(m, m.image_classes()) == oracle
+        assert _phi_by_halves(m) == oracle
         with pytest.raises(InvalidPresentationError, match="no dual basis"):
             gysin_fundamental_class(m)
 

@@ -519,11 +519,14 @@ GOLDEN_DIGESTS = {
     "family sl-imag-sp --n 3 --json --checks oracle,paper-identities,properties":
         "4dd88e2ee82258da21f7b677fa669da1707ed12bb4e7411d61ea632589210072",
     # product families at their edges: a one-part Siegel H (a copy of G),
-    # seven factors, and a three-factor unitary H
+    # seven factors, a nested tensor of unequal factors, and a three-factor
+    # unitary H
     "family siegel --g 3 --parts 3 --json --checks oracle,paper-identities,properties":
         "e1ba66c0822d0f30c694b347b64bfe7c4af4af7ef436b01036f3cfc7c4e19e88",
     "family siegel --g 7 --parts 1,1,1,1,1,1,1 --json --checks oracle,paper-identities,properties":
         "f6e5db7468a146df2e7f833632544882c4c6b0d08fe846edda67cdb88e09d398",
+    "family siegel --g 8 --parts 3,3,2 --json --checks oracle,paper-identities,properties":
+        "b21c03d3b77ec03c5fab68347b657b00e71a8cd4994761f1ba9328329a3a1743",
     "family unitary --p 3 --q 3 --parts 1:1,1:1,1:1 --json --checks oracle,paper-identities,properties":
         "afe00f5b5dfb054df73cded2f1d60396c8e20e18a4c70b20eb3ee0a45ea195c8",
 }
@@ -531,7 +534,7 @@ GOLDEN_DIGESTS = {
 
 def test_golden_digests(capsys, monkeypatch):
     """The five certified sweeps, the unitary sweep with its q-deficit
-    decompositions, two ``check`` runs, three product-family instances and
+    decompositions, two ``check`` runs, four product-family instances and
     one special-linear instance print exactly the pinned bytes, under
     schema version 2."""
     monkeypatch.delenv("DUALCOH_MONOMIAL_CAP", raising=False)
